@@ -5,7 +5,8 @@
 //     seed scalar MatMul (with its `a_val == 0` skip), the retained scalar
 //     reference, and EVERY available kernel backend (scalar, avx2 where the
 //     host supports it; ISSUE 3) at 1/2/4/8 threads, dense and prepacked
-//     GEMM variants, plus the RoPE recompute-vs-table pair — written
+//     GEMM variants, the RoPE recompute-vs-table pair, and causal attention
+//     (per-key dot/axpy path vs attention_rows) at 150 and 500 positions — written
 //     machine-readably to BENCH_kernels.json (and echoed as a table).
 //     docs/PERFORMANCE.md and the CI regression check read this file; a
 //     copy is checked into the repo root so the perf trajectory is
@@ -254,6 +255,71 @@ void RunJsonSweep(const char* json_path) {
         points.push_back({"swiglu", "row_parallel", ops->name, t, flops / s * 1e-9,
                           bytes / s * 1e-9, s});
       }
+    }
+  }
+
+  // Causal GQA attention over a full prefill of `positions` tokens at the
+  // `small` model's shape (8 query heads over 2 KV heads, head_dim 16), one
+  // thread: the per-key path (one (row, head) pair at a time, two indirect
+  // dot/axpy calls per key — the composition attention_rows must
+  // reproduce) against the backend's attention_rows (one call per KV group
+  // over all rows). Both produce the same bits; FLOPs count 4 * head_dim
+  // per (row, head, key): the q.k dot and the p.v axpy.
+  for (const int64_t positions : {int64_t{150}, int64_t{500}}) {
+    const ModelConfig shape = ModelConfig::Small();
+    const int64_t n_heads = shape.n_heads;
+    const int64_t n_kv = shape.n_kv_heads;
+    const int64_t d = shape.head_dim;
+    const int64_t group = n_heads / n_kv;
+    const int64_t qs = n_heads * d;
+    const int64_t kvw = n_kv * d;
+    const double pairs = static_cast<double>(n_heads) * positions * (positions + 1) / 2;
+    const double flops = 4.0 * d * pairs;
+    const double bytes = 4.0 * (2.0 * positions * qs + 2.0 * positions * kvw);
+    Rng rng(5);
+    std::vector<float> q(static_cast<size_t>(positions * qs));
+    std::vector<float> k(static_cast<size_t>(positions * kvw));
+    std::vector<float> v(static_cast<size_t>(positions * kvw));
+    std::vector<float> out(static_cast<size_t>(positions * qs));
+    std::vector<float> scores(static_cast<size_t>(positions));
+    for (auto* buf : {&q, &k, &v}) {
+      for (auto& x : *buf) {
+        x = rng.NextUniformFloat(1.0f);
+      }
+    }
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+    const AttentionArgs args{q.data(), out.data(), nullptr, nullptr, k.data(), v.data(),
+                             0,        0,          n_heads, n_kv,    d,        scale};
+    const std::string variant_suffix = "_" + std::to_string(positions);
+    for (const KernelOps* ops : backends) {
+      double s = TimeSeconds([&] {
+        for (int64_t i = 0; i < positions; ++i) {
+          for (int64_t h = 0; h < n_heads; ++h) {
+            const float* qv = q.data() + i * qs + h * d;
+            const int64_t kv_col = h / group * d;
+            for (int64_t j = 0; j <= i; ++j) {
+              scores[static_cast<size_t>(j)] =
+                  ops->dot(qv, k.data() + j * kvw + kv_col, d) * scale;
+            }
+            ops->softmax_row(scores.data(), i + 1);
+            float* o = out.data() + i * qs + h * d;
+            std::memset(o, 0, static_cast<size_t>(d) * sizeof(float));
+            for (int64_t j = 0; j <= i; ++j) {
+              ops->axpy(o, v.data() + j * kvw + kv_col, scores[static_cast<size_t>(j)], d);
+            }
+          }
+        }
+      });
+      points.push_back({"attention", "per_key" + variant_suffix, ops->name, 1,
+                        flops / s * 1e-9, bytes / s * 1e-9, s});
+      s = TimeSeconds([&] {
+        for (int64_t g = 0; g < n_kv; ++g) {
+          ops->attention_rows(args, 0, positions, g * group, (g + 1) * group,
+                              scores.data());
+        }
+      });
+      points.push_back({"attention", "rows" + variant_suffix, ops->name, 1,
+                        flops / s * 1e-9, bytes / s * 1e-9, s});
     }
   }
 

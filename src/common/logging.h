@@ -36,30 +36,37 @@ class LogMessage {
 
 }  // namespace internal
 
-#define PO_LOG_DEBUG                                                      \
-  if (static_cast<int>(::prefillonly::GetLogLevel()) <=                   \
-      static_cast<int>(::prefillonly::LogLevel::kDebug))                  \
-  ::prefillonly::internal::LogMessage(::prefillonly::LogLevel::kDebug,    \
-                                      __FILE__, __LINE__)                 \
-      .stream()
-#define PO_LOG_INFO                                                       \
-  if (static_cast<int>(::prefillonly::GetLogLevel()) <=                   \
-      static_cast<int>(::prefillonly::LogLevel::kInfo))                   \
-  ::prefillonly::internal::LogMessage(::prefillonly::LogLevel::kInfo,     \
-                                      __FILE__, __LINE__)                 \
-      .stream()
-#define PO_LOG_WARNING                                                    \
-  if (static_cast<int>(::prefillonly::GetLogLevel()) <=                   \
-      static_cast<int>(::prefillonly::LogLevel::kWarning))                \
-  ::prefillonly::internal::LogMessage(::prefillonly::LogLevel::kWarning,  \
-                                      __FILE__, __LINE__)                 \
-      .stream()
-#define PO_LOG_ERROR                                                      \
-  if (static_cast<int>(::prefillonly::GetLogLevel()) <=                   \
-      static_cast<int>(::prefillonly::LogLevel::kError))                  \
-  ::prefillonly::internal::LogMessage(::prefillonly::LogLevel::kError,    \
-                                      __FILE__, __LINE__)                 \
-      .stream()
+// Each macro is the head of an if/else whose else arm is the log statement,
+// so `if (x) PO_LOG_INFO << "..."; else ...` keeps its else bound to the
+// caller's if (a bare `if` would capture it).
+#define PO_LOG_DEBUG                                                        \
+  if (static_cast<int>(::prefillonly::GetLogLevel()) >                      \
+      static_cast<int>(::prefillonly::LogLevel::kDebug)) {                  \
+  } else                                                                    \
+    ::prefillonly::internal::LogMessage(::prefillonly::LogLevel::kDebug,    \
+                                        __FILE__, __LINE__)                 \
+        .stream()
+#define PO_LOG_INFO                                                         \
+  if (static_cast<int>(::prefillonly::GetLogLevel()) >                      \
+      static_cast<int>(::prefillonly::LogLevel::kInfo)) {                   \
+  } else                                                                    \
+    ::prefillonly::internal::LogMessage(::prefillonly::LogLevel::kInfo,     \
+                                        __FILE__, __LINE__)                 \
+        .stream()
+#define PO_LOG_WARNING                                                      \
+  if (static_cast<int>(::prefillonly::GetLogLevel()) >                      \
+      static_cast<int>(::prefillonly::LogLevel::kWarning)) {                \
+  } else                                                                    \
+    ::prefillonly::internal::LogMessage(::prefillonly::LogLevel::kWarning,  \
+                                        __FILE__, __LINE__)                 \
+        .stream()
+#define PO_LOG_ERROR                                                        \
+  if (static_cast<int>(::prefillonly::GetLogLevel()) >                      \
+      static_cast<int>(::prefillonly::LogLevel::kError)) {                  \
+  } else                                                                    \
+    ::prefillonly::internal::LogMessage(::prefillonly::LogLevel::kError,    \
+                                        __FILE__, __LINE__)                 \
+        .stream()
 
 }  // namespace prefillonly
 

@@ -194,45 +194,47 @@ void LlamaModel::Attention(const float* q, int64_t q_rows, int64_t q_pos0,
                            const float* v_new, int64_t new_rows, float* out,
                            float* scores, float* extra_scores,
                            int64_t scores_stride) const {
-  const int64_t head_dim = config_.head_dim;
   const int64_t n_heads = config_.n_heads;
   const int64_t group = n_heads / config_.n_kv_heads;
-  const int64_t qs = config_.q_size();
   const int64_t n_prefix = (prefix != nullptr) ? prefix->k.rows() : 0;
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(head_dim));
   assert(q_pos0 + q_rows <= scores_stride);
+  assert(q_pos0 + q_rows - n_prefix <= new_rows);
+  const AttentionArgs args{
+      q,
+      out,
+      prefix != nullptr ? prefix->k.data() : nullptr,
+      prefix != nullptr ? prefix->v.data() : nullptr,
+      k_new,
+      v_new,
+      n_prefix,
+      q_pos0,
+      n_heads,
+      config_.n_kv_heads,
+      config_.head_dim,
+      1.0f / std::sqrt(static_cast<float>(config_.head_dim)),
+  };
 
-  // One work item = one (query row, head) pair. Each pair owns the disjoint
-  // output slice out[i*qs + head*head_dim, +head_dim) and runs the full
-  // score/softmax/weighted-sum sequence on a single thread, in the same
-  // order as the serial loop — bitwise identical for every thread count.
+  // One work item = one (query row, head) pair, flattened row-major. A
+  // range of items is a partial first row, whole rows and a partial last
+  // row; it runs as kernel calls over a row range x the heads of one KV
+  // group. Each pair owns the disjoint output slice out[i*qs + head*head_dim,
+  // +head_dim) and the kernel computes it identically however the items are
+  // grouped into calls — bitwise identical for every thread count.
   const auto body = [&](int64_t begin, int64_t end, int worker) {
     float* my_scores =
         worker == 0 ? scores : extra_scores + (worker - 1) * scores_stride;
-    for (int64_t idx = begin; idx < end; ++idx) {
-      const int64_t i = idx / n_heads;
-      const int64_t head = idx % n_heads;
-      const int64_t abs_pos = q_pos0 + i;  // query i attends keys [0, abs_pos]
-      const int64_t n_keys = abs_pos + 1;
-      assert(n_keys - n_prefix <= new_rows);
-      const int64_t kv_head = head / group;
-      const int64_t kvw = config_.kv_size();
-      const float* q_vec = q + i * qs + head * head_dim;
-      for (int64_t j = 0; j < n_keys; ++j) {
-        const float* k_vec = (j < n_prefix)
-                                 ? prefix->k.row(j) + kv_head * head_dim
-                                 : k_new + (j - n_prefix) * kvw + kv_head * head_dim;
-        my_scores[j] = Dot(q_vec, k_vec, head_dim, kops_) * inv_sqrt_d;
+    while (begin < end) {
+      const int64_t i = begin / n_heads;
+      const int64_t h0 = begin % n_heads;
+      const bool whole_rows = h0 == 0 && end - begin >= n_heads;
+      const int64_t r1 = whole_rows ? i + (end - begin) / n_heads : i + 1;
+      const int64_t h1 = whole_rows ? n_heads : std::min(n_heads, h0 + (end - begin));
+      for (int64_t h = h0; h < h1;) {
+        const int64_t group_end = std::min(h1, (h / group + 1) * group);
+        kops_->attention_rows(args, i, r1, h, group_end, my_scores);
+        h = group_end;
       }
-      SoftmaxRow(my_scores, n_keys, kops_);
-      float* o_vec = out + i * qs + head * head_dim;
-      std::memset(o_vec, 0, static_cast<size_t>(head_dim) * sizeof(float));
-      for (int64_t j = 0; j < n_keys; ++j) {
-        const float* v_vec = (j < n_prefix)
-                                 ? prefix->v.row(j) + kv_head * head_dim
-                                 : v_new + (j - n_prefix) * kvw + kv_head * head_dim;
-        Axpy(o_vec, v_vec, my_scores[j], head_dim, kops_);
-      }
+      begin = (r1 - 1) * n_heads + h1;
     }
   };
   const int64_t work = q_rows * n_heads;

@@ -238,15 +238,20 @@ class LlamaModel {
   // `new_rows` rows of k_new/v_new (absolute positions n_prefix..). Raw
   // row pointers (strides implied by the config: q/out q_size, k/v
   // kv_size) so batched callers can pass row slices of stacked buffers.
-  // Parallel over (query row, head) pairs; each pair is computed start to
-  // finish by one thread, so results are bitwise independent of the thread
-  // count. `scores` is worker 0's scratch row (scores_stride >= q_pos0 +
-  // q_rows floats, budget-tracked — the one row the activation walker
-  // models); `extra_scores` is untracked host scratch of (workers() - 1)
-  // more rows at the same stride, null when workers() == 1. Keeping the
-  // extra rows out of the tracked budget keeps activation accounting and
-  // MIL predictions machine-independent. Writes [q_rows, q_size] into
-  // `out`.
+  // The work runs in the backend's KernelOps::attention_rows, one call per
+  // row range x the query heads of one KV group. Threads split the
+  // (query row, head) pairs into area-balanced shards; each pair is
+  // computed start to finish by one thread, and attention_rows computes it
+  // identically however pairs are grouped into calls, so results are
+  // bitwise independent of the thread count. `scores` is worker 0's
+  // scratch row (scores_stride >= q_pos0 + q_rows floats, budget-tracked —
+  // the one row the activation walker models); `extra_scores` is untracked
+  // host scratch of (workers() - 1) more rows at the same stride, null when
+  // workers() == 1. A backend's own extra scratch (the avx2 kernel's packed
+  // K/V and per-head score rows) is untracked thread-local memory. Keeping
+  // all of that out of the tracked budget keeps activation accounting and
+  // MIL predictions machine- and backend-independent. Writes
+  // [q_rows, q_size] into `out`.
   void Attention(const float* q, int64_t q_rows, int64_t q_pos0, const LayerKv* prefix,
                  const float* k_new, const float* v_new, int64_t new_rows, float* out,
                  float* scores, float* extra_scores, int64_t scores_stride) const;

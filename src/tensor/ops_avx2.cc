@@ -20,6 +20,9 @@
 //    lane-striped order determined by the vector length alone.
 //  * exp is a single polynomial (Exp256); tails run the same polynomial on
 //    a zero-padded vector, so no element ever sees a different exp.
+//  * Attention (Avx2AttentionRows) tiles keys across lanes but replays the
+//    per-key composition's ops per element: Avx2Dot's reduction tree, the
+//    score scale, Avx2SoftmaxRow, Avx2Axpy's ascending-key FMA chain.
 //
 // Cross-backend, FMA fuses what the scalar backend rounds twice and the
 // reductions reassociate — so AVX2 output is tolerance-close to scalar,
@@ -34,6 +37,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "src/tensor/prepack.h"
 
@@ -358,7 +362,9 @@ void Avx2SiluMul(const float* gate, const float* up, float* out,
   }
 }
 
-void Avx2SoftmaxRow(float* x, int64_t n) {
+// noinline: the attention kernel calls this directly, and an inlined copy
+// must not become a second, differently optimized softmax.
+[[gnu::noinline]] void Avx2SoftmaxRow(float* x, int64_t n) {
   assert(n > 0);
   // Max: exact under any evaluation order, so mixing vector and scalar
   // steps is safe even bitwise.
@@ -455,6 +461,208 @@ void Avx2Axpy(float* y, const float* x, float scale, int64_t n) {
   }
 }
 
+// ---------------------------------------------------------------- attention
+
+// Per-thread scratch of Avx2AttentionRows, grown to the largest call seen:
+// the call's KV head packed for key-parallel scores, and one score row per
+// query head.
+struct AttentionScratch {
+  std::vector<float> k;       // 8-key blocks, each [head_dim][8]
+  std::vector<float> v;       // [n_keys][v_stride], zero-padded columns
+  std::vector<float> scores;  // [heads][score_stride]
+};
+
+AttentionScratch& ThreadAttentionScratch() {
+  thread_local AttentionScratch scratch;
+  return scratch;
+}
+
+// Grows (never shrinks) `v` to at least n floats.
+float* AtLeast(std::vector<float>& v, int64_t n) {
+  if (v.size() < static_cast<size_t>(n)) {
+    v.resize(static_cast<size_t>(n));
+  }
+  return v.data();
+}
+
+// Scores of one query vector against the 8 keys of one packed block, with
+// lanes over keys. Lane j replays Avx2Dot(q, k_j) exactly: the acc0/acc1
+// FMA chains over d (16-wide steps, then one 8-wide step into acc0),
+// acc0 + acc1, Hsum8's tree ((t0+t4) + (t2+t6)) + ((t1+t5) + (t3+t7)), the
+// Fma1 tail — then the * scale the composition applies. kHeadDim > 0 fixes
+// head_dim at compile time so the loops unroll into registers; 0 reads it
+// at run time.
+template <int kHeadDim>
+inline __m256 ScoreBlock(const float* q, const float* kb, int64_t head_dim_arg,
+                         __m256 scale) {
+  const int64_t head_dim = kHeadDim > 0 ? kHeadDim : head_dim_arg;
+  const int64_t n16 = head_dim - head_dim % 16;
+  const int64_t n8 = head_dim - n16 >= 8 ? n16 + 8 : n16;
+  __m256 t[8];
+#pragma GCC unroll 8
+  for (int64_t l = 0; l < 8; ++l) {
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    for (int64_t d = l; d < n16; d += 16) {
+      acc0 = _mm256_fmadd_ps(_mm256_broadcast_ss(q + d), _mm256_loadu_ps(kb + d * 8),
+                             acc0);
+      acc1 = _mm256_fmadd_ps(_mm256_broadcast_ss(q + d + 8),
+                             _mm256_loadu_ps(kb + (d + 8) * 8), acc1);
+    }
+    if (n8 > n16) {
+      acc0 = _mm256_fmadd_ps(_mm256_broadcast_ss(q + n16 + l),
+                             _mm256_loadu_ps(kb + (n16 + l) * 8), acc0);
+    }
+    t[l] = _mm256_add_ps(acc0, acc1);
+  }
+  const __m256 u0 = _mm256_add_ps(t[0], t[4]);
+  const __m256 u1 = _mm256_add_ps(t[1], t[5]);
+  const __m256 u2 = _mm256_add_ps(t[2], t[6]);
+  const __m256 u3 = _mm256_add_ps(t[3], t[7]);
+  __m256 sum = _mm256_add_ps(_mm256_add_ps(u0, u2), _mm256_add_ps(u1, u3));
+  for (int64_t d = n8; d < head_dim; ++d) {
+    sum = _mm256_fmadd_ps(_mm256_broadcast_ss(q + d), _mm256_loadu_ps(kb + d * 8), sum);
+  }
+  return _mm256_mul_ps(sum, scale);
+}
+
+// Stores the first `width` lanes of v (all 8 when width >= 8).
+inline void StoreLanes(float* dst, __m256 v, int64_t width) {
+  if (width >= 8) {
+    _mm256_storeu_ps(dst, v);
+    return;
+  }
+  const __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(width)),
+                                          _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  _mm256_maskstore_ps(dst, mask, v);
+}
+
+// P.V for kHeads heads of one query row, 16 columns at a time: out_h[d] is
+// an FMA chain over keys j ascending from 0, p_h[j] * v_j[d] — Avx2Axpy's
+// per-element op, with the accumulator kept in a register instead of
+// re-read from memory. Each V load serves every head of the group.
+template <int kHeads, int kHeadDim>
+void WeightedValues(const float* p, int64_t p_stride, const float* v,
+                    int64_t v_stride, int64_t n_keys, float* out,
+                    int64_t head_dim_arg) {
+  const int64_t head_dim = kHeadDim > 0 ? kHeadDim : head_dim_arg;
+  for (int64_t d0 = 0; d0 < head_dim; d0 += 16) {
+    __m256 acc0[kHeads];
+    __m256 acc1[kHeads];
+#pragma GCC unroll 4
+    for (int h = 0; h < kHeads; ++h) {
+      acc0[h] = _mm256_setzero_ps();
+      acc1[h] = _mm256_setzero_ps();
+    }
+    for (int64_t j = 0; j < n_keys; ++j) {
+      const float* vj = v + j * v_stride + d0;
+      const __m256 v0 = _mm256_loadu_ps(vj);
+      const __m256 v1 = _mm256_loadu_ps(vj + 8);
+#pragma GCC unroll 4
+      for (int h = 0; h < kHeads; ++h) {
+        const __m256 ph = _mm256_broadcast_ss(p + h * p_stride + j);
+        acc0[h] = _mm256_fmadd_ps(ph, v0, acc0[h]);
+        acc1[h] = _mm256_fmadd_ps(ph, v1, acc1[h]);
+      }
+    }
+#pragma GCC unroll 4
+    for (int h = 0; h < kHeads; ++h) {
+      float* o = out + h * head_dim + d0;
+      StoreLanes(o, acc0[h], head_dim - d0);
+      if (d0 + 8 < head_dim) {
+        StoreLanes(o + 8, acc1[h], head_dim - d0 - 8);
+      }
+    }
+  }
+}
+
+// Keys run across vector lanes: the call's KV head is packed once into
+// 8-key blocks ([head_dim][8] each, so one load is one d of 8 keys) and
+// every (row, head) of the call scores against it. Then softmax per row
+// and a register-resident P.V over all heads of the row. Every element
+// goes through exactly the float ops of Avx2Dot * scale -> Avx2SoftmaxRow ->
+// Avx2Axpy, so bits are those of the per-key composition.
+template <int kHeadDim>
+void AttentionRowsImpl(const AttentionArgs& args, int64_t r0, int64_t r1, int64_t h0,
+                       int64_t h1) {
+  const int64_t head_dim = kHeadDim > 0 ? kHeadDim : args.head_dim;
+  const int64_t qs = args.n_heads * head_dim;
+  const int64_t kvw = args.n_kv_heads * head_dim;
+  const int64_t kv_col = h0 / (args.n_heads / args.n_kv_heads) * head_dim;
+  const int64_t n_keys_max = args.q_pos0 + r1;
+  const int64_t n_blocks = (n_keys_max + 7) / 8;
+  const int64_t v_stride = (head_dim + 15) / 16 * 16;  // whole 16-column steps
+  const int64_t score_stride = n_blocks * 8;
+  const int64_t n_heads = h1 - h0;
+
+  AttentionScratch& scratch = ThreadAttentionScratch();
+  float* kp = AtLeast(scratch.k, n_blocks * 8 * head_dim);
+  float* vp = AtLeast(scratch.v, n_keys_max * v_stride);
+  float* scores = AtLeast(scratch.scores, n_heads * score_stride);
+  std::fill(kp + (n_blocks - 1) * 8 * head_dim, kp + n_blocks * 8 * head_dim, 0.0f);
+  for (int64_t j = 0; j < n_keys_max; ++j) {
+    const bool in_prefix = j < args.n_prefix;
+    const int64_t row = in_prefix ? j : j - args.n_prefix;
+    const float* k = (in_prefix ? args.k_prefix : args.k_new) + row * kvw + kv_col;
+    const float* v = (in_prefix ? args.v_prefix : args.v_new) + row * kvw + kv_col;
+    float* kb = kp + (j / 8) * 8 * head_dim + j % 8;
+    for (int64_t d = 0; d < head_dim; ++d) {
+      kb[d * 8] = k[d];
+    }
+    float* vj = vp + j * v_stride;
+    std::memcpy(vj, v, static_cast<size_t>(head_dim) * sizeof(float));
+    std::fill(vj + head_dim, vj + v_stride, 0.0f);
+  }
+
+  const __m256 scale = _mm256_set1_ps(args.scale);
+  for (int64_t i = r0; i < r1; ++i) {
+    const int64_t n_keys = args.q_pos0 + i + 1;
+    const int64_t row_blocks = (n_keys + 7) / 8;
+    for (int64_t h = 0; h < n_heads; ++h) {
+      const float* q = args.q + i * qs + (h0 + h) * head_dim;
+      float* srow = scores + h * score_stride;
+      for (int64_t b = 0; b < row_blocks; ++b) {
+        _mm256_storeu_ps(srow + b * 8, ScoreBlock<kHeadDim>(q, kp + b * 8 * head_dim,
+                                                            head_dim, scale));
+      }
+      Avx2SoftmaxRow(srow, n_keys);
+    }
+    float* out = args.out + i * qs + h0 * head_dim;
+    for (int64_t h = 0; h < n_heads; h += 4) {
+      const float* p = scores + h * score_stride;
+      float* o = out + h * head_dim;
+      switch (std::min<int64_t>(4, n_heads - h)) {
+        case 4:
+          WeightedValues<4, kHeadDim>(p, score_stride, vp, v_stride, n_keys, o, head_dim);
+          break;
+        case 3:
+          WeightedValues<3, kHeadDim>(p, score_stride, vp, v_stride, n_keys, o, head_dim);
+          break;
+        case 2:
+          WeightedValues<2, kHeadDim>(p, score_stride, vp, v_stride, n_keys, o, head_dim);
+          break;
+        default:
+          WeightedValues<1, kHeadDim>(p, score_stride, vp, v_stride, n_keys, o, head_dim);
+          break;
+      }
+    }
+  }
+}
+
+void Avx2AttentionRows(const AttentionArgs& args, int64_t r0, int64_t r1, int64_t h0,
+                       int64_t h1, float* /*scores*/) {
+  if (r0 >= r1 || h0 >= h1) {
+    return;
+  }
+  // head_dim 16 (every preset the benchmarks serve) gets the unrolled
+  // instance; other widths run the same code with run-time loop bounds.
+  if (args.head_dim == 16) {
+    AttentionRowsImpl<16>(args, r0, r1, h0, h1);
+  } else {
+    AttentionRowsImpl<0>(args, r0, r1, h0, h1);
+  }
+}
+
 constexpr KernelOps kAvx2Ops = {
     /*backend=*/KernelBackend::kAvx2,
     /*name=*/"avx2",
@@ -469,6 +677,7 @@ constexpr KernelOps kAvx2Ops = {
     /*add_range=*/Avx2AddRange,
     /*dot=*/Avx2Dot,
     /*axpy=*/Avx2Axpy,
+    /*attention_rows=*/Avx2AttentionRows,
 };
 
 }  // namespace

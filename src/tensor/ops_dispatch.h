@@ -58,10 +58,33 @@ enum class GemmLayout {
   kPacked,  // panel-major prepack of src/tensor/prepack.h (AVX2 kernels)
 };
 
+// Operands of one causal grouped-query attention pass (KernelOps::
+// attention_rows). Query row i sits at absolute position q_pos0 + i and
+// attends keys [0, q_pos0 + i]; key/value position p < n_prefix is row p of
+// k_prefix/v_prefix, position p >= n_prefix is row p - n_prefix of
+// k_new/v_new. q and out rows are n_heads * head_dim wide, K/V rows
+// n_kv_heads * head_dim; query head h reads KV head h / (n_heads /
+// n_kv_heads).
+struct AttentionArgs {
+  const float* q;
+  float* out;
+  const float* k_prefix;  // null when n_prefix == 0
+  const float* v_prefix;
+  const float* k_new;
+  const float* v_new;
+  int64_t n_prefix;
+  int64_t q_pos0;
+  int64_t n_heads;
+  int64_t n_kv_heads;
+  int64_t head_dim;
+  float scale;  // multiplies every q.k score (1 / sqrt(head_dim))
+};
+
 // Serial inner kernels of one backend. Range arguments ([r0, r1), [j0, j1),
-// [i0, i1), [p0, p1)) come from the partitioning wrappers in ops.cc; every
-// implementation must compute each output element identically for every
-// possible range split (the within-backend determinism contract above).
+// [i0, i1), [p0, p1), [h0, h1)) come from the partitioning wrappers in
+// ops.cc and LlamaModel::Attention; every implementation must compute each
+// output element identically for every possible range split (the
+// within-backend determinism contract above).
 struct KernelOps {
   KernelBackend backend;
   const char* name;
@@ -97,6 +120,18 @@ struct KernelOps {
   float (*dot)(const float* a, const float* b, int64_t n);
   // y += scale * x over n values.
   void (*axpy)(float* y, const float* x, float scale, int64_t n);
+  // Attention for query rows [r0, r1) x query heads [h0, h1), all of which
+  // share one KV head. Each (row, head) output must be BITWISE the
+  // composition of this table's own kernels: scores[j] = dot(q, k_j) *
+  // scale for keys j ascending, softmax_row(scores, n_keys), then out =
+  // 0 followed by axpy(out, v_j, scores[j]) for j ascending. Tiling is
+  // free; the per-element float operations are not. `scores` is a scratch
+  // row of at least q_pos0 + r1 floats; a backend that needs more scratch
+  // (packed K/V, one score row per head) keeps it thread-local and
+  // untracked, no larger than one KV head's keys and values plus one score
+  // row per head of the largest call the thread has run.
+  void (*attention_rows)(const AttentionArgs& args, int64_t r0, int64_t r1,
+                         int64_t h0, int64_t h1, float* scores);
 };
 
 // True when the AVX2 backend can run here: the TU was compiled with AVX2

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/logging.h"
 #include "src/common/queue.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -214,6 +215,28 @@ TEST(QueueTest, SizeTracksContents) {
   q.Push(1);
   q.Push(2);
   EXPECT_EQ(q.Size(), 2u);
+}
+
+// --------------------------------------------------------------- Logging
+
+// An `else` after an unbraced log statement must bind to the caller's `if`,
+// not to one hidden inside the macro — for a filtered-out level (the macro's
+// condition false) and an enabled one alike.
+TEST(LoggingTest, ElseAfterLogStatementBindsToTheCallersIf) {
+  const LogLevel saved = GetLogLevel();
+  for (const LogLevel level : {LogLevel::kError, LogLevel::kDebug}) {
+    SetLogLevel(level);
+    std::vector<bool> else_taken_for;
+    for (const bool log : {true, false}) {
+      if (log)
+        PO_LOG_DEBUG << "logging regression test: debug line";
+      else
+        else_taken_for.push_back(log);
+    }
+    EXPECT_EQ(else_taken_for, std::vector<bool>{false})
+        << "log level " << static_cast<int>(level);
+  }
+  SetLogLevel(saved);
 }
 
 }  // namespace

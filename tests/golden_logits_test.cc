@@ -26,13 +26,18 @@
 // LengthBucket so the batched variant below really stacks them.)
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/model/llama.h"
 #include "tests/golden_logits.inc"
@@ -161,6 +166,100 @@ TEST(GoldenLogitsTest, BatchedEngineMatchesGoldenBitsToo) {
   // The length-33 and length-40 prompts share a bucket: at least one real
   // (>= 2) batch must have formed, so this anchored the stacked path too.
   EXPECT_GE(engine.stats().peak_batch_size, 2);
+}
+
+// ------------------------------------------------------ avx2 fingerprints
+//
+// The avx2 backend's bits, pinned the same way: FNV-1a over the last-
+// position logits of the `small` model (weight seed 42) for prompts
+// Prompt(900 + n, n). Within a backend the bits are independent of prefill
+// mode, thread count and prefix reuse, so every (mode, threads) pair and the
+// cached-prefix pass must hit the one fingerprint recorded per length. A
+// kernel change that is meant to keep avx2 bits (the tiled attention
+// kernel does) must leave these untouched; one that legitimately moves them
+// regenerates them from the failure messages, which print the new value.
+
+struct Avx2Golden {
+  int64_t length;
+  uint64_t hash;
+};
+
+constexpr Avx2Golden kAvx2Golden[] = {
+    {1, 0x4148b70c62b419acull},
+    {7, 0xf4f41dcb1b0367ffull},
+    {150, 0x4c085bcba6ea121cull},
+    {500, 0x9563cb2d8aae90aaull},
+};
+
+#define PO_SKIP_IF_NO_AVX2()                                                  \
+  if (!Avx2Available()) {                                                     \
+    GTEST_SKIP() << "host lacks AVX2+FMA; avx2 golden fingerprints skipped";  \
+  }
+
+std::string Hex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64 "ull", v);
+  return buf;
+}
+
+TEST(GoldenLogitsAvx2Test, SmallModelFingerprintsHoldInEveryModeAndThreadCount) {
+  PO_SKIP_IF_GOLDEN_OFF();
+  PO_SKIP_IF_NO_AVX2();
+  LlamaModel model(ModelConfig::Small(), /*seed=*/42, KernelBackend::kAvx2);
+  ASSERT_EQ(model.kernel_backend(), KernelBackend::kAvx2);
+  TrackingAllocator arena;
+  for (const int threads : {1, 2}) {
+    ThreadPool pool(threads);
+    model.SetThreadPool(&pool);
+    for (const PrefillMode mode :
+         {PrefillMode::kStandard, PrefillMode::kChunked, PrefillMode::kHybrid}) {
+      for (const Avx2Golden& g : kAvx2Golden) {
+        const auto tokens = Prompt(900 + static_cast<uint64_t>(g.length), g.length);
+        PrefillOptions options;
+        options.mode = mode;
+        auto pass = model.Prefill(tokens, nullptr, options, arena);
+        ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+        const auto& logits = pass.value().last_logits;
+        const uint64_t got = Fnv1a(logits.data(), logits.size() * sizeof(float));
+        EXPECT_EQ(got, g.hash) << "length " << g.length << " mode "
+                               << static_cast<int>(mode) << " threads " << threads
+                               << " drifted: now " << Hex(got);
+      }
+    }
+  }
+  model.SetThreadPool(nullptr);
+}
+
+TEST(GoldenLogitsAvx2Test, CachedPrefixPassHitsTheSameFingerprint) {
+  PO_SKIP_IF_GOLDEN_OFF();
+  PO_SKIP_IF_NO_AVX2();
+  LlamaModel model(ModelConfig::Small(), /*seed=*/42, KernelBackend::kAvx2);
+  TrackingAllocator arena;
+  const Avx2Golden& g = kAvx2Golden[3];
+  ASSERT_EQ(g.length, 500);
+  const auto tokens = Prompt(900 + static_cast<uint64_t>(g.length), g.length);
+  const int64_t n_prefix = 128;
+
+  PrefillOptions keep;
+  keep.retention = KvRetention::kAll;
+  auto head = model.Prefill(std::span<const int32_t>(tokens).first(n_prefix), nullptr,
+                            keep, arena);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  const KvCacheData& prefix = head.value().kv;
+  ASSERT_EQ(prefix.n_tokens, n_prefix);
+
+  for (const PrefillMode mode :
+       {PrefillMode::kStandard, PrefillMode::kChunked, PrefillMode::kHybrid}) {
+    PrefillOptions options;
+    options.mode = mode;
+    auto pass = model.Prefill(tokens, &prefix, options, arena);
+    ASSERT_TRUE(pass.ok()) << pass.status().ToString();
+    EXPECT_EQ(pass.value().n_new, g.length - n_prefix);
+    const auto& logits = pass.value().last_logits;
+    const uint64_t got = Fnv1a(logits.data(), logits.size() * sizeof(float));
+    EXPECT_EQ(got, g.hash) << "cached-prefix pass, mode " << static_cast<int>(mode)
+                           << " drifted: now " << Hex(got);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "src/gpu/specs.h"
 #include "src/model/config.h"
 #include "src/model/llama.h"
+#include "src/tensor/ops_dispatch.h"
 #include "src/tensor/tracking_allocator.h"
 
 namespace prefillonly {
@@ -90,10 +91,9 @@ struct WalkerParam {
 
 class WalkerMatchesMeasuredTest : public ::testing::TestWithParam<WalkerParam> {};
 
-TEST_P(WalkerMatchesMeasuredTest, PeakBytesExactlyEqual) {
-  const auto p = GetParam();
+void ExpectWalkerMatchesMeasured(const WalkerParam& p, KernelBackend backend) {
   const ModelConfig config = ModelConfig::Tiny();
-  LlamaModel model(config, 7);
+  LlamaModel model(config, 7, backend);
 
   Rng rng(p.n_tokens * 31 + p.n_cached);
   std::vector<int32_t> tokens(static_cast<size_t>(p.n_tokens));
@@ -151,6 +151,20 @@ TEST_P(WalkerMatchesMeasuredTest, PeakBytesExactlyEqual) {
 
   EXPECT_EQ(static_cast<size_t>(predicted.peak_bytes), measured.peak_bytes())
       << "walker and real allocator disagree";
+}
+
+TEST_P(WalkerMatchesMeasuredTest, PeakBytesExactlyEqual) {
+  ExpectWalkerMatchesMeasured(GetParam(), KernelBackend::kAuto);
+}
+
+// Pinned to avx2: its attention kernel keeps packed K/V and per-head score
+// rows in untracked thread-local scratch, so the tracked peak — and the
+// walker's prediction of it — must not move on that backend either.
+TEST_P(WalkerMatchesMeasuredTest, PeakBytesExactlyEqualOnAvx2) {
+  if (!Avx2Available()) {
+    GTEST_SKIP() << "host lacks AVX2+FMA; avx2 walker case skipped";
+  }
+  ExpectWalkerMatchesMeasured(GetParam(), KernelBackend::kAvx2);
 }
 
 INSTANTIATE_TEST_SUITE_P(

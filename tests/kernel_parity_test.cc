@@ -8,12 +8,17 @@
 // (the process default may resolve to avx2, which is tolerance-parity only
 // — tests/dispatch_test.cc covers that tier); assertions about
 // chunk/thread invariance WITHIN a backend run on the default backend, so
-// the CI matrix exercises them per backend.
+// the CI matrix exercises them per backend. The attention kernel is the
+// exception in the other direction: every available backend's
+// attention_rows is checked bitwise against that backend's own per-key
+// composition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -304,6 +309,162 @@ TEST(KernelParityTest, OpsApplyRopeStillMatchesReference) {
   ref::ApplyRope(want.data(), rows, n_heads, head_dim, positions, 10000.0f);
   ApplyRope(got.data(), rows, n_heads, head_dim, positions, 10000.0f);
   EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)), 0);
+}
+
+// -------------------------------------------------------------- Attention
+//
+// attention_rows must be BITWISE the per-key composition of its own
+// backend's dot -> softmax_row -> axpy, for every available backend: the
+// tiling may change, the per-element float operations may not.
+
+std::vector<const KernelOps*> AvailableBackends() {
+  std::vector<const KernelOps*> backends = {Scalar()};
+  if (Avx2Available()) {
+    backends.push_back(GetKernelOps(KernelBackend::kAvx2));
+  }
+  return backends;
+}
+
+struct AttentionCase {
+  int64_t head_dim;
+  int64_t n_heads;
+  int64_t n_kv_heads;
+  int64_t q_pos0;
+  int64_t q_rows;
+};
+
+// Random q/K/V for one case; keys [0, n_prefix) come from the prefix
+// buffers, the rest from the new-token buffers.
+struct AttentionData {
+  AttentionData(const AttentionCase& c, int64_t n_prefix, uint64_t seed)
+      : n_keys(c.q_pos0 + c.q_rows),
+        q(RandomVec(c.q_rows * c.n_heads * c.head_dim, seed, 2.0f)),
+        k_prefix(RandomVec(n_prefix * c.n_kv_heads * c.head_dim, seed + 1, 2.0f)),
+        v_prefix(RandomVec(n_prefix * c.n_kv_heads * c.head_dim, seed + 2)),
+        k_new(RandomVec((n_keys - n_prefix) * c.n_kv_heads * c.head_dim, seed + 3, 2.0f)),
+        v_new(RandomVec((n_keys - n_prefix) * c.n_kv_heads * c.head_dim, seed + 4)),
+        scores(static_cast<size_t>(n_keys)) {
+    args = AttentionArgs{
+        .q = q.data(),
+        .out = nullptr,
+        .k_prefix = n_prefix > 0 ? k_prefix.data() : nullptr,
+        .v_prefix = n_prefix > 0 ? v_prefix.data() : nullptr,
+        .k_new = k_new.data(),
+        .v_new = v_new.data(),
+        .n_prefix = n_prefix,
+        .q_pos0 = c.q_pos0,
+        .n_heads = c.n_heads,
+        .n_kv_heads = c.n_kv_heads,
+        .head_dim = c.head_dim,
+        .scale = 1.0f / std::sqrt(static_cast<float>(c.head_dim)),
+    };
+  }
+
+  std::vector<float> NewOutput() const {
+    return std::vector<float>(static_cast<size_t>(q.size()), -7.0f);
+  }
+
+  int64_t n_keys;
+  std::vector<float> q, k_prefix, v_prefix, k_new, v_new, scores;
+  AttentionArgs args{};
+};
+
+// The reference: one (row, head) at a time through the backend's own
+// dot, softmax_row and axpy.
+std::vector<float> ComposedAttention(const KernelOps* ops, AttentionData& data,
+                                     int64_t q_rows) {
+  const AttentionArgs& a = data.args;
+  const int64_t qs = a.n_heads * a.head_dim;
+  const int64_t kvw = a.n_kv_heads * a.head_dim;
+  const int64_t group = a.n_heads / a.n_kv_heads;
+  std::vector<float> out = data.NewOutput();
+  for (int64_t i = 0; i < q_rows; ++i) {
+    const int64_t n_keys = a.q_pos0 + i + 1;
+    for (int64_t head = 0; head < a.n_heads; ++head) {
+      const int64_t col = head / group * a.head_dim;
+      const auto row = [&](const float* prefix, const float* fresh, int64_t j) {
+        return (j < a.n_prefix ? prefix + j * kvw : fresh + (j - a.n_prefix) * kvw) + col;
+      };
+      const float* q_vec = a.q + i * qs + head * a.head_dim;
+      for (int64_t j = 0; j < n_keys; ++j) {
+        data.scores[static_cast<size_t>(j)] =
+            ops->dot(q_vec, row(a.k_prefix, a.k_new, j), a.head_dim) * a.scale;
+      }
+      ops->softmax_row(data.scores.data(), n_keys);
+      float* o = out.data() + i * qs + head * a.head_dim;
+      std::fill(o, o + a.head_dim, 0.0f);
+      for (int64_t j = 0; j < n_keys; ++j) {
+        ops->axpy(o, row(a.v_prefix, a.v_new, j), data.scores[static_cast<size_t>(j)],
+                  a.head_dim);
+      }
+    }
+  }
+  return out;
+}
+
+// attention_rows over rows [r0, r1) for every KV group, heads [h0, h1) of
+// each group split at `head_split` heads per call.
+void RunAttentionRows(const KernelOps* ops, AttentionData& data, std::vector<float>& out,
+                      int64_t r0, int64_t r1, int64_t head_split) {
+  AttentionArgs args = data.args;
+  args.out = out.data();
+  const int64_t group = args.n_heads / args.n_kv_heads;
+  for (int64_t g = 0; g < args.n_kv_heads; ++g) {
+    for (int64_t h = g * group; h < (g + 1) * group; h += head_split) {
+      ops->attention_rows(args, r0, r1, h, std::min((g + 1) * group, h + head_split),
+                          data.scores.data());
+    }
+  }
+}
+
+bool BitsEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(KernelParityTest, AttentionRowsMatchesPerKeyCompositionBitwise) {
+  // head_dim 16 is the tiny/small models, 32 medium; 24 and 10 reach
+  // Avx2Dot's 8-wide step and scalar tail. q_pos0 = 0 with 67 rows covers
+  // every key count 1..67; q_pos0 > 0 starts mid-sequence. Groups of 4, 3
+  // and 5 query heads per KV head exercise every head-blocking remainder.
+  const AttentionCase cases[] = {
+      {16, 8, 2, 0, 67},  {32, 8, 2, 0, 67},  {24, 8, 2, 0, 67}, {10, 8, 2, 0, 67},
+      {16, 8, 2, 29, 38}, {32, 6, 2, 13, 21}, {24, 10, 2, 5, 9}, {10, 6, 2, 40, 3},
+      {16, 4, 4, 3, 1},
+  };
+  for (const KernelOps* ops : AvailableBackends()) {
+    uint64_t seed = 100;
+    for (const AttentionCase& c : cases) {
+      const int64_t total = c.q_pos0 + c.q_rows;
+      for (const int64_t n_prefix : {int64_t{0}, total / 2, total}) {
+        AttentionData data(c, n_prefix, seed += 10);
+        const std::vector<float> want = ComposedAttention(ops, data, c.q_rows);
+        const std::string label = std::string(ops->name) + " head_dim=" +
+                                  std::to_string(c.head_dim) + " heads=" +
+                                  std::to_string(c.n_heads) + "/" +
+                                  std::to_string(c.n_kv_heads) + " q_pos0=" +
+                                  std::to_string(c.q_pos0) + " rows=" +
+                                  std::to_string(c.q_rows) + " n_prefix=" +
+                                  std::to_string(n_prefix);
+
+        std::vector<float> got = data.NewOutput();
+        RunAttentionRows(ops, data, got, 0, c.q_rows, c.n_heads);
+        EXPECT_TRUE(BitsEqual(want, got)) << label << " (one call per group)";
+
+        // A row range split into two calls, and heads split one per call,
+        // must reproduce the single call.
+        got = data.NewOutput();
+        const int64_t mid = c.q_rows / 2;
+        RunAttentionRows(ops, data, got, 0, mid, c.n_heads);
+        RunAttentionRows(ops, data, got, mid, c.q_rows, c.n_heads);
+        EXPECT_TRUE(BitsEqual(want, got)) << label << " (rows split at " << mid << ")";
+
+        got = data.NewOutput();
+        RunAttentionRows(ops, data, got, 0, c.q_rows, 1);
+        EXPECT_TRUE(BitsEqual(want, got)) << label << " (one head per call)";
+      }
+    }
+  }
 }
 
 }  // namespace
