@@ -638,6 +638,7 @@ ClusterStats ReplicaSet::Stats() const {
     t.batched_requests += e.batched_requests;
     t.batched_miss_tokens += e.batched_miss_tokens;
     t.packing_skips += e.packing_skips;
+    t.prefix_waits += e.prefix_waits;
     t.peak_batch_size = std::max(t.peak_batch_size, e.peak_batch_size);
     t.peak_activation_bytes =
         std::max(t.peak_activation_bytes, e.peak_activation_bytes);

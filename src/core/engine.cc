@@ -428,6 +428,19 @@ Engine::BatchDecision Engine::PickBatchIds(const std::vector<Candidate>& candida
       const int64_t match = std::min(gpu_match + offload_match, entry.n_input - 1);
       entry.n_cached_at_arrival = match;  // static policies are approximated
       entry.n_cached_now = calibrate ? match : entry.n_cached_at_arrival;
+      if (calibrate) {
+        // Calibration that sees in-flight work: the first uncached block
+        // the request could reuse, while it is still reusable (inside the
+        // cache budget and before the always-recomputed final token).
+        const int64_t next_block = (gpu_match + offload_match) / options_.block_size;
+        const int64_t reusable_blocks =
+            std::min({static_cast<int64_t>(c.chain->size()), cache_->capacity_blocks(),
+                      (entry.n_input - 1) / options_.block_size});
+        if (next_block < reusable_blocks) {
+          entry.share_key = (*c.chain)[static_cast<size_t>(next_block)];
+          entry.blocked = in_flight_blocks_.count(entry.share_key) > 0;
+        }
+      }
       entries.push_back(entry);
     }
   }
@@ -448,6 +461,7 @@ Engine::BatchDecision Engine::PickBatchIds(const std::vector<Candidate>& candida
   decision.projected_bytes = pick.projected_bytes;
   decision.miss_tokens = pick.miss_tokens;
   decision.budget_skips = pick.budget_skips;
+  decision.prefix_waits = pick.prefix_waits;
   return decision;
 }
 
@@ -462,18 +476,40 @@ std::optional<Engine::Pending> Engine::TakeWaitingLocked(int64_t id) {
   return std::nullopt;
 }
 
-Result<ScoringResponse> Engine::Execute(Pending pending) {
-  // Per-request activation arena (ISSUE 2): concurrent requests never share
-  // an allocator, so tracking stays exact per lane and the budget is the
-  // per-request GPU-memory analogue. Every tensor allocated below dies
-  // before the arena does (end of ExecuteOnArena).
-  TrackingAllocator activations(options_.activation_budget_bytes);
-  activations.SetFaultSite(fault::kAllocActivation);
-  auto response = ExecuteOnArena(activations, std::move(pending));
-  std::lock_guard<std::mutex> lock(mu_);
-  stats_.peak_activation_bytes =
-      std::max(stats_.peak_activation_bytes, activations.peak_bytes());
-  return response;
+Engine::PrefillBatchPending Engine::TakeBatchLocked(const BatchDecision& decision) {
+  PrefillBatchPending batch;
+  batch.requests.reserve(decision.ids.size());
+  for (const int64_t id : decision.ids) {
+    if (std::optional<Pending> pending = TakeWaitingLocked(id)) {
+      // The id becomes "running" the moment it leaves the queue, under the
+      // SAME mu_ hold — a Cancel() landing while the batch rides the
+      // exec_queue_ must find it in the running registry (mark-and-ignore),
+      // not fall into a blind window where the cancellation is lost. The
+      // watchdog clock also starts here: time spent riding the exec queue
+      // counts toward a stall.
+      MarkRunningLocked(*pending);
+      batch.requests.push_back(std::move(*pending));
+    }
+  }
+  if (!batch.requests.empty()) {
+    stats_.batched_miss_tokens += decision.miss_tokens;
+    stats_.packing_skips += decision.budget_skips;
+    stats_.prefix_waits += decision.prefix_waits;
+    // Registered in the same mu_ hold that marks the members running, so
+    // the next decision's snapshot already sees these prefixes in flight.
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    const auto capacity = static_cast<size_t>(cache_->capacity_blocks());
+    for (const Pending& pending : batch.requests) {
+      const size_t budget_blocks = std::min(pending.chain->size(), capacity);
+      for (size_t b = 0; b < budget_blocks; ++b) {
+        const uint64_t hash = (*pending.chain)[b];
+        ++in_flight_blocks_[hash];
+        batch.in_flight_hashes.push_back(hash);
+      }
+    }
+  }
+  UpdateShedLocked();
+  return batch;
 }
 
 Status Engine::AcquirePrefix(const Pending& pending, TrackingAllocator& activations,
@@ -787,28 +823,26 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteBatchAndFinalize(
     stats_.batched_requests += batch_size;
     stats_.peak_batch_size = std::max(stats_.peak_batch_size, batch_size);
   }
-  if (batch_size == 1) {
-    // Exact legacy behavior: one request, the solo prefill path.
-    std::vector<Result<ScoringResponse>> results;
-    results.push_back(ExecuteAndFinalize(std::move(batch.requests[0])));
-    return results;
-  }
+  return ExecuteLaneAndFinalize(std::move(batch.requests), batch.in_flight_hashes);
+}
 
-  // Promise handles are copied out first: the solo fallback inside
-  // ExecuteBatchOnArena consumes the Pendings (ExecuteOnArena never
-  // fulfills), and delivery must happen exactly once, here — or in the
-  // watchdog, whichever wins the `fulfilled` exchange.
+std::vector<Result<ScoringResponse>> Engine::ExecuteLaneAndFinalize(
+    std::vector<Pending> pendings, std::span<const uint64_t> in_flight_hashes) {
+  // Promise handles are copied out first: execution consumes the Pendings
+  // (ExecuteOnArena never fulfills), and delivery must happen exactly once,
+  // here — or in the watchdog, whichever wins the `fulfilled` exchange.
+  const size_t n = pendings.size();
   std::vector<std::shared_ptr<std::promise<Result<ScoringResponse>>>> promises;
   std::vector<std::shared_ptr<std::atomic<bool>>> fulfilled;
   std::vector<std::shared_ptr<const GroupCallback>> on_dones;
   std::vector<size_t> on_done_indices;
   std::vector<int64_t> ids;
-  promises.reserve(batch.requests.size());
-  fulfilled.reserve(batch.requests.size());
-  on_dones.reserve(batch.requests.size());
-  on_done_indices.reserve(batch.requests.size());
-  ids.reserve(batch.requests.size());
-  for (Pending& pending : batch.requests) {
+  promises.reserve(n);
+  fulfilled.reserve(n);
+  on_dones.reserve(n);
+  on_done_indices.reserve(n);
+  ids.reserve(n);
+  for (const Pending& pending : pendings) {
     promises.push_back(pending.promise);
     fulfilled.push_back(pending.fulfilled);
     on_dones.push_back(pending.on_done);
@@ -816,33 +850,59 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteBatchAndFinalize(
     ids.push_back(pending.id);
   }
   {
+    // The members are already in the running registry: marked where they
+    // left the queue (TakeBatchLocked) or were counted (ScoreSync).
     std::lock_guard<std::mutex> lock(mu_);
     ++executing_;
-    for (const Pending& pending : batch.requests) {
-      MarkRunningLocked(pending);
-    }
     stats_.peak_in_flight = std::max<int64_t>(stats_.peak_in_flight, executing_);
   }
-  // One arena for the whole lane: the activation budget bounds the stacked
-  // pass, the per-lane analogue of the per-request budget.
+  const double start_s = NowSeconds();
+  // One arena per lane (ISSUE 2): concurrent lanes never share an
+  // allocator, so tracking stays exact per lane, and the activation budget
+  // bounds a stacked pass the way it bounds a solo one. Every tensor
+  // allocated below dies before the arena does.
   TrackingAllocator activations(options_.activation_budget_bytes);
   activations.SetFaultSite(fault::kAllocActivation);
-  auto results = ExecuteBatchOnArena(activations, batch.requests);
-  std::vector<bool> ignored(results.size(), false);
+  std::vector<Result<ScoringResponse>> results;
+  if (n == 1) {
+    // Exact legacy behavior: one request, the solo prefill path.
+    results.push_back(ExecuteOnArena(activations, std::move(pendings[0])));
+  } else {
+    results = ExecuteBatchOnArena(activations, pendings);
+  }
+  // Every member has published its KV or given up on it, on every path
+  // (success, failure, abort, cancel, solo fallback): its prefixes are no
+  // longer in flight. Cleared before the running registry below, so an
+  // empty queue and running registry imply an empty prefix registry.
+  if (!in_flight_hashes.empty()) {
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    for (const uint64_t hash : in_flight_hashes) {
+      auto it = in_flight_blocks_.find(hash);
+      assert(it != in_flight_blocks_.end());
+      if (--it->second == 0) {
+        in_flight_blocks_.erase(it);
+      }
+    }
+  }
+  std::vector<bool> ignored(n, false);
   {
     std::lock_guard<std::mutex> lock(mu_);
     --executing_;
+    stats_.total_execute_s += NowSeconds() - start_s;
     stats_.peak_activation_bytes =
         std::max(stats_.peak_activation_bytes, activations.peak_bytes());
-    for (size_t i = 0; i < results.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       running_.erase(ids[i]);
-      // Mark-and-ignore (ISSUE 5): per-member, like the solo path.
+      // Mark-and-ignore (ISSUE 5): a Cancel() that raced the execution wins
+      // — the computed result is discarded, the waiter sees kCancelled.
+      // With cooperative abort the prefill may ALSO have stopped early with
+      // kCancelled; either way the id is still marked, so this stays the
+      // single counting point.
       if (cancelled_in_flight_.erase(ids[i]) > 0) {
         ignored[i] = true;
         ++stats_.cancelled_in_flight;
       } else if (results[i].ok()) {
         ++stats_.completed;
-        stats_.total_execute_s += results[i].value().execute_time_s;
       } else if (results[i].status().code() == StatusCode::kDeadlineExceeded) {
         // Cooperative abort between chunks/members (ISSUE 6): its own
         // terminal bucket, disjoint from failed and from the pre-dispatch
@@ -853,7 +913,7 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteBatchAndFinalize(
       }
     }
   }
-  for (size_t i = 0; i < results.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     if (ignored[i]) {
       results[i] = Result<ScoringResponse>(
           Status::Cancelled("request cancelled while in flight; result discarded"));
@@ -861,50 +921,6 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteBatchAndFinalize(
     Fulfill(promises[i], fulfilled[i], on_dones[i], on_done_indices[i], results[i]);
   }
   return results;
-}
-
-Result<ScoringResponse> Engine::ExecuteAndFinalize(Pending pending) {
-  const int64_t id = pending.id;
-  auto promise = pending.promise;  // registry keeps its own handle
-  auto fulfilled = pending.fulfilled;
-  auto on_done = pending.on_done;
-  const size_t on_done_index = pending.on_done_index;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++executing_;
-    MarkRunningLocked(pending);
-    stats_.peak_in_flight =
-        std::max<int64_t>(stats_.peak_in_flight, executing_);
-  }
-  auto response = Execute(std::move(pending));
-  bool ignore = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --executing_;
-    running_.erase(id);
-    // Mark-and-ignore (ISSUE 5): a Cancel() that raced the execution wins —
-    // the computed result is discarded, the waiter sees kCancelled. With
-    // cooperative abort the prefill may ALSO have stopped early with
-    // kCancelled; either way the id is still marked, so this stays the
-    // single counting point.
-    ignore = cancelled_in_flight_.erase(id) > 0;
-    if (ignore) {
-      ++stats_.cancelled_in_flight;
-    } else if (response.ok()) {
-      ++stats_.completed;
-      stats_.total_execute_s += response.value().execute_time_s;
-    } else if (response.status().code() == StatusCode::kDeadlineExceeded) {
-      ++stats_.deadline_expired_in_flight;
-    } else {
-      ++stats_.failed;
-    }
-  }
-  if (ignore) {
-    response = Result<ScoringResponse>(
-        Status::Cancelled("request cancelled while in flight; result discarded"));
-  }
-  Fulfill(promise, fulfilled, on_done, on_done_index, response);
-  return response;
 }
 
 Result<std::vector<ScoringResponse>> Engine::RunPending() {
@@ -950,22 +966,9 @@ Result<std::vector<ScoringResponse>> Engine::RunPending() {
     }
     const BatchDecision decision = PickBatchIds(candidates, scheduler);
     PrefillBatchPending batch;
-    batch.requests.reserve(decision.ids.size());
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (const int64_t id : decision.ids) {
-        if (std::optional<Pending> pending = TakeWaitingLocked(id)) {
-          // Same no-blind-window rule as the dispatcher: "running" from the
-          // moment the id leaves the queue.
-          MarkRunningLocked(*pending);
-          batch.requests.push_back(std::move(*pending));
-        }
-      }
-      if (!batch.requests.empty()) {
-        stats_.batched_miss_tokens += decision.miss_tokens;
-        stats_.packing_skips += decision.budget_skips;
-      }
-      UpdateShedLocked();
+      batch = TakeBatchLocked(decision);
     }
     if (batch.requests.empty()) {
       // A StartWorker() racing mid-drain handed these requests to the
@@ -998,8 +1001,15 @@ Result<ScoringResponse> Engine::ScoreSync(ScoringRequest request) {
     std::lock_guard<std::mutex> lock(mu_);
     pending.value().id = next_id_++;
     ++stats_.submitted;
+    // Running from the moment it is counted, so the ledger balances at
+    // every instant (CheckInvariants).
+    MarkRunningLocked(pending.value());
   }
-  return ExecuteAndFinalize(pending.take());
+  // An inline lane outside the batch counters and the in-flight registry:
+  // no decision could have deferred anything to it.
+  std::vector<Pending> lane;
+  lane.push_back(pending.take());
+  return std::move(ExecuteLaneAndFinalize(std::move(lane), {}).front());
 }
 
 Status Engine::StartWorker(ResponseCallback callback) {
@@ -1115,25 +1125,7 @@ void Engine::DispatcherLoop() {
     // (TakeWaitingLocked returns nullopt).
     const BatchDecision decision = PickBatchIds(candidates, scheduler);
     lock.lock();
-    PrefillBatchPending batch;
-    batch.requests.reserve(decision.ids.size());
-    for (const int64_t id : decision.ids) {
-      if (std::optional<Pending> pending = TakeWaitingLocked(id)) {
-        // The id becomes "running" the moment it leaves the queue, under
-        // the SAME mu_ hold — a Cancel() landing while the batch rides the
-        // exec_queue_ must find it in the running registry
-        // (mark-and-ignore), not fall into a blind window where the
-        // cancellation is lost. The watchdog clock also starts here: time
-        // spent riding the exec queue counts toward a stall.
-        MarkRunningLocked(*pending);
-        batch.requests.push_back(std::move(*pending));
-      }
-    }
-    if (!batch.requests.empty()) {
-      stats_.batched_miss_tokens += decision.miss_tokens;
-      stats_.packing_skips += decision.budget_skips;
-    }
-    UpdateShedLocked();
+    PrefillBatchPending batch = TakeBatchLocked(decision);
     if (batch.requests.empty()) {
       continue;
     }
@@ -1280,6 +1272,28 @@ Result<double> Engine::ProfileJct(int64_t max_input_len, int64_t granularity) {
   scheduler_ = std::make_unique<Scheduler>(options_.policy, options_.lambda,
                                            estimator_.get(), options_.batch_packing);
   return r2;
+}
+
+Status Engine::CheckInvariants() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t terminal = stats_.completed + stats_.failed + stats_.cancelled +
+                           stats_.cancelled_in_flight + stats_.deadline_expired +
+                           stats_.deadline_expired_in_flight;
+  const auto queued = static_cast<int64_t>(waiting_.size());
+  const auto running = static_cast<int64_t>(running_.size());
+  if (stats_.submitted != terminal + queued + running) {
+    return Status::Internal(
+        "ledger out of balance: submitted " + std::to_string(stats_.submitted) +
+        " != terminal " + std::to_string(terminal) + " + queued " +
+        std::to_string(queued) + " + running " + std::to_string(running));
+  }
+  std::lock_guard<std::mutex> cache_lock(cache_mu_);
+  if (queued == 0 && running == 0 && !in_flight_blocks_.empty()) {
+    return Status::Internal("in-flight prefix registry holds " +
+                            std::to_string(in_flight_blocks_.size()) +
+                            " hashes with nothing queued or running");
+  }
+  return Status::Ok();
 }
 
 EngineStats Engine::stats() const {

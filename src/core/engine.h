@@ -19,6 +19,10 @@
 //     with block-diagonal attention (LlamaModel::PrefillBatch). The SRJF
 //     winner always seeds the batch, so scheduling semantics are unchanged,
 //     and each request's logits are bitwise identical to solo execution;
+//   * PREFIX-AWARE DISPATCH: calibration also sees the prefixes in-flight
+//     batches are computing (in_flight_blocks_), so a request waits for a
+//     shared uncached prefix to be published instead of computing it a
+//     second time at once (docs/CONCURRENCY.md);
 //   * constrained sampling (§2.3): probabilities over the caller's allowed
 //     token list, from a single prefill pass.
 //
@@ -219,6 +223,8 @@ struct EngineStats {
   int64_t watchdog_stalls = 0;        // promises failed by the executor watchdog
   // Process-global fault-injector fires (0 unless a schedule is installed).
   int64_t faults_injected = 0;
+  // Lane wall time spent executing dispatched batches and ScoreSync calls,
+  // counted once per lane execution however many members it carried.
   double total_execute_s = 0.0;
   // High-water mark of simultaneously executing lanes (concurrent runtime
   // plus inline ScoreSync lanes; a batch occupies one lane).
@@ -238,6 +244,11 @@ struct EngineStats {
   // tail instead).
   int64_t batched_miss_tokens = 0;
   int64_t packing_skips = 0;
+  // Prefix-aware dispatch: riders held back because their next uncached
+  // prefix block was already being computed — by an in-flight batch or by
+  // a member of the same decision (BatchPick::prefix_waits). Each waits in
+  // the queue and runs warm once the prefix is published.
+  int64_t prefix_waits = 0;
   size_t peak_activation_bytes = 0;
   size_t cache_bytes = 0;
   PrefixCacheStats cache;
@@ -358,6 +369,13 @@ class Engine {
   HealthStatus Health() const;
 
   EngineStats stats() const;
+  // Runtime invariants, checked under the engine locks; the first violation
+  // comes back as kInternal naming it:
+  //  * the ledger balances: submitted == the six terminal buckets + queued
+  //    + running;
+  //  * the in-flight prefix registry is empty when nothing is queued or
+  //    running.
+  Status CheckInvariants() const;
   // Seconds since engine construction (the queueing-time clock).
   double NowSeconds() const;
 
@@ -391,6 +409,9 @@ class Engine {
     // Reserved worker count for the executor's ThreadPool::Lease; set by the
     // dispatcher at admission time.
     int reserve_workers = 0;
+    // Chain hashes this batch added to in_flight_blocks_ at dispatch; the
+    // lane removes exactly these once its KV is published.
+    std::vector<uint64_t> in_flight_hashes;
   };
 
   // Immutable view of one waiting request, taken under mu_; the scheduling
@@ -443,16 +464,13 @@ class Engine {
   // Cache release + KV publication, atomic under cache_mu_. `pass` may be
   // null: releases the acquisition retaining nothing (the failure path).
   void PublishKv(PrefixAcq& pa, const PrefillResult* pass);
-  // Runs one request end to end on the calling thread: cache acquire under
-  // cache_mu_, prefill with a per-request activation arena, cache release /
-  // KV publication under cache_mu_. Never holds mu_.
-  Result<ScoringResponse> Execute(Pending pending);
+  // Runs one request end to end on the calling thread and the lane's
+  // arena: cache acquire under cache_mu_, prefill, cache release / KV
+  // publication under cache_mu_. Never holds mu_.
   Result<ScoringResponse> ExecuteOnArena(TrackingAllocator& activations,
                                          Pending pending);
-  // Execute + stats/in-flight accounting + promise fulfillment.
-  Result<ScoringResponse> ExecuteAndFinalize(Pending pending);
-  // Runs one dispatched batch on the calling lane: size 1 delegates to the
-  // exact legacy solo path; size >= 2 stacks the members into one
+  // Runs one dispatched batch on the calling lane: size 1 takes the exact
+  // legacy solo path; size >= 2 stacks the members into one
   // LlamaModel::PrefillBatch on a shared lane arena (per-request cache
   // acquire/publish around it). Failures fall back to solo execution on
   // this lane — per member when its acquisition fails (pool or arena
@@ -462,6 +480,13 @@ class Engine {
   // index-aligned with `batch.requests`; promises are fulfilled here.
   std::vector<Result<ScoringResponse>> ExecuteBatchAndFinalize(
       PrefillBatchPending batch);
+  // The lane a dispatched batch and ScoreSync share: executing_ accounting,
+  // one activation arena, execution (solo or stacked), removal of
+  // `in_flight_hashes` from the prefix registry once every member has
+  // published or failed, then the running registry, terminal accounting
+  // and promise fulfillment.
+  std::vector<Result<ScoringResponse>> ExecuteLaneAndFinalize(
+      std::vector<Pending> pendings, std::span<const uint64_t> in_flight_hashes);
   std::vector<Result<ScoringResponse>> ExecuteBatchOnArena(
       TrackingAllocator& activations, std::vector<Pending>& pendings);
   // Snapshot of waiting_ for one scheduling decision; requires mu_.
@@ -478,12 +503,19 @@ class Engine {
     size_t projected_bytes = 0;
     int64_t miss_tokens = 0;
     int64_t budget_skips = 0;
+    int64_t prefix_waits = 0;
   };
   BatchDecision PickBatchIds(const std::vector<Candidate>& candidates,
                              const Scheduler* scheduler) const;
   // Removes and returns the waiting request with `id`; nullopt if another
   // drain loop claimed it meanwhile. Requires mu_.
   std::optional<Pending> TakeWaitingLocked(int64_t id);
+  // The one dispatch step both drain loops share: takes the decision's ids
+  // off the queue (an id cancelled since the snapshot drops out), marks
+  // them running, adds the packing counters, registers every member's
+  // chain hashes [0, budget_blocks) in in_flight_blocks_, and updates the
+  // shedding state. Requires mu_ (takes cache_mu_ inside).
+  PrefillBatchPending TakeBatchLocked(const BatchDecision& decision);
   void DispatcherLoop();
   void ExecutorLoop(ResponseCallback callback);
 
@@ -506,7 +538,7 @@ class Engine {
   // takes mu_ briefly, never cache_mu_.
   Status AbortStatus(const Pending& pending);
   // Registers `pending` in the running registry (Phase/Cancel/watchdog
-  // visibility); keeps the earliest registration on re-entry. Requires mu_.
+  // visibility). Requires mu_.
   void MarkRunningLocked(const Pending& pending);
   // Watermark hysteresis: flips shedding_ on/off from the current queue
   // depth. Called wherever waiting_ changes size. Requires mu_.
@@ -527,6 +559,11 @@ class Engine {
   std::unique_ptr<KvBlockStore> store_;
   std::unique_ptr<OffloadDirectory> offload_dir_;
   std::unordered_map<uint64_t, KvBlock> offload_payloads_;
+  // In-flight prefix registry: chain hash -> number of dispatched,
+  // not-yet-finished members whose budget prefix contains it. Filled by
+  // TakeBatchLocked, emptied by ExecuteLaneAndFinalize after publication;
+  // PickBatchIds reads it to mark entries blocked.
+  std::unordered_map<uint64_t, int32_t> in_flight_blocks_;
   int64_t offload_hit_tokens_ = 0;
   int64_t offload_demotions_ = 0;
   int64_t offload_promotions_ = 0;

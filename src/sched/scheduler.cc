@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <tuple>
 
 namespace prefillonly {
 
@@ -95,15 +96,17 @@ BatchPick Scheduler::PickBatch(std::span<const SchedEntry> queue, double now,
   const auto miss = [](const SchedEntry& e) { return e.n_input - e.n_cached_now; };
   const int64_t seed_bucket = LengthBucket(miss(queue[seed]));
   const int64_t seed_group = queue[seed].group;
-  // Two rider tiers: the seed's co-batch group-mates ride first (ISSUE 5),
+  // Rider tiers: the seed's co-batch group-mates ride first (ISSUE 5),
   // exempt from any length rule — their caller submitted them as one
   // multi-item decision, so co-scheduling them is the deliberate outcome
-  // the API promises. The second tier depends on the packing mode:
-  // kFirstFit considers EVERY other entry, longest remaining length first
-  // (first-fit decreasing packs tightest when big items go in early);
-  // kBucket keeps the legacy same-LengthBucket gate in score order.
-  // Both tiers still charge the budget below.
+  // the API promises. The rest depends on the packing mode: kFirstFit
+  // considers EVERY other entry, warm before cold — a resident prefix is
+  // reused before LRU can evict it — and longest remaining length first
+  // within each (first-fit decreasing packs tightest when big items go in
+  // early); kBucket keeps the legacy same-LengthBucket gate in score
+  // order. Every tier still charges the budget and obeys the prefix rule.
   std::vector<std::pair<double, size_t>> mates;
+  std::vector<std::pair<double, size_t>> warm;
   std::vector<std::pair<double, size_t>> rest;
   for (size_t i = 0; i < queue.size(); ++i) {
     if (i == seed) {
@@ -112,7 +115,9 @@ BatchPick Scheduler::PickBatch(std::span<const SchedEntry> queue, double now,
     if (seed_group != 0 && queue[i].group == seed_group) {
       mates.emplace_back(Score(queue[i], now), i);
     } else if (packing_ == BatchPacking::kFirstFit) {
-      rest.emplace_back(-static_cast<double>(miss(queue[i])), i);
+      const bool is_warm =
+          budget.CachedTokens(queue[i].n_input, queue[i].n_cached_now) > 0;
+      (is_warm ? warm : rest).emplace_back(-static_cast<double>(miss(queue[i])), i);
     } else if (LengthBucket(miss(queue[i])) == seed_bucket) {
       rest.emplace_back(Score(queue[i], now), i);
     }
@@ -129,14 +134,29 @@ BatchPick Scheduler::PickBatch(std::span<const SchedEntry> queue, double now,
     return a.first < b.first;
   };
   std::stable_sort(mates.begin(), mates.end(), by_class_then_key);
+  std::stable_sort(warm.begin(), warm.end(), by_class_then_key);
   std::stable_sort(rest.begin(), rest.end(), by_class_then_key);
+  // Uncached prefixes the admitted members will compute; a batch holds at
+  // most max_batch keys, so a linear scan beats hashing.
+  std::vector<uint64_t> keys;
+  if (queue[seed].share_key != 0) {
+    keys.push_back(queue[seed].share_key);
+  }
   const bool limited = budget.budget_bytes > 0;
-  for (const auto* tier : {&mates, &rest}) {
+  for (const auto* tier : {&mates, &warm, &rest}) {
     for (const auto& [key, index] : *tier) {
       if (pick.picked.size() >= static_cast<size_t>(max_batch)) {
         return pick;
       }
       const SchedEntry& entry = queue[index];
+      if (entry.blocked || (entry.share_key != 0 &&
+                            std::find(keys.begin(), keys.end(), entry.share_key) !=
+                                keys.end())) {
+        // The prefix rule: computing this prefix a second time at once is
+        // pure waste. The rider waits and runs warm after publication.
+        ++pick.prefix_waits;
+        continue;
+      }
       const size_t cost = budget.SequenceBytes(entry.n_input, entry.n_cached_now);
       if (limited && pick.projected_bytes + cost > budget.budget_bytes) {
         // Skip, don't break (the ISSUE 9 bugfix): an oversized candidate
@@ -147,6 +167,9 @@ BatchPick Scheduler::PickBatch(std::span<const SchedEntry> queue, double now,
       pick.projected_bytes += cost;
       pick.miss_tokens += budget.MissTokens(entry.n_input, entry.n_cached_now);
       pick.picked.push_back(index);
+      if (entry.share_key != 0) {
+        keys.push_back(entry.share_key);
+      }
     }
   }
   return pick;
@@ -159,18 +182,18 @@ std::vector<size_t> Scheduler::PickBatch(std::span<const SchedEntry> queue,
 
 size_t Scheduler::PickNext(std::span<const SchedEntry> queue, double now) const {
   assert(!queue.empty());
+  // Lexicographic key, lower wins: the priority class is strict (ISSUE 5),
+  // then a runnable entry beats one blocked on an in-flight prefix, and the
+  // policy score decides the rest. The strict comparison keeps ties FIFO
+  // by queue order (queues are arrival-ordered).
+  const auto key = [&](const SchedEntry& e) {
+    return std::make_tuple(-static_cast<int64_t>(e.priority), e.blocked, Score(e, now));
+  };
   size_t best = 0;
-  double best_score = Score(queue[0], now);
+  auto best_key = key(queue[0]);
   for (size_t i = 1; i < queue.size(); ++i) {
-    // The priority class is strict (ISSUE 5): a higher class always wins;
-    // the policy score only decides within a class. Strict comparisons keep
-    // ties FIFO by queue order (queues are arrival-ordered).
-    if (queue[i].priority < queue[best].priority) {
-      continue;
-    }
-    const double score = Score(queue[i], now);
-    if (queue[i].priority > queue[best].priority || score < best_score) {
-      best_score = score;
+    if (auto k = key(queue[i]); k < best_key) {
+      best_key = k;
       best = i;
     }
   }

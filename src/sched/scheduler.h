@@ -70,6 +70,17 @@ struct SchedEntry {
   // caller co-submitted them for one decision, so welding them is
   // deliberate. 0 = ungrouped.
   int64_t group = 0;
+  // Prefix-aware dispatch (docs/CONCURRENCY.md). `share_key` is the chain
+  // hash of the entry's first uncached reusable block, 0 when every
+  // reusable block is already cached. Chain hashes are prefix-closed and
+  // every entry is matched against the same cache, so two entries would
+  // compute the same uncached block exactly when their share_keys are
+  // equal. `blocked` is set when an in-flight batch is already computing
+  // the share_key block: waiting for its publication turns the entry's
+  // prefix into a cache hit. The engine fills both fields only under
+  // kSrjfCalibrated; left at zero/false they never reorder or skip anyone.
+  uint64_t share_key = 0;
+  bool blocked = false;
 };
 
 // Legacy batch-admission bucket (ISSUE 4, now BatchPacking::kBucket): the
@@ -127,6 +138,10 @@ struct BatchPick {
   // Candidates passed over because admitting them would exceed the budget.
   // Each skip leaves the candidate queued for a later decision.
   int64_t budget_skips = 0;
+  // Riders passed over by the prefix rule: blocked on an in-flight prefix,
+  // or sharing an uncached prefix with a member already admitted. Each
+  // stays queued and runs warm once the prefix is published.
+  int64_t prefix_waits = 0;
 };
 
 class Scheduler {
@@ -138,7 +153,10 @@ class Scheduler {
   Scheduler(SchedPolicy policy, double lambda, const JctEstimator* estimator,
             BatchPacking packing = BatchPacking::kFirstFit);
 
-  // Index of the entry to run next. Precondition: non-empty queue.
+  // Index of the entry to run next: highest priority class first, then
+  // runnable before blocked, then best score, ties FIFO. Work-conserving —
+  // a blocked entry is picked when its whole class is blocked.
+  // Precondition: non-empty queue.
   size_t PickNext(std::span<const SchedEntry> queue, double now) const;
 
   // Up to `max_batch` entries to run as ONE batched prefill. The seed is
@@ -146,19 +164,22 @@ class Scheduler {
   // the scheduling decision, so SRJF aging and the lambda starvation bound
   // are unaffected (a starved long request becomes the seed and is always
   // admitted, even when it alone exceeds the budget — it would be charged
-  // the same running solo). The remaining slots fill in two tiers:
+  // the same running solo). The remaining slots fill in tiers:
   //
   //  1. the seed's co-batch group-mates (ISSUE 5), highest priority class
   //     first then best score, ties FIFO;
-  //  2. kFirstFit: every other waiting entry, highest priority class first
-  //     then LONGEST remaining length first (first-fit decreasing), ties
-  //     FIFO. kBucket: only entries from the seed's LengthBucket, by class
-  //     then score.
+  //  2. kFirstFit: every other waiting entry, warm riders (a block-aligned
+  //     cached prefix to reuse) before cold ones, and within each of those
+  //     two tiers highest priority class first then LONGEST remaining
+  //     length first (first-fit decreasing), ties FIFO. kBucket: only
+  //     entries from the seed's LengthBucket, by class then score.
   //
-  // Both tiers charge the BatchBudget cost model; a candidate that does not
-  // fit the remaining budget is skipped (counted in budget_skips) and the
-  // scan continues — a smaller later candidate can still ride.
-  // Precondition: non-empty queue.
+  // Every tier obeys the prefix rule — a rider that is blocked, or whose
+  // share_key an admitted member already carries, is skipped (counted in
+  // prefix_waits) — and charges the BatchBudget cost model; a candidate
+  // that does not fit the remaining budget is skipped (counted in
+  // budget_skips). Either way the scan continues — a later candidate can
+  // still ride. Precondition: non-empty queue.
   BatchPick PickBatch(std::span<const SchedEntry> queue, double now,
                       int max_batch, const BatchBudget& budget) const;
 

@@ -497,6 +497,9 @@ HttpResponse ScoringService::HandleStats() const {
   // them would have exceeded the activation budget.
   out.emplace("batched_miss_tokens", Json(stats.batched_miss_tokens));
   out.emplace("packing_skips", Json(stats.packing_skips));
+  // Prefix-aware dispatch: riders held back to wait for an uncached prefix
+  // another member was already computing.
+  out.emplace("prefix_waits", Json(stats.prefix_waits));
   out.emplace("miss_tokens_per_batch",
               Json(stats.batches_dispatched > 0
                        ? static_cast<double>(stats.batched_miss_tokens) /
