@@ -449,8 +449,8 @@ Engine::BatchDecision Engine::PickBatchIds(const std::vector<Candidate>& candida
   // reason to truncate the tail, and the seed always dispatches. The lane's
   // TrackingAllocator stays the hard guarantee: the projection is asserted
   // conservative by test, but blocks can still be evicted between this
-  // decision and AcquirePrefix, and an overshooting stacked pass falls back
-  // to solo execution.
+  // decision and AcquirePrefix, and an overshooting stacked pass re-runs
+  // its members alone.
   const BatchPick pick = scheduler->PickBatch(entries, NowSeconds(),
                                               options_.max_batch_size, batch_budget_);
   BatchDecision decision;
@@ -563,8 +563,8 @@ Status Engine::AcquirePrefix(const Pending& pending, TrackingAllocator& activati
                                   "kvstore.prefix.v");
       if (layer.k.empty() || layer.v.empty()) {
         // Roll back: unpin and free the partial copy so the caller can
-        // retry solo (batched path) or fail cleanly with a Status instead
-        // of aborting the process on arena exhaustion.
+        // retry alone (multi-member call) or fail cleanly with a Status
+        // instead of aborting the process on arena exhaustion.
         out.prefix = KvCacheData();
         cache_->Release(out.acq, 0);
         out.acq = Acquisition();
@@ -625,20 +625,16 @@ void Engine::PublishKv(PrefixAcq& pa, const PrefillResult* pass) {
   }
 }
 
-Result<ScoringResponse> Engine::ExecuteOnArena(TrackingAllocator& activations,
-                                               Pending pending) {
-  const auto& tokens = pending.request.tokens;
-  const auto n_tokens = static_cast<int64_t>(tokens.size());
-  const double start_s = NowSeconds();
-
+Status Engine::AcquirePrefixWithBackoff(const Pending& pending,
+                                        TrackingAllocator& activations,
+                                        int retry_max, PrefixAcq& out) {
   // First rung of the degradation ladder (ISSUE 6): transient acquisition
-  // failures — the block pool momentarily pinned by batchmates, an injected
-  // allocation fault — retry with exponential backoff before the request
-  // fails, unless the backoff would land past the deadline.
-  PrefixAcq pa;
-  Status acquired = AcquirePrefix(pending, activations, pa);
-  for (int attempt = 1; acquired.code() == StatusCode::kResourceExhausted &&
-                        attempt <= options_.alloc_retry_max;
+  // failures — the block pool momentarily pinned by other lanes, an
+  // injected allocation fault — retry with exponential backoff before the
+  // request fails, unless the backoff would land past the deadline.
+  Status acquired = AcquirePrefix(pending, activations, out);
+  for (int attempt = 1;
+       acquired.code() == StatusCode::kResourceExhausted && attempt <= retry_max;
        ++attempt) {
     const int64_t backoff_ms = options_.alloc_retry_backoff_ms << (attempt - 1);
     if (pending.deadline_s >= 0.0 &&
@@ -650,90 +646,51 @@ Result<ScoringResponse> Engine::ExecuteOnArena(TrackingAllocator& activations,
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.alloc_retries;
     }
-    pa = PrefixAcq();
-    acquired = AcquirePrefix(pending, activations, pa);
+    out = PrefixAcq();
+    acquired = AcquirePrefix(pending, activations, out);
     if (acquired.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.alloc_retry_successes;
     }
   }
-  if (!acquired.ok()) {
-    return acquired;
-  }
-
-  PrefillOptions prefill;
-  prefill.mode = options_.mode;
-  prefill.chunk_size = options_.chunk_size;
-  prefill.preallocate_outputs = options_.preallocate_outputs;
-  prefill.in_place = options_.in_place;
-  prefill.retention = KvRetention::kPrefixBudget;
-  prefill.prefix_budget_tokens = pa.budget_blocks * options_.block_size;
-  // Cooperative in-flight abort (ISSUE 6): the model polls this between
-  // chunks; an expired or cancelled request stops at the next boundary
-  // instead of burning its remaining compute.
-  prefill.abort_check = [this, &pending] { return AbortStatus(pending); };
-
-  // The prefill pass runs without any engine lock: the model is immutable,
-  // the prefix is a private copy, and intra-op workers come from this
-  // thread's elastic ThreadPool partition.
-  auto result = model_->Prefill(tokens, pa.prefix.empty() ? nullptr : &pa.prefix,
-                                prefill, activations);
-  if (!result.ok()) {
-    PublishKv(pa, nullptr);
-    return result.status();
-  }
-  PrefillResult& pass = result.value();
-  PublishKv(pa, &pass);
-
-  auto probabilities =
-      ConstrainedProbabilities(pass.last_logits, pending.request.allowed_tokens);
-  if (!probabilities.ok()) {
-    return probabilities.status();
-  }
-
-  ScoringResponse response;
-  response.request_id = pending.id;
-  response.user_id = pending.request.user_id;
-  response.probabilities = probabilities.take();
-  response.score = response.probabilities[0].probability;
-  response.n_input = n_tokens;
-  response.n_cached = pa.n_cached;
-  response.n_cached_offload =
-      (pa.prefix_blocks - pa.gpu_prefix_blocks) * options_.block_size;
-  response.queue_time_s = start_s - pending.arrival_s;
-  response.execute_time_s = NowSeconds() - start_s;
-  return response;
+  return acquired;
 }
 
-std::vector<Result<ScoringResponse>> Engine::ExecuteBatchOnArena(
-    TrackingAllocator& activations, std::vector<Pending>& pendings) {
+std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
+    TrackingAllocator& activations, std::span<Pending> pendings) {
   const size_t n_requests = pendings.size();
+  // Every rule below keys on whether this call has a single member. A lone
+  // member acquires through the backoff ladder, polls inside its pass and
+  // returns its own failures. A member of a multi-member call tries once,
+  // and on any failure re-enters this routine alone once the stacked pass
+  // has released its pins and arena bytes — so co-batching never fails a
+  // request that would have succeeded alone.
+  const bool alone = n_requests == 1;
   const double start_s = NowSeconds();
   std::vector<Result<ScoringResponse>> results(
       n_requests,
       Result<ScoringResponse>(Status::Internal("batch member not executed")));
 
-  // Per-request cache acquire: a member whose acquisition fails (the pool
-  // or the lane arena cannot hold one more prefix alongside its
-  // batchmates') is deferred to the solo-retry list below — after the
-  // batch releases its pins and prefix copies, the member gets the same
-  // chance it would have had running alone.
   std::vector<PrefixAcq> acqs(n_requests);
   std::vector<size_t> live;
-  std::vector<size_t> solo_retry;
+  std::vector<size_t> retry_alone;
   live.reserve(n_requests);
   for (size_t i = 0; i < n_requests; ++i) {
-    // Member-boundary abort poll (ISSUE 6): a batchmate whose deadline
-    // lapsed (or that was cancelled) while the batch rode the exec queue is
-    // dropped here, before its acquisition pins any blocks.
+    // Member-boundary abort poll (ISSUE 6): a member whose deadline lapsed
+    // (or that was cancelled) while it rode the exec queue is dropped here,
+    // before its acquisition pins any blocks.
     if (Status abort = AbortStatus(pendings[i]); !abort.ok()) {
       results[i] = abort;
       continue;
     }
-    if (Status s = AcquirePrefix(pendings[i], activations, acqs[i]); s.ok()) {
+    const int retry_max = alone ? options_.alloc_retry_max : 0;
+    if (Status s = AcquirePrefixWithBackoff(pendings[i], activations, retry_max, acqs[i]);
+        s.ok()) {
       live.push_back(i);
+    } else if (alone) {
+      results[i] = s;
     } else {
-      solo_retry.push_back(i);
+      retry_alone.push_back(i);
     }
   }
 
@@ -743,6 +700,15 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteBatchOnArena(
     prefill.chunk_size = options_.chunk_size;
     prefill.preallocate_outputs = options_.preallocate_outputs;
     prefill.in_place = options_.in_place;
+    if (alone) {
+      // Cooperative in-flight abort (ISSUE 6): the model polls this between
+      // chunks; an expired or cancelled request stops at the next boundary
+      // instead of burning its remaining compute. Only a lone member's pass
+      // polls, since a non-OK poll would abort every sequence of the pass.
+      prefill.abort_check = [this, &pending = pendings[0]] {
+        return AbortStatus(pending);
+      };
+    }
 
     std::vector<PrefillSequence> sequences;
     sequences.reserve(live.size());
@@ -755,20 +721,22 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteBatchOnArena(
       sequences.push_back(seq);
     }
 
-    // One stacked prefill for the whole batch, lock-free like the solo pass.
+    // One stacked prefill for every live member. It runs without any engine
+    // lock: the model is immutable, the prefixes are private copies, and
+    // intra-op workers come from this thread's elastic ThreadPool partition.
     auto passes = model_->PrefillBatch(sequences, prefill, activations);
     if (!passes.ok()) {
-      // Batch-level failure — in practice the stacked pass exceeding this
-      // lane's activation budget. Release every pin, free the prefix
-      // copies, and fall back to solo execution so co-batching never fails
-      // a request that fits alone (the determinism contract makes the
-      // results identical either way).
+      // Release every pin and free the prefix copies before anyone retries.
       for (const size_t i : live) {
         PublishKv(acqs[i], nullptr);
-        acqs[i].prefix = KvCacheData();  // return the arena bytes before retrying
+        acqs[i].prefix = KvCacheData();
       }
-      solo_retry.insert(solo_retry.end(), live.begin(), live.end());
-      std::sort(solo_retry.begin(), solo_retry.end());
+      if (alone) {
+        results[live.front()] = passes.status();
+      } else {
+        retry_alone.insert(retry_alone.end(), live.begin(), live.end());
+        std::sort(retry_alone.begin(), retry_alone.end());
+      }
     } else {
       for (size_t j = 0; j < live.size(); ++j) {
         const size_t i = live[j];
@@ -799,17 +767,11 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteBatchOnArena(
     }
   }
 
-  // Solo retries run after the batch has released its pins and arena bytes:
-  // acquisition-failed members and batch-OOM members alike execute here
-  // with the lane to themselves, one at a time — each behind its own
-  // member-boundary abort poll, so a deadline that lapsed during the
-  // stacked pass skips the retry entirely.
-  for (const size_t i : solo_retry) {
-    if (Status abort = AbortStatus(pendings[i]); !abort.ok()) {
-      results[i] = abort;
-      continue;
-    }
-    results[i] = ExecuteOnArena(activations, std::move(pendings[i]));
+  // Members that could not run stacked re-enter alone, one at a time, with
+  // the lane to themselves. Each passes its own member-boundary poll again,
+  // so a deadline that lapsed during the stacked pass skips the retry.
+  for (const size_t i : retry_alone) {
+    results[i] = std::move(ExecuteOnArena(activations, pendings.subspan(i, 1)).front());
   }
   return results;
 }
@@ -828,27 +790,9 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteBatchAndFinalize(
 
 std::vector<Result<ScoringResponse>> Engine::ExecuteLaneAndFinalize(
     std::vector<Pending> pendings, std::span<const uint64_t> in_flight_hashes) {
-  // Promise handles are copied out first: execution consumes the Pendings
-  // (ExecuteOnArena never fulfills), and delivery must happen exactly once,
-  // here — or in the watchdog, whichever wins the `fulfilled` exchange.
+  // Execution never fulfills: delivery happens exactly once, here — or in
+  // the watchdog, whichever wins the `fulfilled` exchange.
   const size_t n = pendings.size();
-  std::vector<std::shared_ptr<std::promise<Result<ScoringResponse>>>> promises;
-  std::vector<std::shared_ptr<std::atomic<bool>>> fulfilled;
-  std::vector<std::shared_ptr<const GroupCallback>> on_dones;
-  std::vector<size_t> on_done_indices;
-  std::vector<int64_t> ids;
-  promises.reserve(n);
-  fulfilled.reserve(n);
-  on_dones.reserve(n);
-  on_done_indices.reserve(n);
-  ids.reserve(n);
-  for (const Pending& pending : pendings) {
-    promises.push_back(pending.promise);
-    fulfilled.push_back(pending.fulfilled);
-    on_dones.push_back(pending.on_done);
-    on_done_indices.push_back(pending.on_done_index);
-    ids.push_back(pending.id);
-  }
   {
     // The members are already in the running registry: marked where they
     // left the queue (TakeBatchLocked) or were counted (ScoreSync).
@@ -863,15 +807,9 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteLaneAndFinalize(
   // allocated below dies before the arena does.
   TrackingAllocator activations(options_.activation_budget_bytes);
   activations.SetFaultSite(fault::kAllocActivation);
-  std::vector<Result<ScoringResponse>> results;
-  if (n == 1) {
-    // Exact legacy behavior: one request, the solo prefill path.
-    results.push_back(ExecuteOnArena(activations, std::move(pendings[0])));
-  } else {
-    results = ExecuteBatchOnArena(activations, pendings);
-  }
+  std::vector<Result<ScoringResponse>> results = ExecuteOnArena(activations, pendings);
   // Every member has published its KV or given up on it, on every path
-  // (success, failure, abort, cancel, solo fallback): its prefixes are no
+  // (success, failure, abort, cancel, re-entry alone): its prefixes are no
   // longer in flight. Cleared before the running registry below, so an
   // empty queue and running registry imply an empty prefix registry.
   if (!in_flight_hashes.empty()) {
@@ -892,13 +830,13 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteLaneAndFinalize(
     stats_.peak_activation_bytes =
         std::max(stats_.peak_activation_bytes, activations.peak_bytes());
     for (size_t i = 0; i < n; ++i) {
-      running_.erase(ids[i]);
+      running_.erase(pendings[i].id);
       // Mark-and-ignore (ISSUE 5): a Cancel() that raced the execution wins
       // — the computed result is discarded, the waiter sees kCancelled.
       // With cooperative abort the prefill may ALSO have stopped early with
       // kCancelled; either way the id is still marked, so this stays the
       // single counting point.
-      if (cancelled_in_flight_.erase(ids[i]) > 0) {
+      if (cancelled_in_flight_.erase(pendings[i].id) > 0) {
         ignored[i] = true;
         ++stats_.cancelled_in_flight;
       } else if (results[i].ok()) {
@@ -918,7 +856,7 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteLaneAndFinalize(
       results[i] = Result<ScoringResponse>(
           Status::Cancelled("request cancelled while in flight; result discarded"));
     }
-    Fulfill(promises[i], fulfilled[i], on_dones[i], on_done_indices[i], results[i]);
+    Fulfill(pendings[i], results[i]);
   }
   return results;
 }

@@ -137,7 +137,7 @@ struct EngineOptions {
   // batch (max_batch_size > 1) shares its lane's single arena — so size
   // the budget for the stacked footprint you want to allow, not for one
   // request. Batch admission projects against this budget and an
-  // overshooting stacked pass falls back to solo execution, so a budget
+  // overshooting stacked pass re-runs its members alone, so a budget
   // sized for exactly one request quietly turns batching off. Exceeding
   // it fails the request with kResourceExhausted — the CPU analogue of
   // GPU OOM.
@@ -403,7 +403,7 @@ class Engine {
   };
 
   // One dispatch decision (ISSUE 4): the requests an executor lane runs as
-  // one stacked prefill. Size 1 takes the exact legacy solo path.
+  // one stacked prefill (size 1 included: a batch of one).
   struct PrefillBatchPending {
     std::vector<Pending> requests;
     // Reserved worker count for the executor's ThreadPool::Lease; set by the
@@ -429,8 +429,7 @@ class Engine {
 
   // Everything one request's prefill needs from the cache tiers, produced
   // atomically under cache_mu_ by AcquirePrefix and consumed lock-free by
-  // the prefill, then released/published by PublishKv (shared between the
-  // solo and batched execution paths).
+  // the prefill, then released/published by PublishKv.
   struct PrefixAcq {
     Acquisition acq;
     int64_t budget_blocks = 0;      // suffix-discarding budget, in blocks
@@ -464,31 +463,37 @@ class Engine {
   // Cache release + KV publication, atomic under cache_mu_. `pass` may be
   // null: releases the acquisition retaining nothing (the failure path).
   void PublishKv(PrefixAcq& pa, const PrefillResult* pass);
-  // Runs one request end to end on the calling thread and the lane's
-  // arena: cache acquire under cache_mu_, prefill, cache release / KV
-  // publication under cache_mu_. Never holds mu_.
-  Result<ScoringResponse> ExecuteOnArena(TrackingAllocator& activations,
-                                         Pending pending);
-  // Runs one dispatched batch on the calling lane: size 1 takes the exact
-  // legacy solo path; size >= 2 stacks the members into one
-  // LlamaModel::PrefillBatch on a shared lane arena (per-request cache
-  // acquire/publish around it). Failures fall back to solo execution on
-  // this lane — per member when its acquisition fails (pool or arena
-  // contention from batchmates), batch-wide when the stacked pass itself
-  // fails (e.g. exceeding the lane's activation budget) — so co-batching
-  // never fails a request that would have succeeded alone. Results are
-  // index-aligned with `batch.requests`; promises are fulfilled here.
+  // AcquirePrefix behind the backoff ladder: up to `retry_max` retries of
+  // a kResourceExhausted acquisition, each after an exponential backoff
+  // that must not land past the deadline.
+  Status AcquirePrefixWithBackoff(const Pending& pending,
+                                  TrackingAllocator& activations, int retry_max,
+                                  PrefixAcq& out);
+  // Runs every member of one lane on the calling thread and the lane's
+  // arena, for any size n >= 1: per member, an abort poll and a cache
+  // acquire under cache_mu_; then one LlamaModel::PrefillBatch over the
+  // live members; then per member, cache release / KV publication under
+  // cache_mu_ and the response. Never holds mu_ and never fulfills.
+  // A one-member call acquires through the backoff ladder and its pass
+  // polls PrefillOptions::abort_check; its failures are its results. In a
+  // multi-member call, a member whose acquisition fails, or every member
+  // when the stacked pass fails (e.g. exceeding the lane's activation
+  // budget), re-enters this routine as a one-member call after the pass —
+  // so co-batching never fails a request that would have succeeded alone.
+  // Results are index-aligned with `pendings`.
+  std::vector<Result<ScoringResponse>> ExecuteOnArena(TrackingAllocator& activations,
+                                                      std::span<Pending> pendings);
+  // Counts one dispatched batch in the batch stats, then runs it through
+  // ExecuteLaneAndFinalize. Results are index-aligned with
+  // `batch.requests`; promises are fulfilled there.
   std::vector<Result<ScoringResponse>> ExecuteBatchAndFinalize(
       PrefillBatchPending batch);
   // The lane a dispatched batch and ScoreSync share: executing_ accounting,
-  // one activation arena, execution (solo or stacked), removal of
-  // `in_flight_hashes` from the prefix registry once every member has
-  // published or failed, then the running registry, terminal accounting
-  // and promise fulfillment.
+  // one activation arena, ExecuteOnArena, removal of `in_flight_hashes`
+  // from the prefix registry once every member has published or failed,
+  // then the running registry, terminal accounting and promise fulfillment.
   std::vector<Result<ScoringResponse>> ExecuteLaneAndFinalize(
       std::vector<Pending> pendings, std::span<const uint64_t> in_flight_hashes);
-  std::vector<Result<ScoringResponse>> ExecuteBatchOnArena(
-      TrackingAllocator& activations, std::vector<Pending>& pendings);
   // Snapshot of waiting_ for one scheduling decision; requires mu_.
   std::vector<Candidate> SnapshotQueueLocked() const;
   // One scheduling decision (ISSUE 9): the ids of up to max_batch_size

@@ -13,7 +13,6 @@
 #include "src/gpu/memory_model.h"
 #include "src/gpu/specs.h"
 #include "src/sched/scheduler.h"
-#include "src/tensor/ops_dispatch.h"
 
 namespace prefillonly {
 
@@ -30,28 +29,6 @@ struct EngineConfig {
   double lambda = 500.0;
 
   int block_size = 256;
-  // Intra-op CPU workers per instance; parity knob with
-  // EngineOptions::num_threads (0 = hardware concurrency, 1 = serial) for
-  // deployments that translate an EngineConfig into a real Engine. NOTE:
-  // nothing in-tree does that translation yet — the analytic simulation
-  // (instance.cc/cluster.cc) ignores this field, because its kernel timing
-  // comes from the cost model, not real execution.
-  int num_threads = 0;
-  // Kernel backend; parity knob with EngineOptions::kernel_backend for
-  // deployments that translate an EngineConfig into a real Engine. Like
-  // num_threads, the analytic simulation ignores it (its kernel timing
-  // comes from the cost model, not real execution).
-  KernelBackend kernel_backend = KernelBackend::kAuto;
-  // Intra-lane continuous batching (ISSUE 4); parity knob with
-  // EngineOptions::max_batch_size (1 = every request prefills solo). The
-  // analytic simulation ignores it like num_threads/kernel_backend — its
-  // prefill timing comes from the cost model, which prices tokens, not
-  // batch compositions.
-  int max_batch_size = 1;
-  // Batch-admission packing rule (ISSUE 9); parity knob with
-  // EngineOptions::batch_packing. Ignored by the analytic simulation for
-  // the same reason as max_batch_size.
-  BatchPacking batch_packing = BatchPacking::kFirstFit;
   // Profile-run reserve (§3.1): activation memory is reserved for requests
   // up to this many tokens; what remains becomes the prefix-cache pool.
   // 0 = choose automatically: min(workload max length, engine MIL).

@@ -26,7 +26,7 @@ class Ledger {
 };
 
 // One attention + MLP block over `rows` rows, mirroring the allocation
-// order of PrefillStandard / PrefillChunked in src/model/llama.cc.
+// order of PrefillBatchStandard / PrefillBatchChunked in src/model/llama.cc.
 // `kv_alloc_per_layer` is nonzero only on the naive drop-KV path, where
 // each layer's KV is transient.
 void FullWidthLayer(Ledger& ledger, const ActivationShape& s, int64_t rows,

@@ -22,10 +22,11 @@
 //
 // All three strategies produce bitwise identical logits (linear layers are
 // row-independent and the attention summation order is fixed); the test
-// suite asserts exact equality. The same row-independence is what makes
-// PrefillBatch exact (ISSUE 4): stacking several sequences' rows into one
-// activation matrix with block-diagonal attention reproduces each
-// sequence's solo logits bit for bit, in every mode.
+// suite asserts exact equality. The same row-independence makes every
+// strategy one stacked pass over any number of sequences: their new-token
+// rows share one activation matrix and attention is block-diagonal, so each
+// sequence's logits are bitwise those of a pass over it alone. Prefill is
+// the one-sequence case of PrefillBatch, not a separate implementation.
 #ifndef SRC_MODEL_LLAMA_H_
 #define SRC_MODEL_LLAMA_H_
 
@@ -65,9 +66,10 @@ struct PrefillOptions {
   bool preallocate_outputs = true;
   bool in_place = true;
 
-  // Standard-only: free each layer's KV right after its attention instead
-  // of keeping all layers resident (the naive §4.1 ablation; incompatible
-  // with retention != kNone).
+  // Standard-only: allocate each layer's KV inside that layer instead of
+  // keeping all layers resident for the whole pass (the naive §4.1
+  // ablation). Valid in a batch of any size, as long as every sequence
+  // retains nothing (retention kNone).
   bool drop_kv_in_pass = false;
 
   KvRetention retention = KvRetention::kNone;
@@ -75,12 +77,15 @@ struct PrefillOptions {
   int64_t prefix_budget_tokens = 0;
 
   // Cooperative in-flight abort: when set, the pass calls this at work
-  // boundaries — between chunks (kChunked, and every chunked linear of
-  // kHybrid) and between layers (kStandard) — and a non-OK status aborts the
-  // prefill immediately, returning that status with the remaining work
-  // skipped. The check must be cheap and must not touch model state. Unset
-  // (the default) adds no work to the pass, and the checks never alter the
-  // computation itself, so logits stay bit-identical either way.
+  // boundaries — before every chunk (kChunked, and every chunked linear of
+  // kHybrid, chunks being global over the stacked rows) and before every
+  // layer (kStandard) — and a non-OK status aborts the prefill immediately,
+  // returning that status with the remaining work skipped. The pass is
+  // shared, so in a multi-sequence PrefillBatch a non-OK poll aborts the
+  // whole pass, every sequence included. The check must be cheap and must
+  // not touch model state. Unset (the default) adds no work to the pass,
+  // and the checks never alter the computation itself, so logits stay
+  // bit-identical either way.
   std::function<Status()> abort_check;
 };
 
@@ -94,9 +99,9 @@ struct PrefillResult {
   int64_t n_new = 0;  // tokens actually computed (input minus cached prefix)
 };
 
-// One sequence of a batched prefill (ISSUE 4). Retention is per sequence
-// (each request brings its own suffix-discarding budget); everything else —
-// mode, chunking, the §4.3 optimizations — comes from the shared
+// One sequence of a prefill pass. Retention is per sequence (each request
+// brings its own suffix-discarding budget); everything else — mode,
+// chunking, the §4.3 optimizations, the abort check — comes from the shared
 // PrefillOptions, whose own retention fields are ignored by PrefillBatch.
 struct PrefillSequence {
   std::span<const int32_t> tokens;
@@ -143,6 +148,10 @@ class LlamaModel {
   // activations from `activations` — which may carry a byte budget, in
   // which case exceeding it returns kResourceExhausted.
   //
+  // A batch of one: PrefillBatch over a single PrefillSequence carrying
+  // options.retention / options.prefix_budget_tokens. Its tracked peak and
+  // abort polls are those of that pass (tests/batching_test.cc pins both).
+  //
   // Requires cached_prefix->n_tokens < tokens.size(): the last token's
   // logits must be computed, so at least one token is always prefilled.
   Result<PrefillResult> Prefill(std::span<const int32_t> tokens,
@@ -150,7 +159,7 @@ class LlamaModel {
                                 const PrefillOptions& options,
                                 TrackingAllocator& activations) const;
 
-  // Continuous batching inside one executor lane (ISSUE 4): prefills all
+  // The forward pass, for one or more sequences: prefills all
   // `sequences` in one pass by stacking their new-token rows into a single
   // activation matrix. Linear layers (and their chunking) run over the
   // stacked rows — one GEMM of sum(n_new) rows instead of B small ones —
@@ -162,13 +171,14 @@ class LlamaModel {
   // Determinism contract: because every kernel computes each output row from
   // that row's inputs alone (fixed ascending-k accumulation, no
   // cross-sequence reduction), sequence i's logits and retained KV are
-  // BITWISE identical to a solo Prefill(sequences[i]) with the same options,
-  // for every batch composition, thread count, and prefill mode — within a
+  // BITWISE identical to a Prefill(sequences[i]) with the same options, for
+  // every batch composition, thread count, and prefill mode — within a
   // kernel backend (tests/batching_test.cc).
   //
-  // drop_kv_in_pass is rejected (a solo-ablation knob); options.retention /
-  // options.prefix_budget_tokens are ignored in favor of the per-sequence
-  // fields.
+  // options.retention / options.prefix_budget_tokens are ignored in favor
+  // of the per-sequence fields. drop_kv_in_pass requires every sequence's
+  // retention to be kNone. options.abort_check polls once per pass
+  // boundary, not per sequence; a non-OK poll aborts every sequence.
   Result<std::vector<PrefillResult>> PrefillBatch(
       std::span<const PrefillSequence> sequences, const PrefillOptions& options,
       TrackingAllocator& activations) const;
@@ -198,21 +208,8 @@ class LlamaModel {
   // carries a packed image.
   void MatMulW(const float* a, const Weight& w, float* c, int64_t m) const;
 
-  Status Validate(std::span<const int32_t> tokens, const KvCacheData* cached_prefix,
-                  const PrefillOptions& options) const;
-
-  Result<PrefillResult> PrefillStandard(std::span<const int32_t> tokens,
-                                        const KvCacheData* prefix,
-                                        const PrefillOptions& options,
-                                        TrackingAllocator& act) const;
-  Result<PrefillResult> PrefillChunked(std::span<const int32_t> tokens,
-                                       const KvCacheData* prefix,
-                                       const PrefillOptions& options,
-                                       TrackingAllocator& act) const;
-  Result<PrefillResult> PrefillHybrid(std::span<const int32_t> tokens,
-                                      const KvCacheData* prefix,
-                                      const PrefillOptions& options,
-                                      TrackingAllocator& act) const;
+  // Checks one sequence of a pass against the shared options.
+  Status Validate(const PrefillSequence& seq, const PrefillOptions& options) const;
 
   // Where one sequence's new-token rows live inside the stacked batch
   // matrix: rows [row0, row0 + n_new).

@@ -24,8 +24,8 @@
 //     legitimately reorders (and fuses) float operations, so kAvx2 output
 //     is close to — not bit-equal with — kScalar output.
 //
-// Selection: EngineOptions::kernel_backend / EngineConfig::kernel_backend,
-// or the PREFILLONLY_KERNEL_BACKEND environment variable ("auto", "scalar",
+// Selection: EngineOptions::kernel_backend, or the
+// PREFILLONLY_KERNEL_BACKEND environment variable ("auto", "scalar",
 // "avx2") for the process default; kAuto resolves env first, then picks the
 // best available backend. Forcing kAvx2 on a host without AVX2 falls back
 // to kScalar with a logged warning.

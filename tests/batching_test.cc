@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -266,13 +267,17 @@ TEST(BatchingParityTest, BatchApiChecksMisuse) {
   ASSERT_FALSE(empty.ok());
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
 
+  // drop_kv_in_pass is valid in a batch, but not next to a sequence that
+  // keeps its KV.
   const std::vector<int32_t> tokens{1, 2, 3};
-  std::vector<PrefillSequence> one(1);
-  one[0].tokens = tokens;
+  std::vector<PrefillSequence> two(2);
+  two[0].tokens = tokens;
+  two[1].tokens = tokens;
+  two[1].retention = KvRetention::kAll;
   PrefillOptions drop = options;
   drop.mode = PrefillMode::kStandard;
   drop.drop_kv_in_pass = true;
-  auto dropped = model.PrefillBatch(one, drop, arena);
+  auto dropped = model.PrefillBatch(two, drop, arena);
   ASSERT_FALSE(dropped.ok());
   EXPECT_EQ(dropped.status().code(), StatusCode::kInvalidArgument);
 
@@ -282,6 +287,168 @@ TEST(BatchingParityTest, BatchApiChecksMisuse) {
   auto invalid = model.PrefillBatch(bad, options, arena);
   ASSERT_FALSE(invalid.ok());
   EXPECT_EQ(invalid.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------- pinned peaks and abort polls
+//
+// Prefill is a one-sequence PrefillBatch. The tracked activation peak (which
+// the activation walker, the MIL predictions and Fig. 3 replay) and the
+// number of abort_check polls below were recorded from the dedicated
+// single-sequence passes this model used to carry, at 150 tokens with chunk
+// 24. Prefill and a one-sequence PrefillBatch must both still read them, at
+// every thread count, with bitwise-equal logits and retained KV.
+
+enum class PinnedPass { kStd, kChunked, kHybrid, kHybridNoInPlace, kHybridNoPrealloc, kStdDrop };
+
+struct PinnedCell {
+  bool small;  // ModelConfig::Small() instead of Tiny()
+  PinnedPass pass;
+  KvRetention retention;  // kPrefixBudget keeps positions [0, 96)
+  int64_t n_cached;
+  size_t peak_bytes;
+  int64_t polls;
+};
+
+constexpr bool kTiny = false;
+constexpr bool kSmall = true;
+using enum PinnedPass;
+
+constexpr PinnedCell kPinnedCells[] = {
+        {kTiny, kStd, KvRetention::kNone, 0, 519000, 2},
+        {kTiny, kStd, KvRetention::kNone, 32, 408408, 2},
+        {kTiny, kStd, KvRetention::kAll, 0, 519000, 2},
+        {kTiny, kStd, KvRetention::kAll, 32, 408408, 2},
+        {kTiny, kStd, KvRetention::kPrefixBudget, 0, 519000, 2},
+        {kTiny, kStd, KvRetention::kPrefixBudget, 32, 408408, 2},
+        {kTiny, kChunked, KvRetention::kNone, 0, 148056, 7},
+        {kTiny, kChunked, KvRetention::kNone, 32, 131672, 5},
+        {kTiny, kChunked, KvRetention::kAll, 0, 148056, 7},
+        {kTiny, kChunked, KvRetention::kAll, 32, 131672, 5},
+        {kTiny, kChunked, KvRetention::kPrefixBudget, 0, 148056, 7},
+        {kTiny, kChunked, KvRetention::kPrefixBudget, 32, 131672, 5},
+        {kTiny, kHybrid, KvRetention::kNone, 0, 257112, 42},
+        {kTiny, kHybrid, KvRetention::kNone, 32, 216152, 30},
+        {kTiny, kHybrid, KvRetention::kAll, 0, 333912, 42},
+        {kTiny, kHybrid, KvRetention::kAll, 32, 276568, 30},
+        {kTiny, kHybrid, KvRetention::kPrefixBudget, 0, 306264, 42},
+        {kTiny, kHybrid, KvRetention::kPrefixBudget, 32, 248920, 30},
+        {kTiny, kHybridNoInPlace, KvRetention::kNone, 0, 295512, 42},
+        {kTiny, kHybridNoInPlace, KvRetention::kNone, 32, 246360, 30},
+        {kTiny, kHybridNoInPlace, KvRetention::kAll, 0, 372312, 42},
+        {kTiny, kHybridNoInPlace, KvRetention::kAll, 32, 306776, 30},
+        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 344664, 42},
+        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 279128, 30},
+        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 0, 333912, 42},
+        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 32, 276568, 30},
+        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 0, 410712, 42},
+        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 32, 336984, 30},
+        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 383064, 42},
+        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 309336, 30},
+        {kTiny, kStdDrop, KvRetention::kNone, 0, 480600, 2},
+        {kTiny, kStdDrop, KvRetention::kNone, 32, 378200, 2},
+        {kSmall, kStd, KvRetention::kNone, 0, 1037400, 4},
+        {kSmall, kStd, KvRetention::kNone, 32, 816216, 4},
+        {kSmall, kStd, KvRetention::kAll, 0, 1037400, 4},
+        {kSmall, kStd, KvRetention::kAll, 32, 816216, 4},
+        {kSmall, kStd, KvRetention::kPrefixBudget, 0, 1037400, 4},
+        {kSmall, kStd, KvRetention::kPrefixBudget, 32, 816216, 4},
+        {kSmall, kChunked, KvRetention::kNone, 0, 295512, 7},
+        {kSmall, kChunked, KvRetention::kNone, 32, 262744, 5},
+        {kSmall, kChunked, KvRetention::kAll, 0, 295512, 7},
+        {kSmall, kChunked, KvRetention::kAll, 32, 262744, 5},
+        {kSmall, kChunked, KvRetention::kPrefixBudget, 0, 295512, 7},
+        {kSmall, kChunked, KvRetention::kPrefixBudget, 32, 262744, 5},
+        {kSmall, kHybrid, KvRetention::kNone, 0, 475224, 84},
+        {kSmall, kHybrid, KvRetention::kNone, 32, 401496, 60},
+        {kSmall, kHybrid, KvRetention::kAll, 0, 628824, 84},
+        {kSmall, kHybrid, KvRetention::kAll, 32, 522328, 60},
+        {kSmall, kHybrid, KvRetention::kPrefixBudget, 0, 573528, 84},
+        {kSmall, kHybrid, KvRetention::kPrefixBudget, 32, 467032, 60},
+        {kSmall, kHybridNoInPlace, KvRetention::kNone, 0, 552024, 84},
+        {kSmall, kHybridNoInPlace, KvRetention::kNone, 32, 461912, 60},
+        {kSmall, kHybridNoInPlace, KvRetention::kAll, 0, 705624, 84},
+        {kSmall, kHybridNoInPlace, KvRetention::kAll, 32, 582744, 60},
+        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 650328, 84},
+        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 527448, 60},
+        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 0, 628824, 84},
+        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 32, 522328, 60},
+        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 0, 782424, 84},
+        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 32, 643160, 60},
+        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 727128, 84},
+        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 587864, 60},
+        {kSmall, kStdDrop, KvRetention::kNone, 0, 922200, 4},
+        {kSmall, kStdDrop, KvRetention::kNone, 32, 725592, 4},
+};
+
+PrefillOptions PinnedOptions(const PinnedCell& cell) {
+  PrefillOptions options;
+  options.mode = cell.pass == kStd || cell.pass == kStdDrop ? PrefillMode::kStandard
+                 : cell.pass == kChunked                    ? PrefillMode::kChunked
+                                                            : PrefillMode::kHybrid;
+  options.chunk_size = 24;
+  options.preallocate_outputs = cell.pass != kHybridNoPrealloc;
+  options.in_place = cell.pass != kHybridNoInPlace && cell.pass != kHybridNoPrealloc;
+  options.drop_kv_in_pass = cell.pass == kStdDrop;
+  options.retention = cell.retention;
+  options.prefix_budget_tokens = 96;
+  return options;
+}
+
+TEST(BatchingParityTest, SoloPeaksAndPollsArePinned) {
+  for (const bool small : {kTiny, kSmall}) {
+    const ModelConfig config = small ? ModelConfig::Small() : ModelConfig::Tiny();
+    LlamaModel model(config, 42);
+    Rng rng(150);
+    const std::vector<int32_t> tokens = RandomTokens(rng, 150, config.vocab_size);
+    // The cached prefix lives in its own allocator so it never counts
+    // toward a measured peak.
+    TrackingAllocator prefix_alloc;
+    KvCacheData prefix;
+    prefix.n_tokens = 32;
+    prefix.layers.resize(static_cast<size_t>(config.n_layers));
+    for (auto& layer : prefix.layers) {
+      layer.k = Tensor::Zeros(prefix_alloc, {32, config.kv_size()}, "p.k");
+      layer.v = Tensor::Zeros(prefix_alloc, {32, config.kv_size()}, "p.v");
+    }
+    for (const int threads : {1, 4}) {
+      ThreadPool pool(threads);
+      model.SetThreadPool(&pool);
+      for (const PinnedCell& cell : kPinnedCells) {
+        if (cell.small != small) {
+          continue;
+        }
+        SCOPED_TRACE(std::string(config.name) + " pass=" +
+                     std::to_string(static_cast<int>(cell.pass)) + " retention=" +
+                     std::to_string(static_cast<int>(cell.retention)) +
+                     " n_cached=" + std::to_string(cell.n_cached) +
+                     " threads=" + std::to_string(threads));
+        PrefillOptions options = PinnedOptions(cell);
+        int64_t polls = 0;
+        options.abort_check = [&polls] {
+          ++polls;
+          return Status::Ok();
+        };
+        const KvCacheData* cached = cell.n_cached > 0 ? &prefix : nullptr;
+
+        TrackingAllocator solo_arena;
+        auto solo = model.Prefill(tokens, cached, options, solo_arena);
+        ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+        EXPECT_EQ(solo_arena.peak_bytes(), cell.peak_bytes);
+        EXPECT_EQ(polls, cell.polls);
+
+        polls = 0;
+        const PrefillSequence seq{tokens, cached, cell.retention,
+                                  options.prefix_budget_tokens};
+        TrackingAllocator batch_arena;
+        auto batched = model.PrefillBatch(std::span(&seq, 1), options, batch_arena);
+        ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+        EXPECT_EQ(batch_arena.peak_bytes(), cell.peak_bytes);
+        EXPECT_EQ(polls, cell.polls);
+        EXPECT_TRUE(SameFloatBits(batched.value()[0].last_logits, solo.value().last_logits));
+        EXPECT_TRUE(SameKvBits(batched.value()[0].kv, solo.value().kv));
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- engine-layer parity
