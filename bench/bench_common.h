@@ -7,8 +7,6 @@
 #define BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,8 +15,6 @@
 #include "src/engine/engine_config.h"
 #include "src/gpu/memory_model.h"
 #include "src/gpu/specs.h"
-#include "src/loadgen/runner.h"
-#include "src/loadgen/target.h"
 #include "src/server/json.h"
 #include "src/workload/dataset.h"
 
@@ -113,25 +109,6 @@ inline void PrintLatencyPanel(const std::string& title,
   }
 }
 
-// --- Real-engine mode for the figure sweeps (ISSUE 10) ---------------------
-//
-// Fig. 6/7 are simulator studies (5 engine models, 4 GPU setups). With
-// `--real` on the command line (or PO_FIG_REAL=1), the binaries ALSO sweep
-// the repo's real CPU engine through the open-loop loadgen runner on the
-// scaled Table-1 workloads, and both series land in the same JSON — the
-// simulator panels unchanged, the real-engine curve alongside for a
-// reality check of the simulated shape.
-
-inline bool RealEngineRequested(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--real") == 0) {
-      return true;
-    }
-  }
-  const char* env = std::getenv("PO_FIG_REAL");
-  return env != nullptr && env[0] == '1';
-}
-
 // One simulator panel (one workload x one hardware setup) as JSON rows.
 inline Json SimPanelJson(const Dataset& dataset, const HardwareSetup& hw,
                          const std::vector<SweepSeries>& series) {
@@ -156,58 +133,6 @@ inline Json SimPanelJson(const Dataset& dataset, const HardwareSetup& hw,
   }
   panel.emplace("engines", Json(std::move(engines)));
   return Json(std::move(panel));
-}
-
-// Real-engine sweep of one scaled workload (in-process target, anchored
-// rate grid) for the figure JSON; prints a small panel as a side effect.
-inline Json RealEngineSweepJson(const std::string& workload, uint64_t seed) {
-  Dataset dataset =
-      workload == "post-rec"
-          ? MakePostRecommendationDataset(ScaledPostRecommendationConfig(seed))
-          : MakeCreditVerificationDataset(ScaledCreditVerificationConfig(seed));
-  std::vector<LoadItem> items;
-  items.reserve(dataset.requests.size());
-  for (SimRequest& request : dataset.requests) {
-    LoadItem item;
-    item.tokens = std::move(request.tokens);
-    item.user_id = request.user_id;
-    items.push_back(std::move(item));
-  }
-
-  ClientOptions client_options;
-  client_options.model = "tiny";
-  client_options.max_concurrent_requests = 2;
-  client_options.max_batch_size = 4;
-  auto target = MakeInProcessTarget(client_options);
-
-  SweepOptions sweep_options;
-  sweep_options.seed = seed;
-  sweep_options.run.concurrency = 8;
-  sweep_options.run.allowed = {7, 9};
-
-  // Anchor the grid on measured saturation: all requests back to back, the
-  // warm-up doubling as the cache warmer (same method as po_loadgen).
-  const std::vector<double> all_at_once(items.size(), 0.0);
-  const RunReport saturated = RunLoad(*target, items, all_at_once, sweep_options.run);
-  // With every request scheduled at t=0, the slowest request's open-loop
-  // latency IS the makespan, so ok/makespan is the saturated throughput.
-  const double makespan = saturated.latency.Max();
-  const double x = (saturated.ok > 0 && makespan > 0.0)
-                       ? static_cast<double>(saturated.ok) / makespan
-                       : 0.0;
-  sweep_options.rates = x > 0.0 ? std::vector<double>{x / 4, x / 2, x, 2 * x}
-                                : std::vector<double>{25.0, 50.0, 100.0};
-  const SweepReport sweep = RunSweep(*target, workload, items, sweep_options);
-
-  std::printf("\n--- %s / real CPU engine (loadgen, scaled workload) ---\n",
-              workload.c_str());
-  std::printf("%10s  %12s  %12s\n", "QPS", "mean (ms)", "p99 (ms)");
-  for (const RatePoint& point : sweep.points) {
-    std::printf("%10.2f  %12.3f  %12.3f\n", point.rate,
-                point.report.latency.Mean() * 1e3,
-                point.report.latency.Percentile(0.99) * 1e3);
-  }
-  return sweep.ToJson();
 }
 
 }  // namespace prefillonly::bench

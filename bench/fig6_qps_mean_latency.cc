@@ -3,14 +3,12 @@
 // QPS everywhere; tensor parallelism may win at low QPS (2 GPUs per
 // request), which is the paper's observed crossover.
 //
-// Output: the human panels plus BENCH_fig6.json. With --real (or
-// PO_FIG_REAL=1) the repo's real CPU engine is ALSO swept through the
-// open-loop loadgen runner (ISSUE 10) on the scaled Table-1 workloads, and
-// that series lands in the same JSON under "real" — the simulator panels
-// are preserved unchanged under "simulator".
+// Output: the human panels plus BENCH_fig6.json, the panels under
+// "simulator". The real CPU engine's latency-vs-load curve is measured by
+// bench/po_bench, not here.
 #include "bench/bench_common.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace prefillonly;
   using namespace prefillonly::bench;
   Header("Fig. 6 - QPS vs mean latency (5 engines, 2 workloads, 4 setups)");
@@ -33,12 +31,6 @@ int main(int argc, char** argv) {
   out.emplace("figure", "fig6_qps_mean_latency");
   out.emplace("metric", "mean");
   out.emplace("simulator", Json(std::move(sim_panels)));
-  if (RealEngineRequested(argc, argv)) {
-    Json::Array real;
-    real.push_back(RealEngineSweepJson("post-rec", /*seed=*/1));
-    real.push_back(RealEngineSweepJson("credit", /*seed=*/2));
-    out.emplace("real", Json(std::move(real)));
-  }
 
   FILE* f = std::fopen("BENCH_fig6.json", "w");
   if (f == nullptr) {

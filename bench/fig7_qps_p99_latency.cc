@@ -2,13 +2,12 @@
 // JCT-based scheduling does not hurt the tail once the starvation offset
 // (lambda = 500) is applied.
 //
-// Output: the human panels plus BENCH_fig7.json. With --real (or
-// PO_FIG_REAL=1) the real CPU engine's p99 curve from the open-loop loadgen
-// runner (ISSUE 10) joins the same JSON under "real"; the simulator panels
-// stay unchanged under "simulator".
+// Output: the human panels plus BENCH_fig7.json, the panels under
+// "simulator". The real CPU engine's latency-vs-load curve is measured by
+// bench/po_bench, not here.
 #include "bench/bench_common.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace prefillonly;
   using namespace prefillonly::bench;
   Header("Fig. 7 - QPS vs P99 latency (5 engines, 2 workloads, 4 setups)");
@@ -30,12 +29,6 @@ int main(int argc, char** argv) {
   out.emplace("figure", "fig7_qps_p99_latency");
   out.emplace("metric", "p99");
   out.emplace("simulator", Json(std::move(sim_panels)));
-  if (RealEngineRequested(argc, argv)) {
-    Json::Array real;
-    real.push_back(RealEngineSweepJson("post-rec", /*seed=*/1));
-    real.push_back(RealEngineSweepJson("credit", /*seed=*/2));
-    out.emplace("real", Json(std::move(real)));
-  }
 
   FILE* f = std::fopen("BENCH_fig7.json", "w");
   if (f == nullptr) {

@@ -9,9 +9,9 @@
 # second server with PO_REPLICAS=2 and exercises the cluster admin surface
 # (ISSUE 8): /v1/replicas, drain -> degraded, drain-all -> 503 +
 # Retry-After on both /v1/health and /v1/score, rejoin -> ok, and the
-# aggregated /v1/stats shape. Finally (ISSUE 10) drives the same cluster
-# server with a ~2-second po_loadgen open-loop smoke sweep and checks the
-# gate, sweep JSON, and server-side counters. Asserts JSON shapes with
+# aggregated /v1/stats shape. Finally fires a concurrent burst of 24
+# scores at the same cluster server and checks every one returned 200 and
+# that the server-side ledger balances. Asserts JSON shapes with
 # python3.
 #
 # Usage: scripts/smoke_api.sh [build-dir]   (default: build)
@@ -203,30 +203,19 @@ RESP=$(curl -s "${CBASE}/v1/stats")
   || fail "all-drained rejections not counted: ${RESP}"
 
 # ---------------------------------------------------------------------------
-# Load generator against the live server (ISSUE 10): a ~2-second open-loop
-# remote smoke with po_loadgen, reusing the 2-replica cluster server above.
+# Concurrent burst against the 2-replica cluster server: 24 scores over 4
+# parallel connections. Every request must return 200, and the server's
+# ledger must balance afterwards (submitted == the sum of terminal buckets).
 # ---------------------------------------------------------------------------
-LOADGEN="${BUILD_DIR}/po_loadgen"
-if [[ -x "${LOADGEN}" ]]; then
-  echo "== loadgen: remote smoke sweep against the cluster server =="
-  SLO_JSON=/tmp/smoke_slo.json
-  rm -f "${SLO_JSON}"
-  "${LOADGEN}" --smoke --endpoint="127.0.0.1:${CPORT}" --out="${SLO_JSON}" \
-    || fail "po_loadgen --smoke exited nonzero"
-  [[ -s "${SLO_JSON}" ]] || fail "po_loadgen wrote no JSON"
-  RESP=$(cat "${SLO_JSON}")
-  [[ $(jexpr "${RESP}" 'd["benchmark"]') == slo_loadgen ]] || fail "bad loadgen JSON shape: ${RESP}"
-  [[ $(jexpr "${RESP}" 'd["gate_passed"]') == True ]] || fail "loadgen gate failed: ${RESP}"
-  [[ $(jexpr "${RESP}" 'len(d["sweeps"]) >= 1') == True ]] || fail "loadgen produced no sweeps"
-  [[ $(jexpr "${RESP}" 'sum(p["ok"] for s in d["sweeps"] for p in s["points"]) > 0') == True ]] \
-    || fail "loadgen completed zero requests: ${RESP}"
-  [[ $(jexpr "${RESP}" 'all(p["lost"] == 0 for s in d["sweeps"] for p in s["points"])') == True ]] \
-    || fail "loadgen lost requests: ${RESP}"
-  echo "== loadgen: server stats reflect the generated load =="
-  RESP=$(curl -s "${CBASE}/v1/stats")
-  [[ $(jexpr "${RESP}" 'd["completed"] >= 10') == True ]] || fail "server saw too little load: ${RESP}"
-else
-  echo "== loadgen: ${LOADGEN} not built, skipping (cmake --build ${BUILD_DIR} --target po_loadgen) =="
-fi
+echo "== burst: 24 concurrent scores against the cluster server =="
+BEFORE=$(curl -s "${CBASE}/v1/stats")
+CODES=$(seq 1 24 | xargs -P 4 -I{} curl -s -o /dev/null -w '%{http_code}\n' \
+  -d '{"tokens":[{},1,2,3,4,5,6,7],"allowed_tokens":[10,20],"user_id":{}}' "${CBASE}/v1/score")
+[[ $(grep -c '^200$' <<<"${CODES}") == 24 ]] || fail "burst: not every score returned 200: $(tr '\n' ' ' <<<"${CODES}")"
+AFTER=$(curl -s "${CBASE}/v1/stats")
+[[ $(( $(jexpr "${AFTER}" 'd["completed"]') - $(jexpr "${BEFORE}" 'd["completed"]') )) -ge 24 ]] \
+  || fail "burst: completed grew by less than 24: ${BEFORE} -> ${AFTER}"
+[[ $(jexpr "${AFTER}" 'd["submitted"] == d["completed"] + d["failed"] + d["cancelled"] + d["cancelled_in_flight"] + d["deadline_expired"] + d["deadline_expired_in_flight"]') == True ]] \
+  || fail "burst: ledger does not balance: ${AFTER}"
 
 echo "SMOKE OK"

@@ -298,7 +298,7 @@ struct Client::Impl {
   // --- Remote connection pool -----------------------------------------
   // One HttpClient per concurrent caller: a connection is checked out for
   // the duration of one exchange and parked afterwards, so K parallel
-  // loadgen workers settle on K persistent sockets.
+  // callers settle on K persistent sockets.
   std::unique_ptr<HttpClient> AcquireConnection() {
     {
       std::lock_guard<std::mutex> lock(pool_mu);

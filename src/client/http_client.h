@@ -1,7 +1,7 @@
 // Blocking HTTP/1.1 client with keep-alive (ISSUE 10).
 //
 // The transport behind the facade's remote mode (ClientOptions::endpoint)
-// and the loadgen's remote target: one TCP connection to one host:port,
+// and po_bench's HTTP load: one TCP connection to one host:port,
 // reused across requests exactly the way the in-repo HttpServer persists
 // them — every request carries `Connection: keep-alive`, every response is
 // Content-Length-framed, so request after request rides the same socket

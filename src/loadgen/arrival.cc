@@ -1,7 +1,5 @@
 #include "src/loadgen/arrival.h"
 
-#include <algorithm>
-
 #include "src/common/rng.h"
 
 namespace prefillonly {
@@ -21,33 +19,6 @@ std::vector<double> MakeArrivalSchedule(size_t n, const ArrivalOptions& options)
   for (size_t i = 0; i < n; ++i) {
     schedule.push_back(t);
     t += rng.NextExponential(qps);
-  }
-  return schedule;
-}
-
-std::vector<double> TraceSchedule(const Dataset& dataset, double target_qps) {
-  std::vector<double> schedule;
-  schedule.reserve(dataset.requests.size());
-  for (const SimRequest& request : dataset.requests) {
-    schedule.push_back(request.arrival_time);
-  }
-  std::sort(schedule.begin(), schedule.end());
-  if (schedule.empty()) {
-    return schedule;
-  }
-  const double t0 = schedule.front();
-  for (double& t : schedule) {
-    t -= t0;
-  }
-  const double span = schedule.back();
-  if (target_qps > 0.0 && span > 0.0) {
-    // n requests over `span` seconds arrive at n/span QPS; scale every
-    // offset by the ratio that makes the aggregate rate target_qps.
-    const double actual_qps = static_cast<double>(schedule.size()) / span;
-    const double scale = actual_qps / target_qps;
-    for (double& t : schedule) {
-      t *= scale;
-    }
   }
   return schedule;
 }

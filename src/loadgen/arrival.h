@@ -1,33 +1,27 @@
-// Open-loop arrival processes for the load generator (ISSUE 10).
+// Open-loop arrival processes for the load generator (bench/po_bench).
 //
 // An OPEN-LOOP generator decides every request's send time BEFORE the run
 // from an arrival process, then fires on that schedule no matter how the
 // target is coping — unlike a closed loop (fixed worker count, next request
 // when the previous answers), which silently backs off exactly when the
 // server struggles and so hides the queueing the test exists to measure
-// (the coordinated-omission problem; cf. wrk2). The runner charges each
+// (the coordinated-omission problem; cf. wrk2). The generator charges each
 // request's latency from its SCHEDULED time, so dispatch delay shows up in
 // the histogram instead of disappearing.
 //
-// Three processes, all deterministic from a seed (same seed => the same
+// Two processes, both deterministic from a seed (same seed => the same
 // schedule, bit for bit — the replay property the determinism test pins):
 //
 //   * kFixedRate — request i at i/qps seconds: the metronome.
 //   * kPoisson   — exponential inter-arrival gaps with mean 1/qps: the
 //     memoryless process real independent traffic approximates, and the
 //     arrival model of the paper's QPS sweeps.
-//   * trace      — replay a Dataset's assigned arrival times (e.g. the
-//     user-burst process of Fig. 9), shifted to start at zero and
-//     optionally rescaled to hit a target aggregate rate, preserving the
-//     burst structure that synthetic processes lack.
 #ifndef SRC_LOADGEN_ARRIVAL_H_
 #define SRC_LOADGEN_ARRIVAL_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "src/workload/dataset.h"
 
 namespace prefillonly {
 
@@ -45,13 +39,6 @@ struct ArrivalOptions {
 // Send offsets (seconds from run start) for `n` requests, nondecreasing,
 // starting at 0.
 std::vector<double> MakeArrivalSchedule(size_t n, const ArrivalOptions& options);
-
-// Replay schedule from a dataset whose requests carry assigned arrival
-// times (AssignPoissonArrivals / AssignUserBurstArrivals): shifted so the
-// first request sends at 0. `target_qps` > 0 rescales all gaps uniformly so
-// the aggregate rate becomes target_qps — time-warping the trace while
-// preserving its relative burst structure; <= 0 replays verbatim.
-std::vector<double> TraceSchedule(const Dataset& dataset, double target_qps = 0.0);
 
 }  // namespace prefillonly
 

@@ -1,6 +1,6 @@
 // HDR-style log-bucketed latency histogram (ISSUE 10).
 //
-// The loadgen's latency recorder: fixed memory, O(1) record, mergeable
+// A latency recorder: fixed memory, O(1) record, mergeable
 // across worker threads, and percentiles with a BOUNDED RELATIVE error —
 // the property a sorted-vector reservoir cannot give without unbounded
 // memory. The layout is the classic HdrHistogram bucketing, restated:

@@ -95,7 +95,8 @@ HttpResponse ApiErrorResponse(const Status& status) {
 StatusCode StatusCodeForApiErrorCode(std::string_view code) {
   // Every code this table can answer is one ApiErrorCodeFor can produce, so
   // the round trip StatusCode -> code -> StatusCode is the identity
-  // (asserted by tests/http_client_test idioms in loadgen_test.cc).
+  // (RemoteParityTest in tests/http_client_test.cc checks that error codes
+  // cross the wire unchanged).
   static constexpr std::pair<std::string_view, StatusCode> kCodes[] = {
       {"ok", StatusCode::kOk},
       {"invalid_argument", StatusCode::kInvalidArgument},

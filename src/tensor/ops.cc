@@ -97,10 +97,6 @@ void SwiGluRows(const float* gate_up, float* out, int64_t m, int64_t i,
   }
 }
 
-void SoftmaxRow(float* x, int64_t n, const KernelOps* ops) {
-  Resolve(ops)->softmax_row(x, n);
-}
-
 void AddInPlace(float* a, const float* b, int64_t count, ThreadPool* pool,
                 const KernelOps* ops) {
   ops = Resolve(ops);
@@ -126,14 +122,6 @@ void EmbeddingLookup(const float* table, std::span<const int32_t> tokens, float*
     std::memcpy(out + static_cast<int64_t>(i) * h, table + tokens[i] * h,
                 static_cast<size_t>(h) * sizeof(float));
   }
-}
-
-float Dot(const float* a, const float* b, int64_t n, const KernelOps* ops) {
-  return Resolve(ops)->dot(a, b, n);
-}
-
-void Axpy(float* y, const float* x, float scale, int64_t n, const KernelOps* ops) {
-  Resolve(ops)->axpy(y, x, scale, n);
 }
 
 }  // namespace prefillonly

@@ -63,9 +63,6 @@ void SiluMul(const float* gate, const float* up, float* out, int64_t count,
 void SwiGluRows(const float* gate_up, float* out, int64_t m, int64_t i,
                 ThreadPool* pool = nullptr, const KernelOps* ops = nullptr);
 
-// Numerically stable in-place softmax of one row of n values.
-void SoftmaxRow(float* x, int64_t n, const KernelOps* ops = nullptr);
-
 // a += b over count values; each element is touched by exactly one thread.
 void AddInPlace(float* a, const float* b, int64_t count, ThreadPool* pool = nullptr,
                 const KernelOps* ops = nullptr);
@@ -83,13 +80,6 @@ void ApplyRope(float* x, int64_t rows, int64_t n_heads, int64_t head_dim,
 // out[i,:] = table[tokens[i],:] for an [vocab, h] embedding table.
 void EmbeddingLookup(const float* table, std::span<const int32_t> tokens, float* out,
                      int64_t h);
-
-// dot product of two length-n vectors.
-float Dot(const float* a, const float* b, int64_t n, const KernelOps* ops = nullptr);
-
-// y += scale * x over n values.
-void Axpy(float* y, const float* x, float scale, int64_t n,
-          const KernelOps* ops = nullptr);
 
 }  // namespace prefillonly
 

@@ -253,16 +253,16 @@ TEST(DispatchTest, Avx2RowKernelsToleranceVsRefBitwiseAcrossThreads) {
   // Softmax: probabilities sum to ~1 and match scalar closely.
   auto row_scalar = RandomVec(101, 64, 4.0f);
   auto row_avx2 = row_scalar;
-  SoftmaxRow(row_scalar.data(), 101, GetKernelOps(KernelBackend::kScalar));
-  SoftmaxRow(row_avx2.data(), 101, avx2);
+  GetKernelOps(KernelBackend::kScalar)->softmax_row(row_scalar.data(), 101);
+  avx2->softmax_row(row_avx2.data(), 101);
   ExpectClose(row_avx2.data(), row_scalar.data(), 101, 1e-6, 1e-4, "avx2 softmax");
 
   // Dot / Axpy against scalar.
   const auto va = RandomVec(100, 65);
   const auto vb = RandomVec(100, 66);
-  const float d_scalar = Dot(va.data(), vb.data(), 100,
-                             GetKernelOps(KernelBackend::kScalar));
-  const float d_avx2 = Dot(va.data(), vb.data(), 100, avx2);
+  const float d_scalar =
+      GetKernelOps(KernelBackend::kScalar)->dot(va.data(), vb.data(), 100);
+  const float d_avx2 = avx2->dot(va.data(), vb.data(), 100);
   EXPECT_NEAR(d_avx2, d_scalar, 1e-4);
 
   // Threaded bitwise invariance for the row-parallel kernels.

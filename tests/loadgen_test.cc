@@ -1,41 +1,19 @@
-// Load-generation subsystem tests (ISSUE 10, src/loadgen/).
-//
-// Four layers under test:
+// Load-generation building blocks (src/loadgen/):
 //   * arrival schedules — seeded determinism (same seed => the same
-//     schedule bit for bit, distinct seeds => distinct schedules) and trace
-//     replay semantics;
+//     schedule bit for bit, distinct seeds => distinct schedules);
 //   * the HDR-style histogram — percentiles against an exact sorted-vector
-//     nearest-rank reference, within the documented 2^-b relative bound;
-//   * the open-loop runner — zero lost requests and a balanced engine
-//     ledger on a real in-process engine;
-//   * remote-vs-in-process parity — the same workload through the facade's
-//     two transports must yield BITWISE identical scores (the determinism
-//     contract riding the shortest-round-trip JSON doubles), with the
-//     balance invariant holding on both sides of the wire.
-//
-// ChaosLoadgenTest (chaos label, CI's chaos job) replays a seeded fault
-// schedule across BOTH fault domains at once — a replica hand-off failure
-// and a socket-level read blip — under open-loop load against a self-hosted
-// server, and checks the books still reconcile with /v1/stats.
+//     nearest-rank reference, within the documented 2^-b relative bound.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/common/fault.h"
 #include "src/common/rng.h"
-#include "src/core/engine.h"
 #include "src/loadgen/arrival.h"
 #include "src/loadgen/histogram.h"
-#include "src/loadgen/runner.h"
-#include "src/loadgen/target.h"
-#include "src/server/scoring_service.h"
-#include "src/workload/dataset.h"
 
 namespace prefillonly {
 namespace {
@@ -87,34 +65,6 @@ TEST(LoadgenArrivalTest, FixedRateIsAMetronome) {
   for (size_t i = 0; i < schedule.size(); ++i) {
     EXPECT_DOUBLE_EQ(schedule[i], static_cast<double>(i) / 10.0);
   }
-}
-
-TEST(LoadgenArrivalTest, TraceScheduleShiftsAndRescales) {
-  Dataset dataset;
-  for (double t : {8.0, 5.0, 6.0}) {  // deliberately unsorted
-    SimRequest request;
-    request.arrival_time = t;
-    dataset.requests.push_back(request);
-  }
-  const auto verbatim = TraceSchedule(dataset);
-  ASSERT_EQ(verbatim.size(), 3u);
-  EXPECT_DOUBLE_EQ(verbatim[0], 0.0);
-  EXPECT_DOUBLE_EQ(verbatim[1], 1.0);
-  EXPECT_DOUBLE_EQ(verbatim[2], 3.0);
-
-  // 3 requests over 3 s = 1 QPS; asking for 2 QPS halves every offset,
-  // preserving the relative burst structure.
-  const auto rescaled = TraceSchedule(dataset, 2.0);
-  EXPECT_DOUBLE_EQ(rescaled[1], 0.5);
-  EXPECT_DOUBLE_EQ(rescaled[2], 1.5);
-}
-
-TEST(LoadgenArrivalTest, TraceReplayOfUserBurstsIsDeterministic) {
-  Dataset a = MakePostRecommendationDataset(ScaledPostRecommendationConfig());
-  AssignUserBurstArrivals(a, 40.0, /*seed=*/5);
-  Dataset b = MakePostRecommendationDataset(ScaledPostRecommendationConfig());
-  AssignUserBurstArrivals(b, 40.0, /*seed=*/5);
-  EXPECT_EQ(TraceSchedule(a), TraceSchedule(b));
 }
 
 // ---------------------------------------------------------------- histogram
@@ -201,247 +151,6 @@ TEST(LoadgenHistogramTest, MergeRejectsMismatchedResolution) {
   LatencyHistogram coarse(4);
   LatencyHistogram fine(8);
   EXPECT_EQ(coarse.Merge(fine).code(), StatusCode::kInvalidArgument);
-}
-
-// ------------------------------------------------------------------- runner
-
-std::vector<LoadItem> ScaledPostRecItems(size_t max_items = 0) {
-  Dataset dataset =
-      MakePostRecommendationDataset(ScaledPostRecommendationConfig());
-  std::vector<LoadItem> items;
-  for (SimRequest& request : dataset.requests) {
-    LoadItem item;
-    item.tokens = std::move(request.tokens);
-    item.user_id = request.user_id;
-    items.push_back(std::move(item));
-  }
-  if (max_items > 0 && items.size() > max_items) {
-    items.resize(max_items);
-  }
-  return items;
-}
-
-ClientOptions TinyClientOptions(int n_replicas = 1) {
-  ClientOptions options;
-  options.model = "tiny";
-  options.max_concurrent_requests = 2;
-  options.max_batch_size = 4;
-  options.n_replicas = n_replicas;
-  return options;
-}
-
-TEST(LoadgenRunnerTest, OpenLoopRunLosesNothingAndBalances) {
-  auto target = MakeInProcessTarget(TinyClientOptions());
-  const auto items = ScaledPostRecItems(24);
-
-  ArrivalOptions arrival;
-  arrival.kind = ArrivalKind::kPoisson;
-  arrival.qps = 120.0;
-  arrival.seed = 3;
-  RunOptions options;
-  options.concurrency = 4;
-  options.allowed = {7, 9};
-  const RunReport report =
-      RunLoad(*target, items, MakeArrivalSchedule(items.size(), arrival), options);
-
-  EXPECT_EQ(report.dispatched, static_cast<int64_t>(items.size()));
-  EXPECT_EQ(report.lost, 0);
-  EXPECT_EQ(report.measured, report.ok + report.errors);
-  EXPECT_EQ(report.errors, 0) << report.first_error;
-  EXPECT_TRUE(report.BalanceOk());
-  EXPECT_EQ(report.latency.count(), report.measured);
-  EXPECT_GT(report.latency.Percentile(0.99), 0.0);
-  EXPECT_GE(report.latency.Percentile(0.99), report.latency.Percentile(0.50));
-}
-
-TEST(LoadgenRunnerTest, SweepReportsGateAndSloCurve) {
-  auto target = MakeInProcessTarget(TinyClientOptions());
-  const auto items = ScaledPostRecItems(16);
-
-  SweepOptions options;
-  options.rates = {50.0, 200.0};
-  options.seed = 11;
-  options.slo_p99_ms = 60000.0;  // generous: every point should attain it
-  options.run.concurrency = 4;
-  options.run.allowed = {7, 9};
-  const SweepReport sweep = RunSweep(*target, "post-rec", items, options);
-
-  ASSERT_EQ(sweep.points.size(), 2u);
-  EXPECT_TRUE(sweep.GatePassed());
-  EXPECT_DOUBLE_EQ(sweep.max_qps_slo, 200.0);
-
-  const Json json = sweep.ToJson();
-  ASSERT_TRUE(json.is_object());
-  EXPECT_EQ(json.Find("workload")->AsString(), "post-rec");
-  EXPECT_EQ(json.Find("target")->AsString(), "inprocess");
-  EXPECT_TRUE(json.Find("gate_passed")->AsBool());
-  const Json* points = json.Find("points");
-  ASSERT_TRUE(points != nullptr && points->is_array());
-  for (const Json& point : points->AsArray()) {
-    for (const char* key : {"rate_qps", "p99_ms", "mean_ms", "goodput_qps",
-                            "lost", "shed", "balance_ok"}) {
-      EXPECT_NE(point.Find(key), nullptr) << key;
-    }
-    EXPECT_EQ(point.Find("lost")->AsInt(), 0);
-  }
-}
-
-// ------------------------------------------------------------------- parity
-
-TEST(RemoteParityTest, RemoteAndInProcessScoresAreBitwiseIdentical) {
-  // One engine configuration, two transports.
-  EngineOptions engine_options;
-  engine_options.model = ModelConfig::Tiny();
-  engine_options.max_concurrent_requests = 2;
-  engine_options.max_batch_size = 4;
-  ScoringService service(engine_options);
-  ASSERT_TRUE(service.Start(0).ok());
-
-  auto inprocess = MakeInProcessTarget(TinyClientOptions());
-  ClientOptions remote_options;
-  remote_options.model = "tiny";
-  auto remote = MakeRemoteTarget("127.0.0.1:" + std::to_string(service.port()),
-                                 remote_options);
-
-  const auto items = ScaledPostRecItems(12);
-  ScoreOptions score_options;
-  const ClientStats remote_before = remote->Stats();
-  for (const LoadItem& item : items) {
-    score_options.user_id = item.user_id;
-    const ScoreResult local = inprocess->Score(item.tokens, {7, 9}, score_options);
-    const ScoreResult wire = remote->Score(item.tokens, {7, 9}, score_options);
-    ASSERT_TRUE(local.ok) << local.error_message;
-    ASSERT_TRUE(wire.ok) << wire.error_message;
-    // BITWISE equality across the HTTP boundary: deterministic engine plus
-    // shortest-round-trip JSON doubles. EXPECT_EQ on doubles, not NEAR.
-    EXPECT_EQ(local.score, wire.score);
-    ASSERT_EQ(local.probabilities.size(), wire.probabilities.size());
-    for (size_t i = 0; i < local.probabilities.size(); ++i) {
-      EXPECT_EQ(local.probabilities[i].token, wire.probabilities[i].token);
-      EXPECT_EQ(local.probabilities[i].probability,
-                wire.probabilities[i].probability);
-    }
-    EXPECT_EQ(local.n_input, wire.n_input);
-  }
-
-  // The balance invariant holds on both sides of the wire.
-  const ClientStats local_stats = inprocess->Stats();
-  EXPECT_EQ(local_stats.submitted,
-            local_stats.completed + local_stats.failed + local_stats.cancelled +
-                local_stats.cancelled_in_flight + local_stats.deadline_expired +
-                local_stats.deadline_expired_in_flight);
-  const ClientStats remote_after = remote->Stats();
-  EXPECT_EQ(remote_after.submitted - remote_before.submitted,
-            static_cast<int64_t>(items.size()));
-  EXPECT_EQ(remote_after.submitted - remote_before.submitted,
-            (remote_after.completed - remote_before.completed) +
-                (remote_after.failed - remote_before.failed));
-  service.Stop();
-}
-
-TEST(RemoteParityTest, ErrorCodesCrossTheWireUnchanged) {
-  EngineOptions engine_options;
-  engine_options.model = ModelConfig::Tiny();
-  ScoringService service(engine_options);
-  ASSERT_TRUE(service.Start(0).ok());
-  ClientOptions remote_options;
-  remote_options.model = "tiny";
-  auto remote = MakeRemoteTarget("127.0.0.1:" + std::to_string(service.port()),
-                                 remote_options);
-
-  // Out-of-vocabulary token: 400 on the wire, "invalid_argument" here —
-  // exactly what the in-process engine reports.
-  ScoreResult result = remote->Score({100000}, {7}, {});
-  EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.error_code, "invalid_argument");
-
-  // Already-expired deadline: 504 on the wire, "deadline_exceeded" here.
-  ScoreOptions expired;
-  expired.deadline_ms = 0;
-  result = remote->Score({1, 2, 3}, {7}, expired);
-  EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.error_code, "deadline_exceeded");
-  service.Stop();
-}
-
-TEST(RemoteParityTest, RemoteTargetToDeadEndpointIsUnavailable) {
-  uint16_t free_port = 0;
-  {
-    EngineOptions engine_options;
-    engine_options.model = ModelConfig::Tiny();
-    ScoringService probe(engine_options);
-    ASSERT_TRUE(probe.Start(0).ok());
-    free_port = probe.port();
-    probe.Stop();
-  }
-  ClientOptions remote_options;
-  remote_options.model = "tiny";
-  auto remote = MakeRemoteTarget("127.0.0.1:" + std::to_string(free_port),
-                                 remote_options);
-  const ScoreResult result = remote->Score({1, 2, 3}, {7}, {});
-  EXPECT_FALSE(result.ok);
-  // The transient class the RetryPolicy understands, same as a drained
-  // in-process cluster.
-  EXPECT_EQ(result.error_code, "unavailable");
-}
-
-// -------------------------------------------------------------------- chaos
-
-// Both fault domains at once under open-loop load: the FIRST replica
-// hand-off fails (cluster must fail over or surface a retryable error) and
-// an early server-side socket read takes a transient EINTR (the read loop
-// must absorb it). The books must still reconcile with /v1/stats.
-TEST(ChaosLoadgenTest, FaultsUnderLoadReconcileWithServerStats) {
-  EngineOptions engine_options;
-  engine_options.model = ModelConfig::Tiny();
-  engine_options.max_concurrent_requests = 2;
-  ScoringServiceOptions service_options;
-  service_options.cluster.n_replicas = 2;
-  ScoringService service(engine_options, service_options);
-  ASSERT_TRUE(service.Start(0).ok());
-
-  ClientOptions remote_options;
-  remote_options.model = "tiny";
-  remote_options.retry.max_retries = 2;
-  remote_options.retry.initial_backoff_ms = 5;
-  remote_options.retry.retry_after_floor_ms = 10;
-  auto remote = MakeRemoteTarget("127.0.0.1:" + std::to_string(service.port()),
-                                 remote_options);
-
-  const auto items = ScaledPostRecItems(24);
-  ArrivalOptions arrival;
-  arrival.kind = ArrivalKind::kPoisson;
-  arrival.qps = 150.0;
-  arrival.seed = 13;
-  RunOptions run_options;
-  run_options.concurrency = 4;
-  run_options.allowed = {7, 9};
-
-  RunReport report;
-  int64_t fires = 0;
-  {
-    FaultScope scope("seed=7;replica.submit=@1;socket.recv=@2");
-    report = RunLoad(*remote, items, MakeArrivalSchedule(items.size(), arrival),
-                     run_options);
-    fires = FaultInjector::Global().total_fires();
-  }
-
-  // The chaos contract: faults really fired, yet no request vanished and
-  // the server's ledger (read back over /v1/stats) still balances.
-  EXPECT_GE(fires, 1);
-  EXPECT_EQ(report.dispatched, static_cast<int64_t>(items.size()));
-  EXPECT_EQ(report.lost, 0);
-  EXPECT_EQ(report.measured, report.ok + report.errors);
-  EXPECT_TRUE(report.BalanceOk())
-      << "submitted delta "
-      << report.stats_after.submitted - report.stats_before.submitted;
-  // Every client-side success required a successful engine submission, so
-  // the server-side ledger must cover at least the successes (retries and
-  // failures only add to it).
-  EXPECT_GE(report.stats_after.submitted - report.stats_before.submitted,
-            report.ok);
-  EXPECT_GT(report.ok, 0);
-  service.Stop();
 }
 
 }  // namespace

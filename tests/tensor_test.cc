@@ -6,6 +6,7 @@
 
 #include "src/common/rng.h"
 #include "src/tensor/ops.h"
+#include "src/tensor/ops_dispatch.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/tracking_allocator.h"
 
@@ -215,7 +216,7 @@ TEST(OpsTest, MatMulRowChunkingIsBitwiseIdentical) {
 
 TEST(OpsTest, SoftmaxRowSumsToOne) {
   std::vector<float> x{1.0f, 2.0f, 3.0f, 4.0f};
-  SoftmaxRow(x.data(), 4);
+  DefaultKernelOps()->softmax_row(x.data(), 4);
   float sum = 0;
   for (float v : x) {
     EXPECT_GT(v, 0.0f);
@@ -227,7 +228,7 @@ TEST(OpsTest, SoftmaxRowSumsToOne) {
 
 TEST(OpsTest, SoftmaxRowNumericallyStableForLargeValues) {
   std::vector<float> x{1000.0f, 1001.0f};
-  SoftmaxRow(x.data(), 2);
+  DefaultKernelOps()->softmax_row(x.data(), 2);
   EXPECT_FALSE(std::isnan(x[0]));
   EXPECT_NEAR(x[0] + x[1], 1.0f, 1e-6);
 }
@@ -334,8 +335,9 @@ TEST(OpsTest, EmbeddingLookupCopiesRows) {
 TEST(OpsTest, DotAndAxpy) {
   std::vector<float> a{1, 2, 3};
   std::vector<float> b{4, 5, 6};
-  EXPECT_EQ(Dot(a.data(), b.data(), 3), 32.0f);
-  Axpy(a.data(), b.data(), 2.0f, 3);
+  const KernelOps* ops = DefaultKernelOps();
+  EXPECT_EQ(ops->dot(a.data(), b.data(), 3), 32.0f);
+  ops->axpy(a.data(), b.data(), 2.0f, 3);
   EXPECT_EQ(a[0], 9.0f);
   EXPECT_EQ(a[2], 15.0f);
 }

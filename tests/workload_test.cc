@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "src/workload/dataset.h"
 #include "src/workload/router.h"
@@ -156,6 +157,19 @@ TEST(ArrivalsTest, UserBurstsClusterInTime) {
     prev = r.arrival_time;
   }
   EXPECT_EQ(starts.size(), 4u);
+
+  // The same seed replays the same arrival times, bit for bit.
+  Dataset again = MakePostRecommendationDataset(config);
+  AssignUserBurstArrivals(again, /*qps=*/20.0, /*seed=*/5, /*intra_burst_gap_s=*/0.01);
+  std::vector<double> first_times;
+  std::vector<double> again_times;
+  for (const auto& r : data.requests) {
+    first_times.push_back(r.arrival_time);
+  }
+  for (const auto& r : again.requests) {
+    again_times.push_back(r.arrival_time);
+  }
+  EXPECT_EQ(first_times, again_times);
 }
 
 TEST(ArrivalsTest, ZeroGapRecoversSharedBurstArrival) {
