@@ -5,7 +5,8 @@
 //     seed scalar MatMul (with its `a_val == 0` skip), the retained scalar
 //     reference, and EVERY available kernel backend (scalar, avx2 where the
 //     host supports it; ISSUE 3) at 1/2/4/8 threads, dense and prepacked
-//     GEMM variants, the RoPE recompute-vs-table pair, and causal attention
+//     GEMM variants (prepacked only on kPacked-layout backends), the RoPE
+//     recompute-vs-table pair, and causal attention
 //     (per-key dot/axpy path vs attention_rows) at 150 and 500 positions — written
 //     machine-readably to BENCH_kernels.json (and echoed as a table).
 //     docs/PERFORMANCE.md and the CI regression check read this file; a
@@ -158,6 +159,9 @@ void RunJsonSweep(const char* json_path) {
         if (t == 1 && flops / s * 1e-9 > st_best) {
           st_best = flops / s * 1e-9;
           st_best_name = std::string(ops->name) + "/blocked";
+        }
+        if (ops->gemm_layout != GemmLayout::kPacked) {
+          continue;  // packed kernels exist only where the layout policy uses them
         }
         s = TimeSeconds([&] { MatMulPacked(a.data(), packed, c.data(), m, &pool, ops); });
         points.push_back({"matmul", "packed", ops->name, t, flops / s * 1e-9,

@@ -10,9 +10,9 @@
 # (ISSUE 8): /v1/replicas, drain -> degraded, drain-all -> 503 +
 # Retry-After on both /v1/health and /v1/score, rejoin -> ok, and the
 # aggregated /v1/stats shape. Finally fires a concurrent burst of 24
-# scores at the same cluster server and checks every one returned 200 and
-# that the server-side ledger balances. Asserts JSON shapes with
-# python3.
+# scores at the same cluster server and checks every one returned 200,
+# that the server-side ledger balances and that the per-replica counters
+# sum to the totals. Asserts JSON shapes with python3.
 #
 # Usage: scripts/smoke_api.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -42,6 +42,16 @@ fail() { echo "SMOKE FAIL: $*" >&2; exit 1; }
 # jexpr <json> <python-expr over d> — evaluates an expression on parsed JSON.
 jexpr() {
   python3 -c 'import json,sys; d=json.loads(sys.argv[1]); print(eval(sys.argv[2]))' "$1" "$2"
+}
+
+# check_replica_sums <stats-json> — every summed per-replica engine key adds
+# up to its cluster total (the replica merge on a live server).
+check_replica_sums() {
+  local key
+  for key in submitted completed failed cancelled shed; do
+    [[ $(jexpr "$1" "sum(r['${key}'] for r in d['replicas']) == d['${key}']") == True ]] \
+      || fail "per-replica ${key} does not sum to the total: $1"
+  done
 }
 
 echo "== single-item score =="
@@ -197,15 +207,15 @@ RESP=$(curl -s "${CBASE}/v1/stats")
 [[ $(jexpr "${RESP}" '"routed_affinity" in d["cluster"] and "failovers" in d["cluster"] and "unavailable_rejections" in d["cluster"]') == True ]] \
   || fail "missing cluster counters: ${RESP}"
 [[ $(jexpr "${RESP}" 'len(d["replicas"]) == 2') == True ]] || fail "missing per-replica breakdown: ${RESP}"
-[[ $(jexpr "${RESP}" 'sum(r["submitted"] for r in d["replicas"]) == d["submitted"]') == True ]] \
-  || fail "per-replica submitted does not sum to the total: ${RESP}"
+check_replica_sums "${RESP}"
 [[ $(jexpr "${RESP}" 'd["cluster"]["unavailable_rejections"] >= 1') == True ]] \
   || fail "all-drained rejections not counted: ${RESP}"
 
 # ---------------------------------------------------------------------------
 # Concurrent burst against the 2-replica cluster server: 24 scores over 4
 # parallel connections. Every request must return 200, and the server's
-# ledger must balance afterwards (submitted == the sum of terminal buckets).
+# ledger must balance afterwards (submitted == the sum of terminal buckets),
+# with every summed per-replica key adding up to its total.
 # ---------------------------------------------------------------------------
 echo "== burst: 24 concurrent scores against the cluster server =="
 BEFORE=$(curl -s "${CBASE}/v1/stats")
@@ -217,5 +227,6 @@ AFTER=$(curl -s "${CBASE}/v1/stats")
   || fail "burst: completed grew by less than 24: ${BEFORE} -> ${AFTER}"
 [[ $(jexpr "${AFTER}" 'd["submitted"] == d["completed"] + d["failed"] + d["cancelled"] + d["cancelled_in_flight"] + d["deadline_expired"] + d["deadline_expired_in_flight"]') == True ]] \
   || fail "burst: ledger does not balance: ${AFTER}"
+check_replica_sums "${AFTER}"
 
 echo "SMOKE OK"

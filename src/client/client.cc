@@ -22,6 +22,7 @@
 #include "src/core/engine.h"
 #include "src/server/api_error.h"
 #include "src/server/json.h"
+#include "src/server/scoring_service.h"
 #include "src/workload/tokenizer.h"
 
 namespace prefillonly {
@@ -134,6 +135,28 @@ int64_t JsonInt(const Json& object, const std::string& key, int64_t fallback = 0
 double JsonDouble(const Json& object, const std::string& key, double fallback = 0.0) {
   const Json* field = object.Find(key);
   return field != nullptr && field->is_number() ? field->AsDouble() : fallback;
+}
+
+// The one /v1/stats -> ClientStats mapping, shared by both modes: remote
+// parses the server's payload, in-process builds the same object in memory.
+ClientStats ClientStatsFromJson(const Json& stats, int64_t client_retries) {
+  ClientStats out;
+  out.submitted = JsonInt(stats, "submitted");
+  out.completed = JsonInt(stats, "completed");
+  out.failed = JsonInt(stats, "failed");
+  out.cancelled = JsonInt(stats, "cancelled");
+  out.cancelled_in_flight = JsonInt(stats, "cancelled_in_flight");
+  out.deadline_expired = JsonInt(stats, "deadline_expired");
+  out.deadline_expired_in_flight = JsonInt(stats, "deadline_expired_in_flight");
+  out.shed = JsonInt(stats, "shed");
+  out.client_retries = client_retries;
+  out.batches_dispatched = JsonInt(stats, "batches_dispatched");
+  out.batched_requests = JsonInt(stats, "batched_requests");
+  out.cache_hit_rate = JsonDouble(stats, "cache_hit_rate");
+  out.cache_bytes = static_cast<uint64_t>(JsonInt(stats, "cache_bytes"));
+  out.peak_activation_bytes =
+      static_cast<uint64_t>(JsonInt(stats, "peak_activation_bytes"));
+  return out;
 }
 
 Result<ScoringResponse> ParseScoringResponse(const Json& body) {
@@ -395,10 +418,10 @@ struct Client::Impl {
     return result;
   }
 
-  ClientStats RemoteStats() {
-    ClientStats out;
+  // The server's /v1/stats payload; an empty object when it is unreachable.
+  Json RemoteStatsJson() {
     if (!endpoint_error.ok()) {
-      return out;
+      return Json(Json::Object{});
     }
     auto connection = AcquireConnection();
     auto response = connection->Get("/v1/stats");
@@ -406,29 +429,10 @@ struct Client::Impl {
       ReleaseConnection(std::move(connection));
     }
     if (!response.ok() || response.value().status != 200) {
-      return out;
+      return Json(Json::Object{});
     }
     auto body = Json::Parse(response.value().body);
-    if (!body.ok() || !body.value().is_object()) {
-      return out;
-    }
-    const Json& stats = body.value();
-    out.submitted = JsonInt(stats, "submitted");
-    out.completed = JsonInt(stats, "completed");
-    out.failed = JsonInt(stats, "failed");
-    out.cancelled = JsonInt(stats, "cancelled");
-    out.cancelled_in_flight = JsonInt(stats, "cancelled_in_flight");
-    out.deadline_expired = JsonInt(stats, "deadline_expired");
-    out.deadline_expired_in_flight = JsonInt(stats, "deadline_expired_in_flight");
-    out.shed = JsonInt(stats, "shed");
-    out.client_retries = client_retries.load(std::memory_order_relaxed);
-    out.batches_dispatched = JsonInt(stats, "batches_dispatched");
-    out.batched_requests = JsonInt(stats, "batched_requests");
-    out.cache_hit_rate = JsonDouble(stats, "cache_hit_rate");
-    out.cache_bytes = static_cast<uint64_t>(JsonInt(stats, "cache_bytes"));
-    out.peak_activation_bytes =
-        static_cast<uint64_t>(JsonInt(stats, "peak_activation_bytes"));
-    return out;
+    return body.ok() ? body.take() : Json(Json::Object{});
   }
 
   HashTokenizer tokenizer;
@@ -516,26 +520,9 @@ int32_t Client::TokenForWord(const std::string& word) const {
 }
 
 ClientStats Client::Stats() const {
-  if (impl_->remote) {
-    return impl_->RemoteStats();
-  }
-  const EngineStats stats = impl_->set->Stats().totals;
-  ClientStats out;
-  out.submitted = stats.submitted;
-  out.completed = stats.completed;
-  out.failed = stats.failed;
-  out.cancelled = stats.cancelled;
-  out.cancelled_in_flight = stats.cancelled_in_flight;
-  out.deadline_expired = stats.deadline_expired;
-  out.deadline_expired_in_flight = stats.deadline_expired_in_flight;
-  out.shed = stats.shed;
-  out.client_retries = impl_->client_retries.load(std::memory_order_relaxed);
-  out.batches_dispatched = stats.batches_dispatched;
-  out.batched_requests = stats.batched_requests;
-  out.cache_hit_rate = stats.cache.HitRate();
-  out.cache_bytes = stats.cache_bytes;
-  out.peak_activation_bytes = stats.peak_activation_bytes;
-  return out;
+  const Json stats =
+      impl_->remote ? impl_->RemoteStatsJson() : StatsJson(impl_->set->Stats());
+  return ClientStatsFromJson(stats, impl_->client_retries.load(std::memory_order_relaxed));
 }
 
 }  // namespace prefillonly

@@ -608,6 +608,24 @@ std::vector<ReplicaSnapshot> ReplicaSet::Replicas() const {
   return out;
 }
 
+void MergeEngineStats(EngineStats& totals, const EngineStats& replica) {
+  ForEachEngineCounter(
+      [](const char* /*key*/, StatMerge merge, auto& total, const auto& value) {
+        switch (merge) {
+          case StatMerge::kSum:
+            total += value;
+            break;
+          case StatMerge::kMax:
+            total = std::max(total, value);
+            break;
+          case StatMerge::kOnce:
+            total = value;
+            break;
+        }
+      },
+      totals, replica);
+}
+
 ClusterStats ReplicaSet::Stats() const {
   ClusterStats stats;
   stats.replicas = Replicas();
@@ -615,51 +633,9 @@ ClusterStats ReplicaSet::Stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     stats.cluster = cluster_;
   }
-  EngineStats& t = stats.totals;
   for (const ReplicaSnapshot& r : stats.replicas) {
-    const EngineStats& e = r.engine;
-    t.submitted += e.submitted;
-    t.completed += e.completed;
-    t.failed += e.failed;
-    t.cancelled += e.cancelled;
-    t.cancelled_in_flight += e.cancelled_in_flight;
-    t.deadline_expired += e.deadline_expired;
-    t.deadline_expired_in_flight += e.deadline_expired_in_flight;
-    t.abort_checks += e.abort_checks;
-    t.alloc_retries += e.alloc_retries;
-    t.alloc_retry_successes += e.alloc_retry_successes;
-    t.shed += e.shed;
-    t.watchdog_stalls += e.watchdog_stalls;
-    t.total_execute_s += e.total_execute_s;
-    // peak_in_flight sums — it is the cluster's concurrency capacity view —
-    // while the per-lane peaks max, since lanes never span replicas.
-    t.peak_in_flight += e.peak_in_flight;
-    t.batches_dispatched += e.batches_dispatched;
-    t.batched_requests += e.batched_requests;
-    t.batched_miss_tokens += e.batched_miss_tokens;
-    t.packing_skips += e.packing_skips;
-    t.prefix_waits += e.prefix_waits;
-    t.peak_batch_size = std::max(t.peak_batch_size, e.peak_batch_size);
-    t.peak_activation_bytes =
-        std::max(t.peak_activation_bytes, e.peak_activation_bytes);
-    t.cache_bytes += e.cache_bytes;
-    t.cache.lookups += e.cache.lookups;
-    t.cache.hit_tokens += e.cache.hit_tokens;
-    t.cache.lookup_tokens += e.cache.lookup_tokens;
-    t.cache.evictions += e.cache.evictions;
-    t.cache.insertions += e.cache.insertions;
-    t.cache.failed_acquires += e.cache.failed_acquires;
-    t.offload_bytes += e.offload_bytes;
-    t.offload_hit_tokens += e.offload_hit_tokens;
-    t.offload_demotions += e.offload_demotions;
-    t.offload_promotions += e.offload_promotions;
-    t.offload_evictions += e.offload_evictions;
-    t.offload_read_hits += e.offload_read_hits;
-    t.offload_read_misses += e.offload_read_misses;
+    MergeEngineStats(stats.totals, r.engine);
   }
-  // The injector is process-global; summing per-engine copies would
-  // multiply-count the same fires.
-  t.faults_injected = FaultInjector::Global().total_fires();
   return stats;
 }
 

@@ -101,6 +101,19 @@ struct ReplicaCounters {
   int64_t failed_over_in = 0;    // requests that landed here by failover
 };
 
+// The ReplicaCounters list: fn(key, field) per counter, key = its name in
+// the /v1/stats and /v1/replicas replica objects.
+template <typename Fn>
+void ForEachReplicaCounter(Fn&& fn, const ReplicaCounters& c) {
+  fn("routed_affinity", c.routed_affinity);
+  fn("routed_spill", c.routed_spill);
+  fn("admit_failures", c.admit_failures);
+  fn("breaker_trips", c.breaker_trips);
+  fn("half_open_probes", c.half_open_probes);
+  fn("failed_over_out", c.failed_over_out);
+  fn("failed_over_in", c.failed_over_in);
+}
+
 struct ReplicaSnapshot {
   int index = 0;
   BreakerState breaker = BreakerState::kClosed;
@@ -125,13 +138,29 @@ struct ClusterCounters {
   int64_t unavailable_rejections = 0;  // submissions no replica would take
 };
 
+// The ClusterCounters list: fn(key, field) per counter, key = its name in
+// the /v1/stats "cluster" object.
+template <typename Fn>
+void ForEachClusterCounter(Fn&& fn, const ClusterCounters& c) {
+  fn("routed_affinity", c.routed_affinity);
+  fn("routed_spill", c.routed_spill);
+  fn("failovers", c.failovers);
+  fn("breaker_trips", c.breaker_trips);
+  fn("half_open_probes", c.half_open_probes);
+  fn("unavailable_rejections", c.unavailable_rejections);
+}
+
 struct ClusterStats {
-  // EngineStats summed across replicas (peaks are maxed, not summed;
-  // faults_injected is the process-global injector count, taken once).
+  // EngineStats merged across replicas by each counter's StatMerge rule
+  // (MergeEngineStats).
   EngineStats totals;
   ClusterCounters cluster;
   std::vector<ReplicaSnapshot> replicas;
 };
+
+// Folds one replica's counters into `totals`, counter by counter, by the
+// rule ForEachEngineCounter names for each.
+void MergeEngineStats(EngineStats& totals, const EngineStats& replica);
 
 class ReplicaSet {
  public:

@@ -262,6 +262,60 @@ struct EngineStats {
   int64_t offload_read_misses = 0;
 };
 
+// How the replica merge (ReplicaSet::Stats) folds one counter into the
+// cluster totals.
+enum class StatMerge {
+  kSum,
+  kMax,   // per-lane peaks: a lane never spans replicas
+  kOnce,  // process-global: every replica reads the same value, taken as is
+};
+
+// The one list of EngineStats counters: each one's /v1/stats key, merge
+// rule and field, in the order docs/API.md tables them. Calls
+// fn(key, merge, field...) once per counter with that field of every
+// `stats` argument, so one loop merges two structs or emits one. Adding a
+// counter touches its field above, its line here and its increment.
+template <typename Fn, typename... Stats>
+void ForEachEngineCounter(Fn&& fn, Stats&... stats) {
+  fn("submitted", StatMerge::kSum, stats.submitted...);
+  fn("completed", StatMerge::kSum, stats.completed...);
+  fn("failed", StatMerge::kSum, stats.failed...);
+  fn("cancelled", StatMerge::kSum, stats.cancelled...);
+  fn("cancelled_in_flight", StatMerge::kSum, stats.cancelled_in_flight...);
+  fn("deadline_expired", StatMerge::kSum, stats.deadline_expired...);
+  fn("deadline_expired_in_flight", StatMerge::kSum, stats.deadline_expired_in_flight...);
+  fn("abort_checks", StatMerge::kSum, stats.abort_checks...);
+  fn("alloc_retries", StatMerge::kSum, stats.alloc_retries...);
+  fn("alloc_retry_successes", StatMerge::kSum, stats.alloc_retry_successes...);
+  fn("shed", StatMerge::kSum, stats.shed...);
+  fn("watchdog_stalls", StatMerge::kSum, stats.watchdog_stalls...);
+  fn("faults_injected", StatMerge::kOnce, stats.faults_injected...);
+  fn("total_execute_s", StatMerge::kSum, stats.total_execute_s...);
+  // Summed: the cluster's concurrency capacity view.
+  fn("peak_in_flight", StatMerge::kSum, stats.peak_in_flight...);
+  fn("batches_dispatched", StatMerge::kSum, stats.batches_dispatched...);
+  fn("batched_requests", StatMerge::kSum, stats.batched_requests...);
+  fn("peak_batch_size", StatMerge::kMax, stats.peak_batch_size...);
+  fn("batched_miss_tokens", StatMerge::kSum, stats.batched_miss_tokens...);
+  fn("packing_skips", StatMerge::kSum, stats.packing_skips...);
+  fn("prefix_waits", StatMerge::kSum, stats.prefix_waits...);
+  fn("peak_activation_bytes", StatMerge::kMax, stats.peak_activation_bytes...);
+  fn("cache_bytes", StatMerge::kSum, stats.cache_bytes...);
+  fn("cache_lookups", StatMerge::kSum, stats.cache.lookups...);
+  fn("cache_hit_tokens", StatMerge::kSum, stats.cache.hit_tokens...);
+  fn("cache_lookup_tokens", StatMerge::kSum, stats.cache.lookup_tokens...);
+  fn("cache_evictions", StatMerge::kSum, stats.cache.evictions...);
+  fn("cache_insertions", StatMerge::kSum, stats.cache.insertions...);
+  fn("cache_failed_acquires", StatMerge::kSum, stats.cache.failed_acquires...);
+  fn("offload_bytes", StatMerge::kSum, stats.offload_bytes...);
+  fn("offload_hit_tokens", StatMerge::kSum, stats.offload_hit_tokens...);
+  fn("offload_demotions", StatMerge::kSum, stats.offload_demotions...);
+  fn("offload_promotions", StatMerge::kSum, stats.offload_promotions...);
+  fn("offload_evictions", StatMerge::kSum, stats.offload_evictions...);
+  fn("offload_read_hits", StatMerge::kSum, stats.offload_read_hits...);
+  fn("offload_read_misses", StatMerge::kSum, stats.offload_read_misses...);
+}
+
 class Engine {
  public:
   explicit Engine(EngineOptions options);
@@ -483,11 +537,6 @@ class Engine {
   // Results are index-aligned with `pendings`.
   std::vector<Result<ScoringResponse>> ExecuteOnArena(TrackingAllocator& activations,
                                                       std::span<Pending> pendings);
-  // Counts one dispatched batch in the batch stats, then runs it through
-  // ExecuteLaneAndFinalize. Results are index-aligned with
-  // `batch.requests`; promises are fulfilled there.
-  std::vector<Result<ScoringResponse>> ExecuteBatchAndFinalize(
-      PrefillBatchPending batch);
   // The lane a dispatched batch and ScoreSync share: executing_ accounting,
   // one activation arena, ExecuteOnArena, removal of `in_flight_hashes`
   // from the prefix registry once every member has published or failed,
@@ -515,12 +564,19 @@ class Engine {
   // Removes and returns the waiting request with `id`; nullopt if another
   // drain loop claimed it meanwhile. Requires mu_.
   std::optional<Pending> TakeWaitingLocked(int64_t id);
-  // The one dispatch step both drain loops share: takes the decision's ids
-  // off the queue (an id cancelled since the snapshot drops out), marks
-  // them running, adds the packing counters, registers every member's
-  // chain hashes [0, budget_blocks) in in_flight_blocks_, and updates the
-  // shedding state. Requires mu_ (takes cache_mu_ inside).
+  // Takes the decision's ids off the queue (an id cancelled since the
+  // snapshot drops out), marks them running, adds the batch and packing
+  // counters, registers every member's chain hashes [0, budget_blocks) in
+  // in_flight_blocks_, and updates the shedding state. Requires mu_ (takes
+  // cache_mu_ inside).
   PrefillBatchPending TakeBatchLocked(const BatchDecision& decision);
+  // The one dispatch step both drain loops (RunPending, DispatcherLoop)
+  // share; requires a non-empty queue and `lock` held on mu_, and returns
+  // with it held. Fails every lapsed request and returns an empty batch
+  // (the caller re-checks its loop condition), or else snapshots the
+  // queue, picks, and returns TakeBatchLocked's batch. mu_ is released
+  // while expired requests are fulfilled and across PickBatchIds.
+  PrefillBatchPending DispatchStep(std::unique_lock<std::mutex>& lock);
   void DispatcherLoop();
   void ExecutorLoop(ResponseCallback callback);
 

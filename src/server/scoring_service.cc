@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <type_traits>
 
 #include "src/server/api_error.h"
 
@@ -419,8 +420,7 @@ HttpResponse ScoringService::HandleCancelRequest(const std::string& id) {
 namespace {
 
 // One replica's /v1/stats | /v1/replicas entry: router-side state and
-// counters. The engine's own counters ride along under "engine" only in the
-// stats payload (the admin list stays terse).
+// counters, plus the engine counters balance checks sum across replicas.
 Json ReplicaSnapshotJson(const ReplicaSnapshot& replica) {
   Json::Object out;
   out.emplace("index", Json(static_cast<int64_t>(replica.index)));
@@ -440,16 +440,10 @@ Json ReplicaSnapshotJson(const ReplicaSnapshot& replica) {
       out.emplace("engine_health", Json("overloaded"));
       break;
   }
-  const ReplicaCounters& c = replica.counters;
-  out.emplace("routed_affinity", Json(c.routed_affinity));
-  out.emplace("routed_spill", Json(c.routed_spill));
-  out.emplace("admit_failures", Json(c.admit_failures));
-  out.emplace("breaker_trips", Json(c.breaker_trips));
-  out.emplace("half_open_probes", Json(c.half_open_probes));
-  out.emplace("failed_over_out", Json(c.failed_over_out));
-  out.emplace("failed_over_in", Json(c.failed_over_in));
-  // The per-replica engine counters that matter for balance checks; the
-  // full aggregate lives at the payload's top level.
+  ForEachReplicaCounter(
+      [&](const char* key, int64_t value) { out.emplace(key, Json(value)); },
+      replica.counters);
+  // The full engine aggregate lives at the payload's top level.
   out.emplace("submitted", Json(replica.engine.submitted));
   out.emplace("completed", Json(replica.engine.completed));
   out.emplace("failed", Json(replica.engine.failed));
@@ -461,88 +455,46 @@ Json ReplicaSnapshotJson(const ReplicaSnapshot& replica) {
 
 }  // namespace
 
-HttpResponse ScoringService::HandleStats() const {
-  const ClusterStats cluster_stats = set_->Stats();
-  const EngineStats& stats = cluster_stats.totals;
+Json StatsJson(const ClusterStats& stats) {
   Json::Object out;
-  out.emplace("submitted", Json(stats.submitted));
-  out.emplace("completed", Json(stats.completed));
-  out.emplace("failed", Json(stats.failed));
-  // Request-lifecycle counters (ISSUE 5).
-  out.emplace("cancelled", Json(stats.cancelled));
-  out.emplace("cancelled_in_flight", Json(stats.cancelled_in_flight));
-  out.emplace("deadline_expired", Json(stats.deadline_expired));
-  // Robustness counters (ISSUE 6): mid-prefill aborts, degradation ladder
-  // activity, and fault-injection visibility.
-  out.emplace("deadline_expired_in_flight", Json(stats.deadline_expired_in_flight));
-  out.emplace("abort_checks", Json(stats.abort_checks));
-  out.emplace("alloc_retries", Json(stats.alloc_retries));
-  out.emplace("alloc_retry_successes", Json(stats.alloc_retry_successes));
-  out.emplace("shed", Json(stats.shed));
-  out.emplace("watchdog_stalls", Json(stats.watchdog_stalls));
-  out.emplace("faults_injected", Json(stats.faults_injected));
-  // Batch occupancy (ISSUE 4): mean requests per dispatched prefill batch;
-  // 1.0 = every request ran solo (max_batch_size == 1 or no co-batchable
-  // queue depth).
-  out.emplace("batches_dispatched", Json(stats.batches_dispatched));
-  out.emplace("batched_requests", Json(stats.batched_requests));
-  out.emplace("batch_occupancy",
-              Json(stats.batches_dispatched > 0
-                       ? static_cast<double>(stats.batched_requests) /
-                             static_cast<double>(stats.batches_dispatched)
-                       : 0.0));
-  out.emplace("peak_batch_size", Json(stats.peak_batch_size));
-  // Lane occupancy under length-aware packing (ISSUE 9): admitted miss
-  // tokens per dispatched batch, plus candidates skipped because admitting
-  // them would have exceeded the activation budget.
-  out.emplace("batched_miss_tokens", Json(stats.batched_miss_tokens));
-  out.emplace("packing_skips", Json(stats.packing_skips));
-  // Prefix-aware dispatch: riders held back to wait for an uncached prefix
-  // another member was already computing.
-  out.emplace("prefix_waits", Json(stats.prefix_waits));
-  out.emplace("miss_tokens_per_batch",
-              Json(stats.batches_dispatched > 0
-                       ? static_cast<double>(stats.batched_miss_tokens) /
-                             static_cast<double>(stats.batches_dispatched)
-                       : 0.0));
-  // Two-tier prefix cache (ISSUE 7): token-accurate GPU-tier hit/miss plus
-  // the offload tier's demote/reload/evict traffic.
-  out.emplace("cache_hit_rate", Json(stats.cache.HitRate()));
-  out.emplace("cache_lookups", Json(stats.cache.lookups));
-  out.emplace("cache_hit_tokens", Json(stats.cache.hit_tokens));
-  out.emplace("cache_lookup_tokens", Json(stats.cache.lookup_tokens));
-  out.emplace("cache_insertions", Json(stats.cache.insertions));
-  out.emplace("cache_evictions", Json(stats.cache.evictions));
-  out.emplace("cache_failed_acquires", Json(stats.cache.failed_acquires));
-  out.emplace("cache_bytes", Json(static_cast<int64_t>(stats.cache_bytes)));
-  out.emplace("offload_bytes", Json(static_cast<int64_t>(stats.offload_bytes)));
-  out.emplace("offload_hit_tokens", Json(stats.offload_hit_tokens));
-  out.emplace("offload_demotions", Json(stats.offload_demotions));
-  out.emplace("offload_promotions", Json(stats.offload_promotions));
-  out.emplace("offload_evictions", Json(stats.offload_evictions));
-  out.emplace("offload_read_hits", Json(stats.offload_read_hits));
-  out.emplace("offload_read_misses", Json(stats.offload_read_misses));
-  out.emplace("peak_activation_bytes",
-              Json(static_cast<int64_t>(stats.peak_activation_bytes)));
-  // Cluster routing layer (ISSUE 8): router counters plus the per-replica
-  // breakdown behind the aggregated totals above.
-  out.emplace("n_replicas", Json(static_cast<int64_t>(set_->n_replicas())));
-  const ClusterCounters& cc = cluster_stats.cluster;
+  ForEachEngineCounter(
+      [&](const char* key, StatMerge /*merge*/, const auto& value) {
+        if constexpr (std::is_floating_point_v<std::decay_t<decltype(value)>>) {
+          out.emplace(key, Json(value));
+        } else {
+          out.emplace(key, Json(static_cast<int64_t>(value)));
+        }
+      },
+      stats.totals);
+  // Derived ratios: mean requests and admitted miss tokens per dispatched
+  // batch (1.0 occupancy = every request ran solo), token-accurate hit rate.
+  const EngineStats& t = stats.totals;
+  const auto per_batch = [&](int64_t count) {
+    return Json(t.batches_dispatched > 0 ? static_cast<double>(count) /
+                                               static_cast<double>(t.batches_dispatched)
+                                         : 0.0);
+  };
+  out.emplace("batch_occupancy", per_batch(t.batched_requests));
+  out.emplace("miss_tokens_per_batch", per_batch(t.batched_miss_tokens));
+  out.emplace("cache_hit_rate", Json(t.cache.HitRate()));
+  // Router counters plus the per-replica breakdown behind the totals.
+  out.emplace("n_replicas", Json(static_cast<int64_t>(stats.replicas.size())));
   Json::Object cluster;
-  cluster.emplace("routed_affinity", Json(cc.routed_affinity));
-  cluster.emplace("routed_spill", Json(cc.routed_spill));
-  cluster.emplace("failovers", Json(cc.failovers));
-  cluster.emplace("breaker_trips", Json(cc.breaker_trips));
-  cluster.emplace("half_open_probes", Json(cc.half_open_probes));
-  cluster.emplace("unavailable_rejections", Json(cc.unavailable_rejections));
+  ForEachClusterCounter(
+      [&](const char* key, int64_t value) { cluster.emplace(key, Json(value)); },
+      stats.cluster);
   out.emplace("cluster", Json(std::move(cluster)));
   Json::Array replicas;
-  for (const ReplicaSnapshot& replica : cluster_stats.replicas) {
+  for (const ReplicaSnapshot& replica : stats.replicas) {
     replicas.push_back(ReplicaSnapshotJson(replica));
   }
   out.emplace("replicas", Json(std::move(replicas)));
+  return Json(std::move(out));
+}
+
+HttpResponse ScoringService::HandleStats() const {
   HttpResponse http;
-  http.body = Json(std::move(out)).Serialize();
+  http.body = StatsJson(set_->Stats()).Serialize();
   return http;
 }
 

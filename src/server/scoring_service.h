@@ -22,9 +22,10 @@
 //   DELETE /v1/requests/{id}  cancel (idempotent once terminal)
 //     -> { "id", "status" }
 //
-//   GET /v1/stats             cluster-aggregated engine counters (summed
-//                             across replicas; peaks maxed) plus router
-//                             counters and a per-replica breakdown (ISSUE 8)
+//   GET /v1/stats             cluster-aggregated engine counters (merged
+//                             across replicas by each counter's StatMerge
+//                             rule) plus router counters and a per-replica
+//                             breakdown
 //   GET /v1/health            cluster liveness/degradation probe
 //     -> 200 { "status": "ok" | "degraded", "admitting": k, "n_replicas": n }
 //        degraded = some replica is impaired (breaker open/half-open,
@@ -74,6 +75,11 @@
 #include "src/workload/tokenizer.h"
 
 namespace prefillonly {
+
+// The /v1/stats payload: every ForEachEngineCounter counter under its key,
+// the derived ratios, and the router counters and per-replica breakdown.
+// Client::Stats builds the same object in process.
+Json StatsJson(const ClusterStats& stats);
 
 struct ScoringServiceOptions {
   // Completed async requests retained for polling before FIFO eviction

@@ -6,6 +6,7 @@
 // discipline of each backend.
 #include "src/tensor/ops.h"
 
+#include <cassert>
 #include <cstring>
 
 #include "src/common/thread_pool.h"
@@ -45,6 +46,7 @@ void MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k, int6
 void MatMulPacked(const float* a, const PackedMatrix& b, float* c, int64_t m,
                   ThreadPool* pool, const KernelOps* ops) {
   ops = Resolve(ops);
+  assert(ops->gemm_layout == GemmLayout::kPacked);
   if (pool == nullptr) {
     ops->matmul_rows_packed(a, b, c, 0, m);
     return;

@@ -42,7 +42,8 @@ void MatMul(const float* a, const float* b, float* c, int64_t m, int64_t k, int6
 // MatMul with B in the panel-major prepacked layout (src/tensor/prepack.h):
 // the inner loop does contiguous aligned loads instead of strided
 // `b + kk * n` row hops. The m == 1 GEMV shards whole column panels so the
-// partition can never split a panel.
+// partition can never split a panel. Requires a backend whose gemm_layout
+// is kPacked.
 void MatMulPacked(const float* a, const PackedMatrix& b, float* c, int64_t m,
                   ThreadPool* pool = nullptr, const KernelOps* ops = nullptr);
 

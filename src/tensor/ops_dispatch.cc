@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "src/common/logging.h"
-#include "src/tensor/prepack.h"
 
 namespace prefillonly {
 
@@ -106,59 +105,6 @@ void ScalarMatMulColRange(const float* __restrict a, const float* __restrict b,
       for (int64_t j = j0; j < j1; ++j) {
         c[j] += a_val * b_row[j];
       }
-    }
-  }
-}
-
-// Packed-layout scalar GEMM: one panel at a time, k strictly ascending per
-// element. The scalar backend's layout policy is kDense (the panel-major
-// layout defeats its cache blocking: 3.8 vs 23 GFLOP/s, BENCH_kernels.json)
-// — these exist so MatMulPacked is total over every backend (the benchmarks
-// compare packed-vs-dense per backend).
-void ScalarMatMulRowsPacked(const float* __restrict a, const PackedMatrix& bp,
-                            float* __restrict c, int64_t r0, int64_t r1) {
-  const int64_t k = bp.k;
-  const int64_t n = bp.n;
-  for (int64_t p = 0; p < bp.n_panels(); ++p) {
-    const float* __restrict panel = bp.panel(p);
-    const int64_t j0 = p * kPackPanelWidth;
-    const int64_t width = std::min(kPackPanelWidth, n - j0);
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* __restrict a_row = a + i * k;
-      float* __restrict c_row = c + i * n + j0;
-      float acc[kPackPanelWidth] = {};
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float a_val = a_row[kk];
-        const float* __restrict b_row = panel + kk * kPackPanelWidth;
-        for (int64_t lane = 0; lane < kPackPanelWidth; ++lane) {
-          acc[lane] += a_val * b_row[lane];
-        }
-      }
-      for (int64_t lane = 0; lane < width; ++lane) {
-        c_row[lane] = acc[lane];
-      }
-    }
-  }
-}
-
-void ScalarMatMulPanelsPacked(const float* a, const PackedMatrix& bp, float* c,
-                              int64_t p0, int64_t p1) {
-  const int64_t k = bp.k;
-  const int64_t n = bp.n;
-  for (int64_t p = p0; p < p1; ++p) {
-    const float* __restrict panel = bp.panel(p);
-    const int64_t j0 = p * kPackPanelWidth;
-    const int64_t width = std::min(kPackPanelWidth, n - j0);
-    float acc[kPackPanelWidth] = {};
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float a_val = a[kk];
-      const float* __restrict b_row = panel + kk * kPackPanelWidth;
-      for (int64_t lane = 0; lane < kPackPanelWidth; ++lane) {
-        acc[lane] += a_val * b_row[lane];
-      }
-    }
-    for (int64_t lane = 0; lane < width; ++lane) {
-      c[j0 + lane] = acc[lane];
     }
   }
 }
@@ -271,8 +217,9 @@ constexpr KernelOps kScalarOps = {
     /*gemm_layout=*/GemmLayout::kDense,
     /*matmul_rows=*/ScalarMatMulRows,
     /*matmul_col_range=*/ScalarMatMulColRange,
-    /*matmul_rows_packed=*/ScalarMatMulRowsPacked,
-    /*matmul_panels_packed=*/ScalarMatMulPanelsPacked,
+    // No packed kernels: the scalar layout policy is kDense.
+    /*matmul_rows_packed=*/nullptr,
+    /*matmul_panels_packed=*/nullptr,
     /*rmsnorm_rows=*/ScalarRmsNormRows,
     /*silu_mul=*/ScalarSiluMul,
     /*softmax_row=*/ScalarSoftmaxRow,

@@ -49,10 +49,11 @@ enum class KernelBackend {
 // Which weight layout a backend's GEMM wants. This is a PER-BACKEND policy,
 // not a global switch: the panel-major prepack is what lets the AVX2
 // kernels stream weights at unit stride (66 vs 51 GFLOP/s in
-// BENCH_kernels.json), but the same layout defeats the scalar backend's
-// cache blocking (3.8 vs 23 GFLOP/s — 6x slower). LlamaModel keeps each
-// weight matrix in exactly the layout its backend's policy names, so the
-// slow combination is unreachable by construction.
+// BENCH_kernels.json), but the same layout defeated the scalar backend's
+// cache blocking (3.8 vs 23 GFLOP/s — 6x slower, when a scalar packed
+// kernel still existed). LlamaModel keeps each weight matrix in exactly
+// the layout its backend's policy names, so only kPacked backends carry
+// packed kernels.
 enum class GemmLayout {
   kDense,   // row-major, read in place (scalar's blocked loops)
   kPacked,  // panel-major prepack of src/tensor/prepack.h (AVX2 kernels)
@@ -99,7 +100,8 @@ struct KernelOps {
   // Columns [j0, j1) of the single-row product c[1,N] = a[1,K] * b[K,N].
   void (*matmul_col_range)(const float* a, const float* b, float* c, int64_t k,
                            int64_t n, int64_t j0, int64_t j1);
-  // c rows [r0, r1) with b in prepacked panel-major layout.
+  // c rows [r0, r1) with b in prepacked panel-major layout. This slot and
+  // the next are null unless gemm_layout is kPacked.
   void (*matmul_rows_packed)(const float* a, const PackedMatrix& b, float* c,
                              int64_t r0, int64_t r1);
   // Column panels [p0, p1) of the single-row product, b prepacked (the

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -264,6 +265,98 @@ TEST(ReplicaSetTest, ClusterIdsResolveAcrossTheWholeLifecycle) {
   EXPECT_EQ(set.Phase(id), Engine::RequestPhase::kUnknown);
   EXPECT_EQ(set.Cancel(id).code(), StatusCode::kNotFound);
   EXPECT_EQ(set.Cancel(999999).code(), StatusCode::kNotFound);
+}
+
+// Every EngineStats field set by hand to `unit` times its own power of two
+// (bit 0, 1, 2, ... in declaration order); `*n_fields` receives the count.
+// A new field belongs here too.
+EngineStats DistinctStats(int64_t unit, int* n_fields) {
+  EngineStats s;
+  int bit = 0;
+  const auto next = [&] { return unit << bit++; };
+  s.submitted = next();
+  s.completed = next();
+  s.failed = next();
+  s.cancelled = next();
+  s.cancelled_in_flight = next();
+  s.deadline_expired = next();
+  s.deadline_expired_in_flight = next();
+  s.abort_checks = next();
+  s.alloc_retries = next();
+  s.alloc_retry_successes = next();
+  s.shed = next();
+  s.watchdog_stalls = next();
+  s.faults_injected = next();
+  s.total_execute_s = static_cast<double>(next());
+  s.peak_in_flight = next();
+  s.batches_dispatched = next();
+  s.batched_requests = next();
+  s.peak_batch_size = next();
+  s.batched_miss_tokens = next();
+  s.packing_skips = next();
+  s.prefix_waits = next();
+  s.peak_activation_bytes = static_cast<size_t>(next());
+  s.cache_bytes = static_cast<size_t>(next());
+  s.cache.lookups = next();
+  s.cache.hit_tokens = next();
+  s.cache.lookup_tokens = next();
+  s.cache.evictions = next();
+  s.cache.insertions = next();
+  s.cache.failed_acquires = next();
+  s.offload_bytes = static_cast<size_t>(next());
+  s.offload_hit_tokens = next();
+  s.offload_demotions = next();
+  s.offload_promotions = next();
+  s.offload_evictions = next();
+  s.offload_read_hits = next();
+  s.offload_read_misses = next();
+  *n_fields = bit;
+  return s;
+}
+
+TEST(ReplicaSetTest, StatsMergeFollowsEachCounterRule) {
+  // Two replicas' worth of stats, every field distinct, the first replica
+  // larger everywhere: sum (3x), max (2x) and the last replica's reading
+  // (1x) are three different totals.
+  int n_fields = 0;
+  const EngineStats first = DistinctStats(2, &n_fields);
+  const EngineStats second = DistinctStats(1, &n_fields);
+  EngineStats totals;
+  MergeEngineStats(totals, first);
+  MergeEngineStats(totals, second);
+
+  // The list names every field exactly once: the powers of two sum to
+  // 2^n - 1 only then.
+  int listed = 0;
+  double listed_sum = 0.0;
+  ForEachEngineCounter(
+      [&](const char* /*key*/, StatMerge /*merge*/, const auto& value) {
+        ++listed;
+        listed_sum += static_cast<double>(value);
+      },
+      second);
+  EXPECT_EQ(listed, n_fields);
+  EXPECT_EQ(listed_sum, std::ldexp(1.0, n_fields) - 1.0);
+
+  // The merge rules, pinned by name: per-lane peaks max, the process-global
+  // fault count is taken once, everything else sums — peak_in_flight
+  // included, as the cluster's capacity view.
+  ForEachEngineCounter(
+      [&](const char* key, StatMerge /*merge*/, const auto& total, const auto& a,
+          const auto& b) {
+        const std::string name = key;
+        if (name == "peak_batch_size" || name == "peak_activation_bytes") {
+          EXPECT_EQ(total, std::max(a, b)) << name;
+        } else if (name == "faults_injected") {
+          EXPECT_EQ(total, b) << name;
+        } else {
+          EXPECT_EQ(total, a + b) << name;
+        }
+      },
+      totals, first, second);
+  EXPECT_EQ(totals.peak_in_flight, first.peak_in_flight + second.peak_in_flight);
+  EXPECT_EQ(totals.peak_batch_size, first.peak_batch_size);
+  EXPECT_EQ(totals.faults_injected, second.faults_injected);
 }
 
 // ------------------------------------------------ breaker + failover chaos

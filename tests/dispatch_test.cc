@@ -358,6 +358,8 @@ TEST(DispatchModelTest, GemmLayoutFollowsBackend) {
   // (3.8 vs 23 GFLOP/s), so scalar declares kDense and only the avx2
   // backend asks for the packed image its panel kernel needs.
   EXPECT_EQ(GetKernelOps(KernelBackend::kScalar)->gemm_layout, GemmLayout::kDense);
+  EXPECT_EQ(GetKernelOps(KernelBackend::kScalar)->matmul_rows_packed, nullptr);
+  EXPECT_EQ(GetKernelOps(KernelBackend::kScalar)->matmul_panels_packed, nullptr);
   if (Avx2Available()) {
     EXPECT_EQ(GetKernelOps(KernelBackend::kAvx2)->gemm_layout, GemmLayout::kPacked);
   }

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -11,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "prefillonly/client.h"
 #include "src/server/http_server.h"
 #include "src/server/json.h"
 #include "src/server/scoring_service.h"
@@ -940,6 +942,137 @@ TEST(ReplicaAdminTest, StatsAggregateAcrossReplicasWithBreakdowns) {
     submitted += replica.Find("submitted")->AsInt();
   }
   EXPECT_EQ(submitted, 1);
+}
+
+// Sorted keys of a JSON object.
+std::vector<std::string> Keys(const Json& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.AsObject()) {
+    keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(ReplicaAdminTest, StatsPayloadKeysArePinned) {
+  ScoringService service(SmallEngineOptions(), TwoReplicaOptions());
+  ASSERT_EQ(service.Handle(Post("/v1/score", R"({"tokens":[1,2,3,4,5,6,7,8],
+                                                 "allowed_tokens":[10,20]})"))
+                .status,
+            200);
+  const auto response = service.Handle(Req("GET", "/v1/stats"));
+  ASSERT_EQ(response.status, 200);
+  auto parsed = Json::Parse(response.body);
+  ASSERT_TRUE(parsed.ok());
+  const Json& body = parsed.value();
+
+  // Fractional values; every other number is an integer counter and must
+  // serialize as one.
+  const std::vector<std::string> fractional = {"batch_occupancy", "cache_hit_rate",
+                                               "miss_tokens_per_batch", "total_execute_s"};
+  const std::vector<std::string> top = {
+      "abort_checks", "alloc_retries", "alloc_retry_successes", "batch_occupancy",
+      "batched_miss_tokens", "batched_requests", "batches_dispatched", "cache_bytes",
+      "cache_evictions", "cache_failed_acquires", "cache_hit_rate", "cache_hit_tokens",
+      "cache_insertions", "cache_lookup_tokens", "cache_lookups", "cancelled",
+      "cancelled_in_flight", "cluster", "completed", "deadline_expired",
+      "deadline_expired_in_flight", "failed", "faults_injected", "miss_tokens_per_batch",
+      "n_replicas", "offload_bytes", "offload_demotions", "offload_evictions",
+      "offload_hit_tokens", "offload_promotions", "offload_read_hits",
+      "offload_read_misses", "packing_skips", "peak_activation_bytes", "peak_batch_size",
+      "peak_in_flight", "prefix_waits", "replicas", "shed", "submitted",
+      "total_execute_s", "watchdog_stalls"};
+  EXPECT_EQ(Keys(body), top);
+  for (const std::string& key : top) {
+    const Json& value = *body.Find(key);
+    if (key == "cluster") {
+      EXPECT_TRUE(value.is_object());
+    } else if (key == "replicas") {
+      EXPECT_TRUE(value.is_array());
+    } else {
+      ASSERT_TRUE(value.is_number()) << key;
+      if (std::find(fractional.begin(), fractional.end(), key) == fractional.end()) {
+        EXPECT_EQ(value.Serialize(), std::to_string(value.AsInt())) << key;
+      }
+    }
+  }
+  EXPECT_EQ(body.Find("submitted")->AsInt(), 1);
+  EXPECT_EQ(body.Find("peak_in_flight")->AsInt(), 1);
+  EXPECT_GT(body.Find("total_execute_s")->AsDouble(), 0.0);
+
+  const Json& cluster = *body.Find("cluster");
+  EXPECT_EQ(Keys(cluster),
+            (std::vector<std::string>{"breaker_trips", "failovers", "half_open_probes",
+                                      "routed_affinity", "routed_spill",
+                                      "unavailable_rejections"}));
+  for (const auto& [key, value] : cluster.AsObject()) {
+    EXPECT_TRUE(value.is_number()) << key;
+  }
+
+  const Json::Array& replicas = body.Find("replicas")->AsArray();
+  ASSERT_EQ(replicas.size(), 2u);
+  const std::vector<std::string> replica_keys = {
+      "admit_failures", "admitting",     "breaker",          "breaker_trips",
+      "cache_hit_rate", "cancelled",     "completed",        "drained",
+      "draining",       "engine_health", "failed",           "failed_over_in",
+      "failed_over_out", "half_open_probes", "index",        "outstanding",
+      "routed_affinity", "routed_spill", "shed",             "submitted"};
+  for (const Json& replica : replicas) {
+    EXPECT_EQ(Keys(replica), replica_keys);
+    for (const char* key : {"admitting", "drained", "draining"}) {
+      EXPECT_TRUE(replica.Find(key)->is_bool()) << key;
+    }
+    for (const char* key : {"breaker", "engine_health"}) {
+      EXPECT_TRUE(replica.Find(key)->is_string()) << key;
+    }
+  }
+}
+
+TEST(ReplicaAdminTest, InProcessClientStatsMatchStatsJson) {
+  // Twin clusters, one behind the HTTP service and one behind an
+  // in-process Client, score the same sequence; the in-process ClientStats
+  // must carry exactly what the service's /v1/stats JSON does.
+  ClientOptions client_options;
+  client_options.model = "tiny";
+  client_options.block_size = 16;
+  client_options.n_replicas = 2;
+  Client client(client_options);
+  ScoringService service(SmallEngineOptions(), TwoReplicaOptions());
+  for (int i = 0; i < 6; ++i) {
+    // Two users, a shared 32-token profile each: later requests hit cache.
+    std::vector<int32_t> tokens;
+    std::string body = R"({"allowed_tokens":[10,20],"tokens":[)";
+    for (int t = 0; t < 40; ++t) {
+      const int32_t token = t < 32 ? 1 + (i % 2) * 50 + t : 100 + i * 8 + t;
+      tokens.push_back(token);
+      body += (t > 0 ? "," : "") + std::to_string(token);
+    }
+    body += "]}";
+    ASSERT_TRUE(client.Score(tokens, {10, 20}).ok);
+    ASSERT_EQ(service.Handle(Post("/v1/score", body)).status, 200);
+  }
+  const ClientStats stats = client.Stats();
+  auto parsed = Json::Parse(service.Handle(Req("GET", "/v1/stats")).body);
+  ASSERT_TRUE(parsed.ok());
+  const Json& json = parsed.value();
+  const auto integer = [&](const char* key) { return json.Find(key)->AsInt(); };
+  EXPECT_EQ(stats.submitted, integer("submitted"));
+  EXPECT_EQ(stats.completed, integer("completed"));
+  EXPECT_EQ(stats.failed, integer("failed"));
+  EXPECT_EQ(stats.cancelled, integer("cancelled"));
+  EXPECT_EQ(stats.cancelled_in_flight, integer("cancelled_in_flight"));
+  EXPECT_EQ(stats.deadline_expired, integer("deadline_expired"));
+  EXPECT_EQ(stats.deadline_expired_in_flight, integer("deadline_expired_in_flight"));
+  EXPECT_EQ(stats.shed, integer("shed"));
+  EXPECT_EQ(stats.client_retries, 0);
+  EXPECT_EQ(stats.batches_dispatched, integer("batches_dispatched"));
+  EXPECT_EQ(stats.batched_requests, integer("batched_requests"));
+  EXPECT_EQ(stats.cache_hit_rate, json.Find("cache_hit_rate")->AsDouble());
+  EXPECT_EQ(static_cast<int64_t>(stats.cache_bytes), integer("cache_bytes"));
+  EXPECT_EQ(static_cast<int64_t>(stats.peak_activation_bytes),
+            integer("peak_activation_bytes"));
+  // Not vacuous: the twins did real, cache-hitting work.
+  EXPECT_EQ(stats.completed, 6);
+  EXPECT_GT(stats.cache_hit_rate, 0.0);
 }
 
 }  // namespace
