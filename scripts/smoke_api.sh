@@ -27,9 +27,14 @@ if [[ ! -x "${SERVER}" ]]; then
   exit 1
 fi
 
+# Response bodies go to a private directory, removed on exit, so runs leave
+# nothing behind and two runs at once never read each other's bodies.
+TMP_DIR=$(mktemp -d)
+SERVER_PID=
+trap 'kill "${SERVER_PID}" 2>/dev/null || true; rm -rf "${TMP_DIR}"' EXIT
+
 PO_PORT="${PORT}" PO_SERVE_SECONDS=120 "${SERVER}" >/dev/null 2>&1 &
 SERVER_PID=$!
-trap 'kill "${SERVER_PID}" 2>/dev/null || true' EXIT
 
 # Wait for the port.
 for _ in $(seq 1 100); do
@@ -56,39 +61,39 @@ check_replica_sums() {
 
 echo "== single-item score =="
 BODY='{"tokens":[3,1,4,1,5,9,2,6,5,3,5,9],"allowed_tokens":[10,20],"user_id":7}'
-CODE=$(curl -s -o /tmp/smoke_score.json -w '%{http_code}' -d "${BODY}" "${BASE}/v1/score")
+CODE=$(curl -s -o "${TMP_DIR}/score.json" -w '%{http_code}' -d "${BODY}" "${BASE}/v1/score")
 [[ "${CODE}" == 200 ]] || fail "score expected 200, got ${CODE}"
-RESP=$(cat /tmp/smoke_score.json)
+RESP=$(cat "${TMP_DIR}/score.json")
 [[ $(jexpr "${RESP}" '0.0 < d["score"] < 1.0') == True ]] || fail "score out of range: ${RESP}"
 [[ $(jexpr "${RESP}" 'd["n_input"]') == 12 ]] || fail "n_input mismatch: ${RESP}"
 
 echo "== multi-item score: per-item results in input order =="
 BODY='{"items":[{"tokens":[1,2,3,4],"allowed_tokens":[10,20]},{"tokens":[5,6,7,8],"allowed_tokens":[10,20]},{"tokens":[9,10,11,12],"allowed_tokens":[10,20]}]}'
-CODE=$(curl -s -o /tmp/smoke_multi.json -w '%{http_code}' -d "${BODY}" "${BASE}/v1/score")
+CODE=$(curl -s -o "${TMP_DIR}/multi.json" -w '%{http_code}' -d "${BODY}" "${BASE}/v1/score")
 [[ "${CODE}" == 200 ]] || fail "multi-item expected 200, got ${CODE}"
-RESP=$(cat /tmp/smoke_multi.json)
+RESP=$(cat "${TMP_DIR}/multi.json")
 [[ $(jexpr "${RESP}" 'd["n_items"]') == 3 ]] || fail "n_items != 3: ${RESP}"
 [[ $(jexpr "${RESP}" 'len(d["results"])') == 3 ]] || fail "results != 3: ${RESP}"
 [[ $(jexpr "${RESP}" 'all("score" in r for r in d["results"])') == True ]] || fail "missing per-item score: ${RESP}"
 
 echo "== expired deadline: 504 before dispatch =="
 BODY='{"tokens":[1,2,3],"allowed_tokens":[10,20],"options":{"deadline_ms":0}}'
-CODE=$(curl -s -o /tmp/smoke_dl.json -w '%{http_code}' -d "${BODY}" "${BASE}/v1/score")
+CODE=$(curl -s -o "${TMP_DIR}/dl.json" -w '%{http_code}' -d "${BODY}" "${BASE}/v1/score")
 [[ "${CODE}" == 504 ]] || fail "deadline_ms=0 expected 504, got ${CODE}"
-RESP=$(cat /tmp/smoke_dl.json)
+RESP=$(cat "${TMP_DIR}/dl.json")
 [[ $(jexpr "${RESP}" 'd["error"]["code"]') == deadline_exceeded ]] || fail "bad error code: ${RESP}"
 [[ $(jexpr "${RESP}" 'd["error"]["type"]') == timeout_error ]] || fail "bad error type: ${RESP}"
 
 echo "== malformed allowed_tokens: 400, structured error =="
-CODE=$(curl -s -o /tmp/smoke_bad.json -w '%{http_code}' -d '{"tokens":[1,2],"allowed_tokens":["x"]}' "${BASE}/v1/score")
+CODE=$(curl -s -o "${TMP_DIR}/bad.json" -w '%{http_code}' -d '{"tokens":[1,2],"allowed_tokens":["x"]}' "${BASE}/v1/score")
 [[ "${CODE}" == 400 ]] || fail "malformed allowed_tokens expected 400, got ${CODE}"
-[[ $(jexpr "$(cat /tmp/smoke_bad.json)" 'd["error"]["code"]') == invalid_argument ]] || fail "bad 400 shape"
+[[ $(jexpr "$(cat "${TMP_DIR}/bad.json")" 'd["error"]["code"]') == invalid_argument ]] || fail "bad 400 shape"
 
 echo "== async lifecycle: submit -> poll to done -> results =="
 BODY='{"tokens":[2,7,1,8,2,8,1,8,2,8],"allowed_tokens":[10,20],"options":{"request_id":"smoke-1"}}'
-CODE=$(curl -s -o /tmp/smoke_sub.json -w '%{http_code}' -d "${BODY}" "${BASE}/v1/requests")
+CODE=$(curl -s -o "${TMP_DIR}/sub.json" -w '%{http_code}' -d "${BODY}" "${BASE}/v1/requests")
 [[ "${CODE}" == 202 ]] || fail "submit expected 202, got ${CODE}"
-RESP=$(cat /tmp/smoke_sub.json)
+RESP=$(cat "${TMP_DIR}/sub.json")
 [[ $(jexpr "${RESP}" 'd["id"]') == smoke-1 ]] || fail "bad submit id: ${RESP}"
 [[ $(jexpr "${RESP}" 'd["status"]') == queued ]] || fail "bad submit status: ${RESP}"
 STATUS=""
@@ -102,18 +107,18 @@ done
 [[ $(jexpr "${RESP}" '0.0 < d["results"][0]["score"] < 1.0') == True ]] || fail "bad done results: ${RESP}"
 
 echo "== cancel: DELETE resolves, repeat is idempotent =="
-CODE=$(curl -s -o /tmp/smoke_c1.json -w '%{http_code}' -X DELETE "${BASE}/v1/requests/smoke-1")
+CODE=$(curl -s -o "${TMP_DIR}/c1.json" -w '%{http_code}' -X DELETE "${BASE}/v1/requests/smoke-1")
 [[ "${CODE}" == 200 ]] || fail "cancel-after-done expected 200, got ${CODE}"
-[[ $(jexpr "$(cat /tmp/smoke_c1.json)" 'd["status"]') == done ]] || fail "cancel-after-done must stay done"
-CODE=$(curl -s -o /tmp/smoke_c2.json -w '%{http_code}' -X DELETE "${BASE}/v1/requests/smoke-1")
+[[ $(jexpr "$(cat "${TMP_DIR}/c1.json")" 'd["status"]') == done ]] || fail "cancel-after-done must stay done"
+CODE=$(curl -s -o "${TMP_DIR}/c2.json" -w '%{http_code}' -X DELETE "${BASE}/v1/requests/smoke-1")
 [[ "${CODE}" == 200 ]] || fail "second cancel expected 200, got ${CODE}"
-[[ $(jexpr "$(cat /tmp/smoke_c2.json)" 'd["status"]') == done ]] || fail "second cancel must stay done"
+[[ $(jexpr "$(cat "${TMP_DIR}/c2.json")" 'd["status"]') == done ]] || fail "second cancel must stay done"
 
 BODY='{"tokens":[4,4,4,4,4,4,4,4],"allowed_tokens":[10,20],"options":{"request_id":"smoke-2"}}'
 curl -s -d "${BODY}" "${BASE}/v1/requests" >/dev/null
-CODE=$(curl -s -o /tmp/smoke_c3.json -w '%{http_code}' -X DELETE "${BASE}/v1/requests/smoke-2")
+CODE=$(curl -s -o "${TMP_DIR}/c3.json" -w '%{http_code}' -X DELETE "${BASE}/v1/requests/smoke-2")
 [[ "${CODE}" == 200 ]] || fail "cancel expected 200, got ${CODE}"
-STATUS=$(jexpr "$(cat /tmp/smoke_c3.json)" 'd["status"]')
+STATUS=$(jexpr "$(cat "${TMP_DIR}/c3.json")" 'd["status"]')
 [[ "${STATUS}" == cancelled || "${STATUS}" == running || "${STATUS}" == done ]] \
   || fail "cancel returned unexpected state ${STATUS}"
 
@@ -133,10 +138,10 @@ OUT=$(curl -sv -H 'Connection: keep-alive' "${BASE}/v1/stats" "${BASE}/v1/stats"
 echo "${OUT}" | grep -q 'Re-using existing connection' || fail "connection was not reused"
 
 echo "== health: 200 ok, wrong method 405 =="
-CODE=$(curl -s -o /tmp/smoke_health.json -w '%{http_code}' "${BASE}/v1/health")
+CODE=$(curl -s -o "${TMP_DIR}/health.json" -w '%{http_code}' "${BASE}/v1/health")
 [[ "${CODE}" == 200 ]] || fail "health expected 200, got ${CODE}"
-[[ $(jexpr "$(cat /tmp/smoke_health.json)" 'd["status"]') == ok ]] \
-  || fail "health status not ok: $(cat /tmp/smoke_health.json)"
+[[ $(jexpr "$(cat "${TMP_DIR}/health.json")" 'd["status"]') == ok ]] \
+  || fail "health status not ok: $(cat "${TMP_DIR}/health.json")"
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "${BASE}/v1/health")
 [[ "${CODE}" == 405 ]] || fail "POST /v1/health expected 405, got ${CODE}"
 
@@ -170,9 +175,9 @@ RESP=$(curl -s "${CBASE}/v1/replicas")
   || fail "replicas not healthy at boot: ${RESP}"
 
 echo "== cluster: drain one replica -> health degraded, still serving =="
-CODE=$(curl -s -o /tmp/smoke_drain.json -w '%{http_code}' -X POST "${CBASE}/v1/replicas/0/drain")
+CODE=$(curl -s -o "${TMP_DIR}/drain.json" -w '%{http_code}' -X POST "${CBASE}/v1/replicas/0/drain")
 [[ "${CODE}" == 200 ]] || fail "drain expected 200, got ${CODE}"
-[[ $(jexpr "$(cat /tmp/smoke_drain.json)" 'd["replica"]["draining"]') == True ]] || fail "drain did not stick"
+[[ $(jexpr "$(cat "${TMP_DIR}/drain.json")" 'd["replica"]["draining"]') == True ]] || fail "drain did not stick"
 RESP=$(curl -s "${CBASE}/v1/health")
 [[ $(jexpr "${RESP}" 'd["status"]') == degraded ]] || fail "health not degraded: ${RESP}"
 [[ $(jexpr "${RESP}" 'd["admitting"]') == 1 ]] || fail "admitting != 1: ${RESP}"
@@ -181,15 +186,15 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -d '{"tokens":[1,2,3,4],"allowed_t
 
 echo "== cluster: drain ALL -> 503 + Retry-After on health AND score =="
 curl -s -X POST "${CBASE}/v1/replicas/1/drain" >/dev/null
-CODE=$(curl -s -o /tmp/smoke_h503.json -w '%{http_code}' "${CBASE}/v1/health")
+CODE=$(curl -s -o "${TMP_DIR}/h503.json" -w '%{http_code}' "${CBASE}/v1/health")
 [[ "${CODE}" == 503 ]] || fail "all-drained health expected 503, got ${CODE}"
-[[ $(jexpr "$(cat /tmp/smoke_h503.json)" 'd["status"]') == overloaded ]] || fail "bad 503 health body"
-[[ $(jexpr "$(cat /tmp/smoke_h503.json)" 'd["admitting"]') == 0 ]] || fail "admitting != 0 when all drained"
+[[ $(jexpr "$(cat "${TMP_DIR}/h503.json")" 'd["status"]') == overloaded ]] || fail "bad 503 health body"
+[[ $(jexpr "$(cat "${TMP_DIR}/h503.json")" 'd["admitting"]') == 0 ]] || fail "admitting != 0 when all drained"
 RETRY=$(curl -s -D - -o /dev/null "${CBASE}/v1/health" | tr -d '\r' | awk -F': ' 'tolower($1)=="retry-after"{print $2}')
 [[ "${RETRY}" == 1 ]] || fail "health 503 missing Retry-After: 1 (got '${RETRY}')"
-CODE=$(curl -s -o /tmp/smoke_s503.json -w '%{http_code}' -d '{"tokens":[1,2,3,4],"allowed_tokens":[10,20]}' "${CBASE}/v1/score")
+CODE=$(curl -s -o "${TMP_DIR}/s503.json" -w '%{http_code}' -d '{"tokens":[1,2,3,4],"allowed_tokens":[10,20]}' "${CBASE}/v1/score")
 [[ "${CODE}" == 503 ]] || fail "all-drained score expected 503, got ${CODE}"
-[[ $(jexpr "$(cat /tmp/smoke_s503.json)" 'd["error"]["code"]') == unavailable ]] || fail "bad 503 error code: $(cat /tmp/smoke_s503.json)"
+[[ $(jexpr "$(cat "${TMP_DIR}/s503.json")" 'd["error"]["code"]') == unavailable ]] || fail "bad 503 error code: $(cat "${TMP_DIR}/s503.json")"
 RETRY=$(curl -s -D - -o /dev/null -d '{"tokens":[1,2],"allowed_tokens":[10,20]}' "${CBASE}/v1/score" | tr -d '\r' | awk -F': ' 'tolower($1)=="retry-after"{print $2}')
 [[ "${RETRY}" == 1 ]] || fail "score 503 missing Retry-After: 1 (got '${RETRY}')"
 

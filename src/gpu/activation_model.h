@@ -14,6 +14,12 @@
 // This mirrors the paper's "profile run" (§3.1): PrefillOnly forwards a
 // fake maximum-length request and measures peak memory; we replay the same
 // schedule analytically.
+//
+// The walk assumes every layer has an identical schedule. That still holds
+// although the real pass's last layer computes only each sequence's final
+// row past its K/V projections: it allocates and frees the same tensors,
+// at the same widths and in the same order, as every other layer, and
+// skips only arithmetic whose output nothing reads.
 #ifndef SRC_GPU_ACTIVATION_MODEL_H_
 #define SRC_GPU_ACTIVATION_MODEL_H_
 

@@ -282,9 +282,7 @@ void LlamaModel::Attention(const float* q, int64_t q_rows, int64_t q_pos0,
   });
 }
 
-std::vector<float> LlamaModel::LastLogits(const float* hidden_row,
-                                          TrackingAllocator& act) const {
-  (void)act;  // the two row-sized buffers below are negligible
+std::vector<float> LlamaModel::LastLogits(const float* hidden_row) const {
   const int64_t h = config_.hidden_size;
   std::vector<float> normed(static_cast<size_t>(h));
   RmsNormRows(hidden_row, final_norm_.data(), normed.data(), 1, h, config_.rms_eps,
@@ -294,6 +292,29 @@ std::vector<float> LlamaModel::LastLogits(const float* hidden_row,
   return logits;
 }
 
+template <typename Fn>
+void LlamaModel::ForEachLiveRun(std::span<const SeqLayout> layouts, bool last_layer,
+                                int64_t r0, int64_t r1, Fn&& fn) {
+  int64_t run0 = 0;
+  int64_t run1 = 0;  // the pending run [run0, run1); empty when equal
+  for (const SeqLayout& lo : layouts) {
+    const int64_t b = std::max(r0, lo.live_row0(last_layer));
+    const int64_t e = std::min(r1, lo.row_end());
+    if (b >= e) {
+      continue;
+    }
+    if (b != run1) {
+      if (run1 > run0) {
+        fn(run0, run1 - run0);
+      }
+      run0 = b;
+    }
+    run1 = e;
+  }
+  if (run1 > run0) {
+    fn(run0, run1 - run0);
+  }
+}
 
 // ------------------------------------------------------------------------
 // The forward pass: stacked-row prefill over one or more sequences. A solo
@@ -419,7 +440,7 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
   const BatchStack stack = StackNewRows(sequences);
   assert(stack.m_rows == m_rows);
   const std::vector<int32_t>& tokens = stack.tokens;
-  const std::vector<int32_t>& positions = stack.positions;
+  const std::span<const int32_t> positions(stack.positions);
   const int64_t max_total = stack.max_total;
   rope_table_.EnsureCapacity(max_total);
 
@@ -451,13 +472,16 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
     }
     const LayerWeights& w = layers_[l];
     LayerKv& kv = pass_kv[l];
+    const bool last = l + 1 == layers_.size();
+    // Runs fn(row, count) over the rows this layer computes past K/V.
+    const auto live = [&](auto&& fn) { ForEachLiveRun(layouts, last, 0, m_rows, fn); };
 
     PO_TRY_ALLOC(normed, act, "act.normed", {m_rows, h});
     RmsNormRows(hidden.data(), w.attn_norm.data(), normed.data(), m_rows, h,
                 config_.rms_eps, pool_, kops_);
 
     PO_TRY_ALLOC(q, act, "act.q", {m_rows, qs});
-    MatMulW(normed.data(), w.wq, q.data(), m_rows);
+    live([&](int64_t r, int64_t n) { MatMulW(normed.row(r), w.wq, q.row(r), n); });
     if (drop_kv) {
       // The naive §4.1 ablation: this layer's K/V rows for the whole stack
       // live from here to the end of the layer.
@@ -471,8 +495,11 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
     MatMulW(normed.data(), w.wv, kv.v.data(), m_rows);
     normed = Tensor();  // free before attention
 
-    ApplyRopeWithTable(q.data(), m_rows, config_.n_heads, config_.head_dim, positions,
-                       rope_table_, pool_);
+    live([&](int64_t r, int64_t n) {
+      ApplyRopeWithTable(q.row(r), n, config_.n_heads, config_.head_dim,
+                         positions.subspan(static_cast<size_t>(r), static_cast<size_t>(n)),
+                         rope_table_, pool_);
+    });
     ApplyRopeWithTable(kv.k.data(), m_rows, config_.n_kv_heads, config_.head_dim,
                        positions, rope_table_, pool_);
 
@@ -483,33 +510,45 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
       const SeqLayout& lo = layouts[s];
       const KvCacheData* prefix = SeqPrefix(sequences[s]);
       const LayerKv* layer_prefix = (prefix != nullptr) ? &prefix->layers[l] : nullptr;
-      Attention(q.row(lo.row0), lo.n_new, lo.n_cached, layer_prefix, kv.k.row(lo.row0),
-                kv.v.row(lo.row0), lo.n_new, attn_out.row(lo.row0), scores.data(),
-                extra_scores.empty() ? nullptr : extra_scores.data(), max_total);
+      const int64_t f0 = lo.live_row0(last);
+      Attention(q.row(f0), lo.row_end() - f0, lo.n_cached + (f0 - lo.row0), layer_prefix,
+                kv.k.row(lo.row0), kv.v.row(lo.row0), lo.n_new, attn_out.row(f0),
+                scores.data(), extra_scores.empty() ? nullptr : extra_scores.data(),
+                max_total);
     }
     q = Tensor();
 
     PO_TRY_ALLOC(attn_proj, act, "act.attn_proj", {m_rows, h});
-    MatMulW(attn_out.data(), w.wo, attn_proj.data(), m_rows);
+    live([&](int64_t r, int64_t n) {
+      MatMulW(attn_out.row(r), w.wo, attn_proj.row(r), n);
+      AddInPlace(hidden.row(r), attn_proj.row(r), n * h, pool_, kops_);
+    });
     attn_out = Tensor();
-    AddInPlace(hidden.data(), attn_proj.data(), m_rows * h, pool_, kops_);
     attn_proj = Tensor();
 
     PO_TRY_ALLOC(normed2, act, "act.normed", {m_rows, h});
-    RmsNormRows(hidden.data(), w.mlp_norm.data(), normed2.data(), m_rows, h,
-                config_.rms_eps, pool_, kops_);
+    live([&](int64_t r, int64_t n) {
+      RmsNormRows(hidden.row(r), w.mlp_norm.data(), normed2.row(r), n, h, config_.rms_eps,
+                  pool_, kops_);
+    });
     // The Fig. 3/4 spike: [m_rows, 2*intermediate] = 28672 floats/token at
     // Llama-3.1-8B scale, 14x one layer's KV cache.
     PO_TRY_ALLOC(gate_up, act, "mlp.intermediate1", {m_rows, 2 * inter});
-    MatMulW(normed2.data(), w.w_gate_up, gate_up.data(), m_rows);
+    live([&](int64_t r, int64_t n) {
+      MatMulW(normed2.row(r), w.w_gate_up, gate_up.row(r), n);
+    });
     normed2 = Tensor();
     PO_TRY_ALLOC(mlp_act, act, "mlp.intermediate2", {m_rows, inter});
-    SwiGluRows(gate_up.data(), mlp_act.data(), m_rows, inter, pool_, kops_);
+    live([&](int64_t r, int64_t n) {
+      SwiGluRows(gate_up.row(r), mlp_act.row(r), n, inter, pool_, kops_);
+    });
     gate_up = Tensor();
     PO_TRY_ALLOC(down, act, "mlp.down", {m_rows, h});
-    MatMulW(mlp_act.data(), w.w_down, down.data(), m_rows);
+    live([&](int64_t r, int64_t n) {
+      MatMulW(mlp_act.row(r), w.w_down, down.row(r), n);
+      AddInPlace(hidden.row(r), down.row(r), n * h, pool_, kops_);
+    });
     mlp_act = Tensor();
-    AddInPlace(hidden.data(), down.data(), m_rows * h, pool_, kops_);
     if (drop_kv) {
       kv = LayerKv();
     }
@@ -521,7 +560,7 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
     PrefillResult& result = results[s];
     result.n_new = lo.n_new;
     result.kv_start = lo.n_cached;
-    result.last_logits = LastLogits(hidden.row(lo.row0 + lo.n_new - 1), act);
+    result.last_logits = LastLogits(hidden.row(lo.row_end() - 1));
     const int64_t retained = RetainedNewTokens(sequences[s], lo.n_cached, lo.n_new);
     if (retained > 0 &&
         !TakeRetainedKv(pass_kv, m_rows, lo.row0, retained, kvw, act, result.kv)) {
@@ -545,7 +584,7 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchChunked(
   const BatchStack stack = StackNewRows(sequences);
   assert(stack.m_rows == m_rows);
   const std::vector<int32_t>& tokens = stack.tokens;
-  const std::vector<int32_t>& positions = stack.positions;
+  const std::span<const int32_t> positions(stack.positions);
   const int64_t max_total = stack.max_total;
   rope_table_.EnsureCapacity(max_total);
 
@@ -574,9 +613,8 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchChunked(
     }
     const int64_t r1 = std::min(r0 + chunk, m_rows);
     const int64_t cs = r1 - r0;
-    const std::span<const int32_t> positions_c(positions);
     const auto chunk_positions =
-        positions_c.subspan(static_cast<size_t>(r0), static_cast<size_t>(cs));
+        positions.subspan(static_cast<size_t>(r0), static_cast<size_t>(cs));
 
     PO_TRY_ALLOC(hidden_c, act, "act.hidden", {cs, h});
     EmbeddingLookup(embedding_.data(),
@@ -586,30 +624,41 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchChunked(
 
     for (size_t l = 0; l < layers_.size(); ++l) {
       const LayerWeights& w = layers_[l];
+      const bool last = l + 1 == layers_.size();
+      // Runs fn(row, count) over the rows of this chunk the layer computes
+      // past K/V, as chunk-local rows.
+      const auto live = [&](auto&& fn) {
+        ForEachLiveRun(layouts, last, r0, r1,
+                       [&](int64_t r, int64_t n) { fn(r - r0, n); });
+      };
 
       PO_TRY_ALLOC(normed, act, "act.normed", {cs, h});
       RmsNormRows(hidden_c.data(), w.attn_norm.data(), normed.data(), cs, h,
                   config_.rms_eps, pool_, kops_);
 
       PO_TRY_ALLOC(q, act, "act.q", {cs, qs});
-      MatMulW(normed.data(), w.wq, q.data(), cs);
+      live([&](int64_t r, int64_t n) { MatMulW(normed.row(r), w.wq, q.row(r), n); });
       // K/V of this chunk go straight into the resident per-layer cache.
       MatMulW(normed.data(), w.wk, pass_kv[l].k.row(r0), cs);
       MatMulW(normed.data(), w.wv, pass_kv[l].v.row(r0), cs);
       normed = Tensor();
 
-      ApplyRopeWithTable(q.data(), cs, config_.n_heads, config_.head_dim,
-                         chunk_positions, rope_table_, pool_);
+      live([&](int64_t r, int64_t n) {
+        ApplyRopeWithTable(q.row(r), n, config_.n_heads, config_.head_dim,
+                           chunk_positions.subspan(static_cast<size_t>(r),
+                                                   static_cast<size_t>(n)),
+                           rope_table_, pool_);
+      });
       ApplyRopeWithTable(pass_kv[l].k.row(r0), cs, config_.n_kv_heads,
                          config_.head_dim, chunk_positions, rope_table_, pool_);
 
       PO_TRY_ALLOC(attn_out, act, "act.attn_out", {cs, qs});
       for (size_t s = 0; s < n_seqs; ++s) {
         const SeqLayout& lo = layouts[s];
-        const int64_t f0 = std::max(r0, lo.row0);
-        const int64_t f1 = std::min(r1, lo.row0 + lo.n_new);
+        const int64_t f0 = std::max(r0, lo.live_row0(last));
+        const int64_t f1 = std::min(r1, lo.row_end());
         if (f0 >= f1) {
-          continue;  // sequence not in this chunk
+          continue;  // no live row of the sequence in this chunk
         }
         const KvCacheData* prefix = SeqPrefix(sequences[s]);
         const LayerKv* layer_prefix =
@@ -624,33 +673,43 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchChunked(
       q = Tensor();
 
       PO_TRY_ALLOC(attn_proj, act, "act.attn_proj", {cs, h});
-      MatMulW(attn_out.data(), w.wo, attn_proj.data(), cs);
+      live([&](int64_t r, int64_t n) {
+        MatMulW(attn_out.row(r), w.wo, attn_proj.row(r), n);
+        AddInPlace(hidden_c.row(r), attn_proj.row(r), n * h, pool_, kops_);
+      });
       attn_out = Tensor();
-      AddInPlace(hidden_c.data(), attn_proj.data(), cs * h, pool_, kops_);
       attn_proj = Tensor();
 
       PO_TRY_ALLOC(normed2, act, "act.normed", {cs, h});
-      RmsNormRows(hidden_c.data(), w.mlp_norm.data(), normed2.data(), cs, h,
-                  config_.rms_eps, pool_, kops_);
+      live([&](int64_t r, int64_t n) {
+        RmsNormRows(hidden_c.row(r), w.mlp_norm.data(), normed2.row(r), n, h,
+                    config_.rms_eps, pool_, kops_);
+      });
       PO_TRY_ALLOC(gate_up, act, "mlp.intermediate1", {cs, 2 * inter});
-      MatMulW(normed2.data(), w.w_gate_up, gate_up.data(), cs);
+      live([&](int64_t r, int64_t n) {
+        MatMulW(normed2.row(r), w.w_gate_up, gate_up.row(r), n);
+      });
       normed2 = Tensor();
       PO_TRY_ALLOC(mlp_act, act, "mlp.intermediate2", {cs, inter});
-      SwiGluRows(gate_up.data(), mlp_act.data(), cs, inter, pool_, kops_);
+      live([&](int64_t r, int64_t n) {
+        SwiGluRows(gate_up.row(r), mlp_act.row(r), n, inter, pool_, kops_);
+      });
       gate_up = Tensor();
       PO_TRY_ALLOC(down, act, "mlp.down", {cs, h});
-      MatMulW(mlp_act.data(), w.w_down, down.data(), cs);
+      live([&](int64_t r, int64_t n) {
+        MatMulW(mlp_act.row(r), w.w_down, down.row(r), n);
+        AddInPlace(hidden_c.row(r), down.row(r), n * h, pool_, kops_);
+      });
       mlp_act = Tensor();
-      AddInPlace(hidden_c.data(), down.data(), cs * h, pool_, kops_);
     }
 
     // Sequences whose final row falls in this chunk read their logits now,
     // before the chunk buffer dies.
     for (size_t s = 0; s < n_seqs; ++s) {
       const SeqLayout& lo = layouts[s];
-      const int64_t last = lo.row0 + lo.n_new - 1;
-      if (last >= r0 && last < r1) {
-        results[s].last_logits = LastLogits(hidden_c.row(last - r0), act);
+      const int64_t final_row = lo.row_end() - 1;
+      if (final_row >= r0 && final_row < r1) {
+        results[s].last_logits = LastLogits(hidden_c.row(final_row - r0));
       }
     }
   }
@@ -685,7 +744,7 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
   const BatchStack stack = StackNewRows(sequences);
   assert(stack.m_rows == m_rows);
   const std::vector<int32_t>& tokens = stack.tokens;
-  const std::vector<int32_t>& positions = stack.positions;
+  const std::span<const int32_t> positions(stack.positions);
   const int64_t max_total = stack.max_total;
   rope_table_.EnsureCapacity(max_total);
 
@@ -787,6 +846,12 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
 
   for (size_t l = 0; l < layers_.size(); ++l) {
     const LayerWeights& w = layers_[l];
+    const bool last = l + 1 == layers_.size();
+    // Runs fn(row, count) over the rows of [r0, r1) this layer computes
+    // past K/V.
+    const auto live = [&](int64_t r0, int64_t r1, auto&& fn) {
+      ForEachLiveRun(layouts, last, r0, r1, fn);
+    };
 
     RmsNormRows(hidden.data(), w.attn_norm.data(), normed.data(), m_rows, h,
                 config_.rms_eps, pool_, kops_);
@@ -798,12 +863,17 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
         return abort;
       }
       const int64_t cs = std::min(chunk, m_rows - r0);
-      MatMulW(normed.row(r0), w.wq, q_buf.row(r0), cs);
+      live(r0, r0 + cs, [&](int64_t r, int64_t n) {
+        MatMulW(normed.row(r), w.wq, q_buf.row(r), n);
+      });
       MatMulW(normed.row(r0), w.wk, k_buf.row(r0), cs);
       MatMulW(normed.row(r0), w.wv, v_buf.row(r0), cs);
     }
-    ApplyRopeWithTable(q_buf.data(), m_rows, config_.n_heads, config_.head_dim,
-                       positions, rope_table_, pool_);
+    live(0, m_rows, [&](int64_t r, int64_t n) {
+      ApplyRopeWithTable(q_buf.row(r), n, config_.n_heads, config_.head_dim,
+                         positions.subspan(static_cast<size_t>(r), static_cast<size_t>(n)),
+                         rope_table_, pool_);
+    });
     ApplyRopeWithTable(k_buf.data(), m_rows, config_.n_kv_heads, config_.head_dim,
                        positions, rope_table_, pool_);
 
@@ -815,9 +885,10 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
       const SeqLayout& lo = layouts[s];
       const KvCacheData* prefix = SeqPrefix(sequences[s]);
       const LayerKv* layer_prefix = (prefix != nullptr) ? &prefix->layers[l] : nullptr;
-      Attention(q_buf.row(lo.row0), lo.n_new, lo.n_cached, layer_prefix,
-                k_buf.row(lo.row0), v_buf.row(lo.row0), lo.n_new,
-                attn_out.row(lo.row0), scores.data(),
+      const int64_t f0 = lo.live_row0(last);
+      Attention(q_buf.row(f0), lo.row_end() - f0, lo.n_cached + (f0 - lo.row0),
+                layer_prefix, k_buf.row(lo.row0), v_buf.row(lo.row0), lo.n_new,
+                attn_out.row(f0), scores.data(),
                 extra_scores.empty() ? nullptr : extra_scores.data(), max_total);
     }
 
@@ -836,17 +907,22 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
     // Output projection: linear -> chunked. With in_place, the `normed`
     // buffer (dead after QKV) is reused as the output.
     Tensor* o_target = in_place ? &normed : &proj_buf;
-    auto o_proj = chunked_linear(h, o_target, "act.attn_proj",
-                                 [&](int64_t r0, int64_t cs, float* out) {
-                                   MatMulW(attn_out.row(r0), w.wo, out, cs);
-                                 });
+    auto o_proj = chunked_linear(
+        h, o_target, "act.attn_proj", [&](int64_t r0, int64_t cs, float* out) {
+          live(r0, r0 + cs, [&](int64_t r, int64_t n) {
+            MatMulW(attn_out.row(r), w.wo, out + (r - r0) * h, n);
+          });
+        });
     if (!o_proj.ok()) {
       return o_proj.status();
     }
-    AddInPlace(hidden.data(), o_proj.value()->data(), m_rows * h, pool_, kops_);
-
-    RmsNormRows(hidden.data(), w.mlp_norm.data(), normed.data(), m_rows, h,
-                config_.rms_eps, pool_, kops_);
+    // With in_place the o-proj output lives in `normed`: each run adds it
+    // to the residual before the MLP norm overwrites those rows.
+    live(0, m_rows, [&](int64_t r, int64_t n) {
+      AddInPlace(hidden.row(r), o_proj.value()->row(r), n * h, pool_, kops_);
+      RmsNormRows(hidden.row(r), w.mlp_norm.data(), normed.row(r), n, h, config_.rms_eps,
+                  pool_, kops_);
+    });
 
     // MLP virtual layer (gate_up -> SwiGLU -> down), chunk-by-chunk. The
     // [chunk, 2*intermediate] temporaries replace the [m_rows, 2*inter]
@@ -856,19 +932,23 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
     Tensor* mlp_target = in_place ? &normed : &proj_buf;
     auto mlp_out = chunked_linear(
         h, mlp_target, "mlp.down", [&](int64_t r0, int64_t cs, float* out) {
-          // When in_place, `out` aliases normed.row(r0): gate_up reads the
-          // chunk's normed rows BEFORE down writes over them, so the
+          // When in_place, `out` aliases normed.row(r0): gate_up reads a
+          // run's normed rows BEFORE down writes over them, so the
           // aliasing is safe — this is the relative-position argument of
-          // §4.3 (chunk i of the output lands exactly where chunk i of the
+          // §4.3 (row i of the output lands exactly where row i of the
           // input lived).
-          MatMulW(normed.row(r0), w.w_gate_up, gate_up_c.data(), cs);
-          SwiGluRows(gate_up_c.data(), mlp_act_c.data(), cs, inter, pool_, kops_);
-          MatMulW(mlp_act_c.data(), w.w_down, out, cs);
+          live(r0, r0 + cs, [&](int64_t r, int64_t n) {
+            MatMulW(normed.row(r), w.w_gate_up, gate_up_c.data(), n);
+            SwiGluRows(gate_up_c.data(), mlp_act_c.data(), n, inter, pool_, kops_);
+            MatMulW(mlp_act_c.data(), w.w_down, out + (r - r0) * h, n);
+          });
         });
     if (!mlp_out.ok()) {
       return mlp_out.status();
     }
-    AddInPlace(hidden.data(), mlp_out.value()->data(), m_rows * h, pool_, kops_);
+    live(0, m_rows, [&](int64_t r, int64_t n) {
+      AddInPlace(hidden.row(r), mlp_out.value()->row(r), n * h, pool_, kops_);
+    });
   }
 
   std::vector<PrefillResult> results(n_seqs);
@@ -877,7 +957,7 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
     PrefillResult& result = results[s];
     result.n_new = lo.n_new;
     result.kv_start = lo.n_cached;
-    result.last_logits = LastLogits(hidden.row(lo.row0 + lo.n_new - 1), act);
+    result.last_logits = LastLogits(hidden.row(lo.row_end() - 1));
     result.kv = std::move(result_kv[s]);
   }
   return results;

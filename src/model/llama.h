@@ -27,6 +27,16 @@
 // rows share one activation matrix and attention is block-diagonal, so each
 // sequence's logits are bitwise those of a pass over it alone. Prefill is
 // the one-sequence case of PrefillBatch, not a separate implementation.
+//
+// A prefill-only request reads only the logits at its final position, so
+// the last layer computes only each sequence's final stacked row past its
+// K/V projections: Q and its RoPE, attention (one query row over the whole
+// prefix and new K/V), o-proj, both residual adds, the MLP norm, the MLP
+// and the LM head. K/V, their RoPE and the retained-KV copies still cover
+// every row. Row independence makes the skipped rows dead arithmetic, so
+// the bits do not move; and every mode still allocates the same tensors
+// and polls abort_check at the same chunks and layers, so tracked peaks,
+// the activation walker and the poll grid are unchanged.
 #ifndef SRC_MODEL_LLAMA_H_
 #define SRC_MODEL_LLAMA_H_
 
@@ -90,7 +100,9 @@ struct PrefillOptions {
 };
 
 struct PrefillResult {
-  // Logits of the final position — all a prefill-only request needs.
+  // Logits of the final position — all a prefill-only request needs, and
+  // the only row the last layer computes past its K/V (same schedule and
+  // polls as a pass computing every row; see the header comment).
   std::vector<float> last_logits;
   // Newly computed KV, starting at absolute position `kv_start`, covering
   // `kv.n_tokens` tokens (per the retention policy). Empty for kNone.
@@ -218,7 +230,25 @@ class LlamaModel {
     int64_t n_cached = 0;  // cached prefix length
     int64_t n_new = 0;     // n_total - n_cached
     int64_t row0 = 0;      // first stacked row
+
+    int64_t row_end() const { return row0 + n_new; }
+    // The kept-row rule all three passes share: the first of this
+    // sequence's rows a layer computes past its K/V projections. The last
+    // layer's output is read only at the final row (by the LM head), so
+    // there it is that row; every other layer computes them all. K/V, their
+    // RoPE and the retained-KV copies always cover every row.
+    int64_t live_row0(bool last_layer) const {
+      return last_layer ? row_end() - 1 : row0;
+    }
   };
+
+  // Calls fn(row, count) for each maximal run of consecutive live rows
+  // (SeqLayout::live_row0) inside stacked rows [r0, r1): one run [r0, r1)
+  // outside the last layer, the final rows that fall inside it (adjacent
+  // ones merged) in the last layer.
+  template <typename Fn>
+  static void ForEachLiveRun(std::span<const SeqLayout> layouts, bool last_layer,
+                             int64_t r0, int64_t r1, Fn&& fn);
 
   Result<std::vector<PrefillResult>> PrefillBatchStandard(
       std::span<const PrefillSequence> sequences, std::span<const SeqLayout> layouts,
@@ -256,9 +286,9 @@ class LlamaModel {
   // Number of score-scratch rows Attention may use (= pool threads).
   int64_t workers() const;
 
-  // Final RMSNorm + LM head for a single hidden row.
-  std::vector<float> LastLogits(const float* hidden_row,
-                                TrackingAllocator& act) const;
+  // Final RMSNorm + LM head for a single hidden row. Its two row-sized
+  // buffers are untracked: negligible next to the pass's activations.
+  std::vector<float> LastLogits(const float* hidden_row) const;
 
   ModelConfig config_;
   std::unique_ptr<TrackingAllocator> weight_alloc_;

@@ -15,11 +15,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/core/engine.h"
@@ -446,6 +449,144 @@ TEST(BatchingParityTest, SoloPeaksAndPollsArePinned) {
         EXPECT_EQ(polls, cell.polls);
         EXPECT_TRUE(SameFloatBits(batched.value()[0].last_logits, solo.value().last_logits));
         EXPECT_TRUE(SameKvBits(batched.value()[0].kv, solo.value().kv));
+      }
+    }
+  }
+}
+
+// ------------------------------- final-row layouts, pinned fingerprints
+//
+// A prefill-only pass reads one row per sequence: the final stacked row
+// (row0 + n_new - 1), whose logits the LM head turns into the result. The
+// batched-vs-solo comparisons above run the same row selection on both
+// sides, so they cannot see a pass that keeps the wrong row; these
+// fingerprints can. They were recorded from passes that computed every row
+// of every layer, and cover final rows at each edge of the chunk grid:
+// opening a chunk, closing one, two sharing one, a one-new-token sequence
+// behind a cached prefix (two such, so two final rows are adjacent), and a
+// chunk wider than the whole stack. Within a backend the bits are
+// independent of prefill mode, hybrid ablation level, thread count and
+// batch composition, so every pass below must hit the one fingerprint
+// recorded per (backend, layout, retention): FNV-1a over each sequence's
+// logits and retained KV, in order. A change that legitimately moves the
+// bits regenerates them from the failure messages, which print the new
+// value. PREFILLONLY_GOLDEN=off skips them, as it does the golden suites.
+
+struct LayoutSeq {
+  int64_t length;
+  int64_t n_cached;
+};
+
+struct FinalRowLayout {
+  const char* name;
+  int64_t chunk_size;
+  int n_seqs;
+  LayoutSeq seqs[3];
+  // Per retention: kAll, then kPrefixBudget (each sequence keeps positions
+  // [0, length - 2)). Index 0 scalar, 1 avx2.
+  uint64_t hash[2][2];
+};
+
+const FinalRowLayout kFinalRowLayouts[] = {
+    // Rows 0-4 | 5-8: final rows 4 and 8 each open a chunk of 4.
+    {"final row opens a chunk", 4, 2, {{5, 0}, {4, 0}},
+     {{0x7d8d94499ef1f825ull, 0x0f76abd60ed268a0ull},
+      {0xa4f254b6c26da430ull, 0xc6d5fbafd61e249eull}}},
+    // Rows 0-7 | 8-11: final rows 7 and 11 each close a chunk of 4.
+    {"final row closes a chunk", 4, 2, {{8, 0}, {4, 0}},
+     {{0x23f591959b129526ull, 0x2a34bac89741fbbeull},
+      {0x177d8b2583ee5f1dull, 0x83143779c975107dull}}},
+    // Rows 0-2 | 3-6 | 7-12: final rows 2 and 6 share chunk [0, 8).
+    {"two final rows share a chunk", 8, 3, {{3, 0}, {4, 0}, {6, 0}},
+     {{0xa2ed98907eca2508ull, 0x57686e0d91cc912dull},
+      {0xe558c02f935437ebull, 0xb98a6ec2b5ad9415ull}}},
+    // Rows 0 | 1 | 2-11: two one-new-token sequences behind cached
+    // prefixes, adjacent final rows 0 and 1.
+    {"one new token behind a cached prefix", 4, 3, {{20, 19}, {13, 12}, {10, 0}},
+     {{0xace7eb8c67e309fbull, 0xa3865b2352305289ull},
+      {0x4366f0e531f332a3ull, 0x2257f1e101fffe0bull}}},
+    // Rows 0-6 | 7-12 under chunk 64: one chunk, narrower than asked.
+    {"chunk wider than the stack", 64, 2, {{7, 0}, {9, 3}},
+     {{0xb8c9967c1b41aa04ull, 0x8a30d03537e1d4c0ull},
+      {0x930af5d332ba85a0ull, 0x7f8d6eb5c5f9bb83ull}}},
+};
+
+bool GoldenDisabled() {
+  const char* env = std::getenv("PREFILLONLY_GOLDEN");
+  return env != nullptr && std::string_view(env) == "off";
+}
+
+uint64_t Fingerprint(const std::vector<PrefillResult>& results) {
+  uint64_t h = kFnvOffset;
+  for (const PrefillResult& r : results) {
+    h = Fnv1a64(r.last_logits.data(), r.last_logits.size() * sizeof(float), h);
+    h = Fnv1a64(&r.kv.n_tokens, sizeof(r.kv.n_tokens), h);
+    for (const LayerKv& layer : r.kv.layers) {
+      h = Fnv1a64(layer.k.data(), layer.k.bytes(), h);
+      h = Fnv1a64(layer.v.data(), layer.v.bytes(), h);
+    }
+  }
+  return h;
+}
+
+TEST(BatchingParityTest, FinalRowLayoutsHoldPinnedFingerprints) {
+  if (GoldenDisabled()) {
+    GTEST_SKIP() << "PREFILLONLY_GOLDEN=off: fingerprints tied to another toolchain";
+  }
+  const ModelConfig config = ModelConfig::Small();
+  for (const KernelBackend backend : BackendsUnderTest()) {
+    const int b = backend == KernelBackend::kAvx2 ? 1 : 0;
+    LlamaModel model(config, /*seed=*/42, backend);
+    TrackingAllocator arena;
+    for (const FinalRowLayout& layout : kFinalRowLayouts) {
+      // Tokens and cached prefixes, made once: a prefix is the kAll KV of a
+      // solo pass over the sequence's first n_cached tokens.
+      std::vector<std::vector<int32_t>> tokens;
+      std::vector<KvCacheData> prefixes(static_cast<size_t>(layout.n_seqs));
+      for (int i = 0; i < layout.n_seqs; ++i) {
+        const LayoutSeq& seq = layout.seqs[i];
+        Rng rng(4000 + 10 * static_cast<uint64_t>(seq.length) + static_cast<uint64_t>(i));
+        tokens.push_back(RandomTokens(rng, seq.length, config.vocab_size));
+        if (seq.n_cached > 0) {
+          PrefillOptions keep;
+          keep.retention = KvRetention::kAll;
+          auto head = model.Prefill(
+              std::span<const int32_t>(tokens.back()).first(static_cast<size_t>(seq.n_cached)),
+              nullptr, keep, arena);
+          ASSERT_TRUE(head.ok()) << head.status().ToString();
+          prefixes[static_cast<size_t>(i)] = head.take().kv;
+        }
+      }
+      for (const int r : {0, 1}) {
+        std::vector<PrefillSequence> sequences;
+        for (int i = 0; i < layout.n_seqs; ++i) {
+          const KvCacheData& prefix = prefixes[static_cast<size_t>(i)];
+          sequences.push_back({tokens[static_cast<size_t>(i)],
+                               prefix.empty() ? nullptr : &prefix,
+                               r == 0 ? KvRetention::kAll : KvRetention::kPrefixBudget,
+                               layout.seqs[i].length - 2});
+        }
+        const uint64_t want = layout.hash[r][b];
+        for (const int threads : {1, 4}) {
+          ThreadPool pool(threads);
+          model.SetThreadPool(&pool);
+          for (const PinnedPass pass : {kStd, kChunked, kHybrid, kHybridNoInPlace,
+                                        kHybridNoPrealloc}) {
+            PinnedCell cell{};
+            cell.pass = pass;
+            PrefillOptions options = PinnedOptions(cell);
+            options.chunk_size = layout.chunk_size;
+            auto batched = model.PrefillBatch(sequences, options, arena);
+            ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+            const uint64_t got = Fingerprint(batched.value());
+            EXPECT_EQ(got, want)
+                << KernelBackendName(backend) << " \"" << layout.name << "\" "
+                << (r == 0 ? "kAll" : "kPrefixBudget") << " pass "
+                << static_cast<int>(pass) << " threads " << threads
+                << ": now 0x" << std::hex << got << "ull";
+          }
+          model.SetThreadPool(nullptr);
+        }
       }
     }
   }

@@ -64,11 +64,11 @@ void ExpectClose(const float* a, const float* b, int64_t n, double abs_tol,
 
 TEST(PrepackTest, RoundTripIsBitExact) {
   // Shapes straddle the 16-column panel boundary (n % 16 ∈ {0, odd}).
-  for (const auto [k, n] : {std::pair<int64_t, int64_t>{7, 16},
-                            {64, 48},
-                            {33, 37},
-                            {5, 3},
-                            {128, 250}}) {
+  for (const auto& [k, n] : {std::pair<int64_t, int64_t>{7, 16},
+                             {64, 48},
+                             {33, 37},
+                             {5, 3},
+                             {128, 250}}) {
     const auto b = RandomVec(k * n, 1000 + k + n);
     TrackingAllocator alloc;
     const PackedMatrix packed = PackWeights(alloc, b.data(), k, n, "test.pack");
@@ -132,10 +132,10 @@ TEST(DispatchTest, ResolutionNeverYieldsAuto) {
 TEST(DispatchTest, Avx2MatMulToleranceParityVsReference) {
   PO_SKIP_WITHOUT_AVX2();
   const KernelOps* avx2 = GetKernelOps(KernelBackend::kAvx2);
-  for (const auto [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{5, 64, 48},
-                               {33, 130, 41},
-                               {1, 100, 2048},
-                               {128, 512, 96}}) {
+  for (const auto& [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{5, 64, 48},
+                                {33, 130, 41},
+                                {1, 100, 2048},
+                                {128, 512, 96}}) {
     const auto a = RandomVec(m * k, 100 + m);
     const auto b = RandomVec(k * n, 200 + n);
     std::vector<float> want(static_cast<size_t>(m * n));
@@ -178,10 +178,10 @@ TEST(DispatchTest, Avx2PackedMatMulBitwiseMatchesDenseAvx2) {
   // Dense and packed kernels build the identical per-element FMA chain
   // (ascending k), so the layouts agree BITWISE within the avx2 backend.
   const KernelOps* avx2 = GetKernelOps(KernelBackend::kAvx2);
-  for (const auto [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{9, 40, 23},
-                               {48, 100, 64},
-                               {1, 64, 250},
-                               {130, 64, 96}}) {
+  for (const auto& [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{9, 40, 23},
+                                {48, 100, 64},
+                                {1, 64, 250},
+                                {130, 64, 96}}) {
     const auto a = RandomVec(m * k, 300 + m);
     const auto b = RandomVec(k * n, 400 + n);
     TrackingAllocator alloc;

@@ -15,10 +15,10 @@
 // regenerate and commit the diff alongside the bump:
 //
 //   cmake -B build -S . && cmake --build build -j --target prefillonly_core
-//   g++ -O3 -DNDEBUG -std=c++20 -I. <generator mirroring this file> \
-//       build/libprefillonly_core.a -lpthread -o gen && ./gen > tests/golden_logits.inc
+//   g++ -O3 -DNDEBUG -std=c++20 -I. gen.cc build/libprefillonly_core.a -lpthread -o gen
+//   ./gen > tests/golden_logits.inc
 //
-// (The generator is the mirror of the constants below: ModelConfig::Tiny,
+// (gen.cc, the generator, mirrors the constants below: ModelConfig::Tiny,
 // weight seed 42, prompts Rng(777 + p) of lengths {5, 17, 33, 40}, vocab
 // 256, default hybrid PrefillOptions for the model pass; engine with
 // num_threads 1, block_size 16, cache_budget 512, chunk 32, allowed tokens

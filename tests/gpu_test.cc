@@ -187,12 +187,19 @@ INSTANTIATE_TEST_SUITE_P(
       std::string name = p.mode == PrefillMode::kStandard  ? "Std"
                          : p.mode == PrefillMode::kChunked ? "Chunked"
                                                            : "Hybrid";
-      name += "C" + std::to_string(p.chunk) + "N" + std::to_string(p.n_tokens) +
-              "P" + std::to_string(p.n_cached);
+      name += 'C';
+      name += std::to_string(p.chunk);
+      name += 'N';
+      name += std::to_string(p.n_tokens);
+      name += 'P';
+      name += std::to_string(p.n_cached);
       if (p.drop_kv) name += "Drop";
       if (!p.prealloc) name += "NoPre";
       else if (!p.in_place) name += "NoIp";
-      if (p.budget >= 0) name += "B" + std::to_string(p.budget);
+      if (p.budget >= 0) {
+        name += 'B';
+        name += std::to_string(p.budget);
+      }
       return name;
     });
 

@@ -242,7 +242,10 @@ TEST(HttpEndToEndTest, StartStopIsIdempotent) {
 std::string ScoreRequestBody(int seed) {
   std::string tokens;
   for (int i = 0; i < 24; ++i) {
-    tokens += (i == 0 ? "" : ",") + std::to_string((seed * 31 + i * 7) % 200 + 1);
+    if (i > 0) {
+      tokens += ',';
+    }
+    tokens += std::to_string((seed * 31 + i * 7) % 200 + 1);
   }
   return R"({"tokens":[)" + tokens + R"(], "allowed_tokens":[10,20], "user_id": )" +
          std::to_string(seed) + "}";
@@ -390,7 +393,10 @@ HttpRequest Req(const std::string& method, const std::string& path,
 std::string TokensBody(int n_tokens, int seed, const std::string& extra = "") {
   std::string tokens;
   for (int i = 0; i < n_tokens; ++i) {
-    tokens += (i == 0 ? "" : ",") + std::to_string((seed * 31 + i * 7) % 200 + 1);
+    if (i > 0) {
+      tokens += ',';
+    }
+    tokens += std::to_string((seed * 31 + i * 7) % 200 + 1);
   }
   return R"({"tokens":[)" + tokens + R"(], "allowed_tokens":[10,20])" + extra + "}";
 }
@@ -1044,7 +1050,10 @@ TEST(ReplicaAdminTest, InProcessClientStatsMatchStatsJson) {
     for (int t = 0; t < 40; ++t) {
       const int32_t token = t < 32 ? 1 + (i % 2) * 50 + t : 100 + i * 8 + t;
       tokens.push_back(token);
-      body += (t > 0 ? "," : "") + std::to_string(token);
+      if (t > 0) {
+        body += ',';
+      }
+      body += std::to_string(token);
     }
     body += "]}";
     ASSERT_TRUE(client.Score(tokens, {10, 20}).ok);
