@@ -7,8 +7,13 @@
 //     host supports it; ISSUE 3) at 1/2/4/8 threads, dense and prepacked
 //     GEMM variants (prepacked only on kPacked-layout backends), the RoPE
 //     recompute-vs-table pair, and causal attention
-//     (per-key dot/axpy path vs attention_rows) at 150 and 500 positions — written
-//     machine-readably to BENCH_kernels.json (and echoed as a table).
+//     (per-key dot/axpy path vs attention_rows) at 150 and 500 positions.
+//     Where the host has AVX-512F, the avx2 backend's two tables — 8-lane
+//     (ops_avx2.cc) and 16-lane (ops_avx512.cc), same bits — are both timed
+//     on the packed GEMM at the small model's chunk shapes and on
+//     attention_rows; each point records its table's `lanes`. Written
+//     machine-readably to BENCH_kernels.json with the host's nproc, CPU and ISA
+//     (and echoed as a table).
 //     docs/PERFORMANCE.md and the CI regression check read this file; a
 //     copy is checked into the repo root so the perf trajectory is
 //     diffable per PR.
@@ -22,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/po_bench/host.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -93,19 +99,44 @@ struct KernelPoint {
   std::string kernel;
   std::string variant;
   std::string backend;  // executing backend; "shared" = backend-independent
+  // Which table of the backend ran: 8 = ops_avx2.cc's, 16 = ops_avx512.cc's
+  // (whose slots other than packed GEMM/GEMV and attention_rows are the
+  // 8-lane kernels); 1 = scalar or shared code.
+  int lanes;
   int threads;
   double gflops;
   double gbps;  // nominal traffic (inputs read once + outputs written once)
   double seconds;
 };
 
-// Kernel backends available on this host, in fixed sweep order.
+// Kernel backends the CPU can run, in fixed sweep order. The avx2
+// entry is the table the engine runs (16-lane where the CPU has AVX-512F).
 std::vector<const KernelOps*> AvailableBackends() {
   std::vector<const KernelOps*> backends = {GetKernelOps(KernelBackend::kScalar)};
   if (Avx2Available()) {
     backends.push_back(GetKernelOps(KernelBackend::kAvx2));
   }
   return backends;
+}
+
+// The avx2 backend's tables the CPU can run: the 8-lane one and, with
+// AVX-512F, the 16-lane one.
+std::vector<const KernelOps*> Avx2Tables() {
+  std::vector<const KernelOps*> tables;
+  if (Avx2Available()) {
+    tables.push_back(GetAvx2KernelOps());
+    if (const KernelOps* wide = GetAvx512KernelOps()) {
+      tables.push_back(wide);
+    }
+  }
+  return tables;
+}
+
+int Lanes(const KernelOps* ops) {
+  if (ops->backend == KernelBackend::kScalar) {
+    return 1;
+  }
+  return ops == GetAvx512KernelOps() ? 16 : 8;
 }
 
 void RunJsonSweep(const char* json_path) {
@@ -142,16 +173,16 @@ void RunJsonSweep(const char* json_path) {
 
     double s = TimeSeconds([&] { SeedMatMul(a.data(), b.data(), c.data(), m, k, n); });
     points.push_back(
-        {"matmul", "seed_scalar", "scalar", 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"matmul", "seed_scalar", "scalar", 1, 1, flops / s * 1e-9, bytes / s * 1e-9, s});
     s = TimeSeconds([&] { ref::MatMul(a.data(), b.data(), c.data(), m, k, n); });
     points.push_back(
-        {"matmul", "ref_scalar", "scalar", 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"matmul", "ref_scalar", "scalar", 1, 1, flops / s * 1e-9, bytes / s * 1e-9, s});
     for (const KernelOps* ops : backends) {
       for (int t : thread_counts) {
         ThreadPool pool(t);
         s = TimeSeconds(
             [&] { MatMul(a.data(), b.data(), c.data(), m, k, n, &pool, ops); });
-        points.push_back({"matmul", "blocked", ops->name, t, flops / s * 1e-9,
+        points.push_back({"matmul", "blocked", ops->name, Lanes(ops), t, flops / s * 1e-9,
                           bytes / s * 1e-9, s});
         if (t == 1 && ops->backend == KernelBackend::kScalar) {
           st_scalar_blocked = flops / s * 1e-9;
@@ -164,7 +195,7 @@ void RunJsonSweep(const char* json_path) {
           continue;  // packed kernels exist only where the layout policy uses them
         }
         s = TimeSeconds([&] { MatMulPacked(a.data(), packed, c.data(), m, &pool, ops); });
-        points.push_back({"matmul", "packed", ops->name, t, flops / s * 1e-9,
+        points.push_back({"matmul", "packed", ops->name, Lanes(ops), t, flops / s * 1e-9,
                           bytes / s * 1e-9, s});
         if (t == 1 && flops / s * 1e-9 > st_best) {
           st_best = flops / s * 1e-9;
@@ -196,7 +227,8 @@ void RunJsonSweep(const char* json_path) {
     double s = TimeSeconds(
         [&] { ref::ApplyRope(x.data(), rows, n_heads, head_dim, positions, 10000.0f); });
     points.push_back(
-        {"rope", "seed_recompute", "shared", 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"rope", "seed_recompute", "shared", 1, 1, flops / s * 1e-9, bytes / s * 1e-9,
+         s});
     RopeTable table(head_dim, 10000.0f);
     table.EnsureCapacity(rows);
     for (int t : thread_counts) {
@@ -205,7 +237,7 @@ void RunJsonSweep(const char* json_path) {
           [&] { ApplyRopeWithTable(x.data(), rows, n_heads, head_dim, positions, table,
                                    &pool); });
       points.push_back(
-          {"rope", "table", "shared", t, flops / s * 1e-9, bytes / s * 1e-9, s});
+          {"rope", "table", "shared", 1, t, flops / s * 1e-9, bytes / s * 1e-9, s});
     }
   }
 
@@ -224,14 +256,14 @@ void RunJsonSweep(const char* json_path) {
     }
     double s = TimeSeconds([&] { ref::RmsNormRows(x.data(), w.data(), y.data(), m, h); });
     points.push_back(
-        {"rmsnorm", "ref_scalar", "scalar", 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"rmsnorm", "ref_scalar", "scalar", 1, 1, flops / s * 1e-9, bytes / s * 1e-9, s});
     for (const KernelOps* ops : backends) {
       for (int t : thread_counts) {
         ThreadPool pool(t);
         s = TimeSeconds(
             [&] { RmsNormRows(x.data(), w.data(), y.data(), m, h, 1e-5f, &pool, ops); });
-        points.push_back({"rmsnorm", "row_parallel", ops->name, t, flops / s * 1e-9,
-                          bytes / s * 1e-9, s});
+        points.push_back({"rmsnorm", "row_parallel", ops->name, Lanes(ops), t,
+                          flops / s * 1e-9, bytes / s * 1e-9, s});
       }
     }
   }
@@ -250,14 +282,60 @@ void RunJsonSweep(const char* json_path) {
     }
     double s = TimeSeconds([&] { ref::SwiGluRows(gate_up.data(), out.data(), m, inter); });
     points.push_back(
-        {"swiglu", "ref_scalar", "scalar", 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"swiglu", "ref_scalar", "scalar", 1, 1, flops / s * 1e-9, bytes / s * 1e-9, s});
     for (const KernelOps* ops : backends) {
       for (int t : thread_counts) {
         ThreadPool pool(t);
         s = TimeSeconds(
             [&] { SwiGluRows(gate_up.data(), out.data(), m, inter, &pool, ops); });
-        points.push_back({"swiglu", "row_parallel", ops->name, t, flops / s * 1e-9,
-                          bytes / s * 1e-9, s});
+        points.push_back({"swiglu", "row_parallel", ops->name, Lanes(ops), t,
+                          flops / s * 1e-9, bytes / s * 1e-9, s});
+      }
+    }
+  }
+
+  // Packed GEMM at the small model's chunk shapes, one thread, for each
+  // avx2 table: every projection is [m, k] x [k, n] with (k, n) one of
+  // wq/wo (128, 128), wk/wv (128, 32), gate_up (128, 896), down (448, 128);
+  // m = 64 is a prefill chunk, 8 a short batch, 1 the GEMV (LM head).
+  {
+    struct Shape {
+      const char* name;
+      int64_t k;
+      int64_t n;
+    };
+    const Shape shapes[] = {{"qo", 128, 128}, {"kv", 128, 32}, {"gate_up", 128, 896},
+                            {"down", 448, 128}};
+    for (const Shape& shape : shapes) {
+      Rng rng(6);
+      std::vector<float> a(static_cast<size_t>(64 * shape.k));
+      std::vector<float> b(static_cast<size_t>(shape.k * shape.n));
+      std::vector<float> c(static_cast<size_t>(64 * shape.n));
+      for (auto* buf : {&a, &b}) {
+        for (auto& x : *buf) {
+          x = rng.NextUniformFloat(1.0f);
+        }
+      }
+      TrackingAllocator pack_alloc;
+      const PackedMatrix packed =
+          PackWeights(pack_alloc, b.data(), shape.k, shape.n, "bench.pack");
+      for (const int64_t m : {int64_t{64}, int64_t{8}, int64_t{1}}) {
+        const double flops = 2.0 * m * shape.k * shape.n;
+        const double bytes = 4.0 * (m * shape.k + shape.k * shape.n + m * shape.n);
+        std::string variant = "packed_";
+        variant += shape.name;
+        variant += "_m" + std::to_string(m);
+        for (const KernelOps* ops : Avx2Tables()) {
+          const double s = TimeSeconds([&] {
+            if (m == 1) {
+              ops->matmul_panels_packed(a.data(), packed, c.data(), 0, packed.n_panels());
+            } else {
+              ops->matmul_rows_packed(a.data(), packed, c.data(), 0, m);
+            }
+          });
+          points.push_back({"matmul", variant, ops->name, Lanes(ops), 1, flops / s * 1e-9,
+                            bytes / s * 1e-9, s});
+        }
       }
     }
   }
@@ -268,7 +346,8 @@ void RunJsonSweep(const char* json_path) {
   // dot/axpy calls per key — the composition attention_rows must
   // reproduce) against the backend's attention_rows (one call per KV group
   // over all rows). Both produce the same bits; FLOPs count 4 * head_dim
-  // per (row, head, key): the q.k dot and the p.v axpy.
+  // per (row, head, key): the q.k dot and the p.v axpy. Both avx2 tables
+  // run; the per-key path is the same code in each.
   for (const int64_t positions : {int64_t{150}, int64_t{500}}) {
     const ModelConfig shape = ModelConfig::Small();
     const int64_t n_heads = shape.n_heads;
@@ -294,8 +373,13 @@ void RunJsonSweep(const char* json_path) {
     const float scale = 1.0f / std::sqrt(static_cast<float>(d));
     const AttentionArgs args{q.data(), out.data(), nullptr, nullptr, k.data(), v.data(),
                              0,        0,          n_heads, n_kv,    d,        scale};
-    const std::string variant_suffix = "_" + std::to_string(positions);
-    for (const KernelOps* ops : backends) {
+    std::string variant_suffix = "_";
+    variant_suffix += std::to_string(positions);
+    std::vector<const KernelOps*> tables = {GetKernelOps(KernelBackend::kScalar)};
+    for (const KernelOps* ops : Avx2Tables()) {
+      tables.push_back(ops);
+    }
+    for (const KernelOps* ops : tables) {
       double s = TimeSeconds([&] {
         for (int64_t i = 0; i < positions; ++i) {
           for (int64_t h = 0; h < n_heads; ++h) {
@@ -314,7 +398,7 @@ void RunJsonSweep(const char* json_path) {
           }
         }
       });
-      points.push_back({"attention", "per_key" + variant_suffix, ops->name, 1,
+      points.push_back({"attention", "per_key" + variant_suffix, ops->name, Lanes(ops), 1,
                         flops / s * 1e-9, bytes / s * 1e-9, s});
       s = TimeSeconds([&] {
         for (int64_t g = 0; g < n_kv; ++g) {
@@ -322,17 +406,17 @@ void RunJsonSweep(const char* json_path) {
                               scores.data());
         }
       });
-      points.push_back({"attention", "rows" + variant_suffix, ops->name, 1,
+      points.push_back({"attention", "rows" + variant_suffix, ops->name, Lanes(ops), 1,
                         flops / s * 1e-9, bytes / s * 1e-9, s});
     }
   }
 
-  std::printf("%-10s %-16s %-8s %8s %12s %12s %12s\n", "kernel", "variant",
-              "backend", "threads", "GFLOP/s", "GB/s", "sec/call");
+  std::printf("%-10s %-18s %-8s %5s %8s %12s %12s %12s\n", "kernel", "variant",
+              "backend", "lanes", "threads", "GFLOP/s", "GB/s", "sec/call");
   for (const auto& p : points) {
-    std::printf("%-10s %-16s %-8s %8d %12.3f %12.3f %12.6f\n", p.kernel.c_str(),
-                p.variant.c_str(), p.backend.c_str(), p.threads, p.gflops, p.gbps,
-                p.seconds);
+    std::printf("%-10s %-18s %-8s %5d %8d %12.3f %12.3f %12.6f\n", p.kernel.c_str(),
+                p.variant.c_str(), p.backend.c_str(), p.lanes, p.threads, p.gflops,
+                p.gbps, p.seconds);
   }
   if (st_scalar_blocked > 0.0 && !st_best_name.empty()) {
     std::printf(
@@ -347,16 +431,23 @@ void RunJsonSweep(const char* json_path) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
     return;
   }
-  std::fprintf(f, "{\n  \"avx2_available\": %s,\n  \"kernels\": [\n",
+  // The machine probes of po_bench's provenance header (host.h).
+  std::fprintf(f,
+               "{\n  \"host\": {\"nproc\": %d, \"cpu_model\": \"%s\", \"isa\": \"%s\", "
+               "\"avx2_lanes\": %d},\n"
+               "  \"avx2_available\": %s,\n  \"kernels\": [\n",
+               po_bench::VisibleCpus(), po_bench::CpuModel().c_str(),
+               po_bench::IsaFlags().c_str(),
+               Avx2Available() ? Lanes(GetKernelOps(KernelBackend::kAvx2)) : 0,
                Avx2Available() ? "true" : "false");
   for (size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     std::fprintf(f,
                  "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"backend\": \"%s\", "
-                 "\"threads\": %d, \"gflops\": %.4f, \"gbps\": %.4f, "
+                 "\"lanes\": %d, \"threads\": %d, \"gflops\": %.4f, \"gbps\": %.4f, "
                  "\"seconds_per_call\": %.6g}%s\n",
-                 p.kernel.c_str(), p.variant.c_str(), p.backend.c_str(), p.threads,
-                 p.gflops, p.gbps, p.seconds, i + 1 < points.size() ? "," : "");
+                 p.kernel.c_str(), p.variant.c_str(), p.backend.c_str(), p.lanes,
+                 p.threads, p.gflops, p.gbps, p.seconds, i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

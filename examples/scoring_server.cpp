@@ -10,9 +10,8 @@
 // become interesting:
 //
 //   PO_PORT=8080 ./build/example_scoring_server &
-//   curl -s localhost:8080/v1/score -d \
-//     '{"text":"user profile: likes systems papers. article: cache design. yes or no?",
-//       "allowed":["yes","no"]}'
+//   curl -s localhost:8080/v1/score -d '{"allowed":["yes","no"],
+//     "text":"user profile: likes systems papers. article: cache design. yes or no?"}'
 //   curl -s localhost:8080/v1/requests -d '{"tokens":[1,2,3],"allowed_tokens":[7,9]}'
 //   curl -s localhost:8080/v1/requests/req-1
 //   curl -s localhost:8080/v1/replicas

@@ -11,7 +11,6 @@
 #include <string>
 #include <string_view>
 #include <utility>
-#include <variant>
 
 namespace prefillonly {
 
@@ -96,39 +95,38 @@ class Status {
 template <typename T>
 class Result {
  public:
-  Result(T value) : data_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
-  Result(Status status) : data_(std::move(status)) {  // NOLINT(google-explicit-constructor)
-    assert(!std::get<Status>(data_).ok());
+  Result(T value) : value_(std::move(value)) {}  // NOLINT(google-explicit-constructor)
+  Result(Status status) : status_(std::move(status)) {  // NOLINT(google-explicit-constructor)
+    assert(!status_.ok());
   }
 
-  bool ok() const { return std::holds_alternative<T>(data_); }
+  bool ok() const { return value_.has_value(); }
 
-  const Status& status() const {
-    static const Status kOk;
-    if (ok()) {
-      return kOk;
-    }
-    return std::get<Status>(data_);
-  }
+  // OK while a value is held.
+  const Status& status() const { return status_; }
 
   // Precondition: ok().
   T& value() {
     assert(ok());
-    return std::get<T>(data_);
+    return *value_;
   }
   const T& value() const {
     assert(ok());
-    return std::get<T>(data_);
+    return *value_;
   }
   T&& take() {
     assert(ok());
-    return std::move(std::get<T>(data_));
+    return std::move(*value_);
   }
 
   const T& value_or(const T& fallback) const { return ok() ? value() : fallback; }
 
  private:
-  std::variant<T, Status> data_;
+  // Both members are always constructed (a std::variant<T, Status> left the
+  // Status uninitialised while a value was held, and GCC 12 then warned
+  // -Wmaybe-uninitialized about destroying it on a path it cannot rule out).
+  Status status_;
+  std::optional<T> value_;
 };
 
 }  // namespace prefillonly

@@ -122,10 +122,13 @@ class Parser {
 
   Result<Json> ParseObject() {
     Consume('{');
-    Json::Object object;
+    // Built in place inside the Result: moving a finished Json into one
+    // trips GCC 12's -Wmaybe-uninitialized on the moved-from temporary.
+    Result<Json> out = Json(Json::Object());
+    Json::Object& object = out.value().MutableObject();
     SkipWhitespace();
     if (Consume('}')) {
-      return Json(std::move(object));
+      return out;
     }
     while (true) {
       SkipWhitespace();
@@ -147,7 +150,7 @@ class Parser {
         continue;
       }
       if (Consume('}')) {
-        return Json(std::move(object));
+        return out;
       }
       return Fail("expected ',' or '}' in object");
     }
@@ -331,7 +334,7 @@ std::string Json::Serialize() const {
   } else if (is_string()) {
     SerializeString(AsString(), out);
   } else if (is_array()) {
-    out = "[";
+    out += '[';
     const auto& array = AsArray();
     for (size_t i = 0; i < array.size(); ++i) {
       if (i > 0) {
@@ -341,7 +344,7 @@ std::string Json::Serialize() const {
     }
     out += "]";
   } else {
-    out = "{";
+    out += '{';
     bool first = true;
     for (const auto& [key, value] : AsObject()) {
       if (!first) {

@@ -27,6 +27,15 @@
 // Cross-backend, FMA fuses what the scalar backend rounds twice and the
 // reductions reassociate — so AVX2 output is tolerance-close to scalar,
 // not bit-equal. That trade is the whole point of the two-tier contract.
+//
+// kAvx2 is a bit contract, served by 8- or 16-lane kernels. These per-lane
+// op chains are what the backend promises, not the 8-lane width: on a CPU
+// with AVX-512F, GetKernelOps(kAvx2) swaps in the 16-lane packed GEMM,
+// packed GEMV and attention_rows of ops_avx512.cc, which issue the same
+// chains per element (and keep the softmax sum in the 8-lane striped order
+// below, the one step whose order the width would otherwise change). Any
+// change to an op sequence here must be mirrored there;
+// KernelParityTest.Avx512* memcmp the two tables.
 #include "src/tensor/ops_dispatch.h"
 
 #if defined(__AVX2__) && defined(__FMA__)

@@ -294,6 +294,9 @@ KernelBackend ResolveKernelBackend(KernelBackend requested) {
 const KernelOps* GetKernelOps(KernelBackend backend) {
   switch (ResolveKernelBackend(backend)) {
     case KernelBackend::kAvx2: {
+      if (const KernelOps* wide = GetAvx512KernelOps()) {
+        return wide;  // same contract and bits, 16 lanes
+      }
       const KernelOps* avx2 = GetAvx2KernelOps();
       assert(avx2 != nullptr);  // ResolveKernelBackend guaranteed availability
       return avx2;

@@ -9,7 +9,12 @@
 //     compiled in its own TU with -mavx2 -mfma), plus packed-weight GEMM
 //     kernels over the panel-major layout of src/tensor/prepack.h.
 //     Available when the TU was built with AVX2 support AND the CPU
-//     reports AVX2+FMA at runtime.
+//     reports AVX2+FMA at runtime. kAvx2 is a bit contract, served by 8-
+//     or 16-lane kernels: on a CPU with AVX-512F, GetKernelOps(kAvx2)
+//     returns a copy of the 8-lane table whose packed GEMM, packed GEMV
+//     and attention_rows slots are 16-lane kernels (src/tensor/
+//     ops_avx512.cc) issuing the same per-lane op chains — same name,
+//     same bits, same golden fingerprints.
 //
 // A backend is a table of function pointers over SERIAL range kernels; all
 // threading/partitioning stays in ops.cc, shared by every backend. That is
@@ -130,8 +135,8 @@ struct KernelOps {
   // free; the per-element float operations are not. `scores` is a scratch
   // row of at least q_pos0 + r1 floats; a backend that needs more scratch
   // (packed K/V, one score row per head) keeps it thread-local and
-  // untracked, no larger than one KV head's keys and values plus one score
-  // row per head of the largest call the thread has run.
+  // untracked, no larger than one KV head's keys and values plus two score
+  // rows per head of the largest call the thread has run.
   void (*attention_rows)(const AttentionArgs& args, int64_t r0, int64_t r1,
                          int64_t h0, int64_t h1, float* scores);
 };
@@ -158,8 +163,16 @@ const char* KernelBackendName(KernelBackend backend);
 std::optional<KernelBackend> ParseKernelBackend(std::string_view name);
 
 // Implemented in ops_avx2.cc; null when that TU was built without AVX2
-// support (non-x86 target or compiler lacking -mavx2/-mfma).
+// support (non-x86 target or compiler lacking -mavx2/-mfma). The 8-lane
+// kAvx2 table.
 const KernelOps* GetAvx2KernelOps();
+
+// Implemented in ops_avx512.cc: the 16-lane kAvx2 table, which
+// GetKernelOps(kAvx2) hands out in place of the 8-lane one; null unless
+// the 8-lane table is available and the CPU reports AVX-512F. Internal:
+// tests compare it bitwise against GetAvx2KernelOps(), and nothing but the
+// CPU selects it.
+const KernelOps* GetAvx512KernelOps();
 
 }  // namespace prefillonly
 

@@ -11,7 +11,8 @@
 // the CI matrix exercises them per backend. The attention kernel is the
 // exception in the other direction: every available backend's
 // attention_rows is checked bitwise against that backend's own per-key
-// composition.
+// composition. On an AVX-512F CPU the kAvx2 table is served by 16-lane
+// kernels; the Avx512* tests below hold them to the 8-lane kernels' bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,8 @@
 #include "src/tensor/ops.h"
 #include "src/tensor/ops_dispatch.h"
 #include "src/tensor/ops_ref.h"
+#include "src/tensor/prepack.h"
+#include "src/tensor/tracking_allocator.h"
 
 namespace prefillonly {
 namespace {
@@ -463,6 +466,138 @@ TEST(KernelParityTest, AttentionRowsMatchesPerKeyCompositionBitwise) {
         RunAttentionRows(ops, data, got, 0, c.q_rows, 1);
         EXPECT_TRUE(BitsEqual(want, got)) << label << " (one head per call)";
       }
+    }
+  }
+}
+
+// ------------------------------------------- 16-lane vs 8-lane avx2 tables
+//
+// The 16-lane kernels (src/tensor/ops_avx512.cc) serve the same kAvx2 bit
+// contract as the 8-lane ones, so every output must memcmp equal to the
+// 8-lane table's over GEMM tile remainders, partial and odd panel counts,
+// GEMV panel splits and every attention tiling edge.
+
+#define PO_SKIP_WITHOUT_AVX512()                                              \
+  if (GetAvx512KernelOps() == nullptr) {                                      \
+    GTEST_SKIP() << "host lacks AVX-512F (or AVX2+FMA); the kAvx2 table is "  \
+                    "8-lane only here";                                       \
+  }
+
+// Output buffers start as this sentinel, so a kernel that writes outside
+// its range (or skips part of it) differs from one that does not.
+constexpr float kSentinel = -7.0f;
+
+TEST(KernelParityTest, Avx512PackedGemmMatchesAvx2Bitwise) {
+  PO_SKIP_WITHOUT_AVX512();
+  const KernelOps* narrow = GetAvx2KernelOps();
+  const KernelOps* wide = GetAvx512KernelOps();
+  std::vector<int64_t> ms = {64};
+  for (int64_t m = 1; m <= 13; ++m) {
+    ms.push_back(m);
+  }
+  uint64_t seed = 600;
+  for (const int64_t k : {1, 7, 128, 448}) {
+    for (const int64_t n : {1, 15, 16, 17, 31, 33, 128, 896}) {
+      const auto b = RandomVec(k * n, seed++);
+      TrackingAllocator alloc;
+      const PackedMatrix packed = PackWeights(alloc, b.data(), k, n, "test.pack");
+      for (const int64_t m : ms) {
+        const auto a = RandomVec(m * k, seed++);
+        // Whole range, then r0 > 0 (odd and even) so tiles start off the
+        // 6-row grid.
+        for (const int64_t r0 : {int64_t{0}, int64_t{1}, int64_t{4}}) {
+          if (r0 >= m) {
+            continue;
+          }
+          std::vector<float> want(static_cast<size_t>(m * n), kSentinel);
+          std::vector<float> got = want;
+          narrow->matmul_rows_packed(a.data(), packed, want.data(), r0, m);
+          wide->matmul_rows_packed(a.data(), packed, got.data(), r0, m);
+          EXPECT_TRUE(BitsEqual(want, got))
+              << "m=" << m << " k=" << k << " n=" << n << " rows [" << r0 << ", " << m
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, Avx512PackedGemvMatchesAvx2BitwiseOverEveryPanelSplit) {
+  PO_SKIP_WITHOUT_AVX512();
+  const KernelOps* narrow = GetAvx2KernelOps();
+  const KernelOps* wide = GetAvx512KernelOps();
+  uint64_t seed = 700;
+  for (const int64_t k : {1, 7, 128, 448}) {
+    for (const int64_t n : {1, 15, 16, 17, 31, 33, 128, 896}) {
+      const auto a = RandomVec(k, seed++);
+      const auto b = RandomVec(k * n, seed++);
+      TrackingAllocator alloc;
+      const PackedMatrix packed = PackWeights(alloc, b.data(), k, n, "test.pack");
+      const int64_t n_panels = packed.n_panels();
+      std::vector<float> want(static_cast<size_t>(n));
+      std::vector<float> got(static_cast<size_t>(n));
+      for (int64_t p0 = 0; p0 <= n_panels; ++p0) {
+        for (int64_t p1 = p0; p1 <= n_panels; ++p1) {
+          std::fill(want.begin(), want.end(), kSentinel);
+          std::fill(got.begin(), got.end(), kSentinel);
+          narrow->matmul_panels_packed(a.data(), packed, want.data(), p0, p1);
+          wide->matmul_panels_packed(a.data(), packed, got.data(), p0, p1);
+          ASSERT_TRUE(BitsEqual(want, got))
+              << "k=" << k << " n=" << n << " panels [" << p0 << ", " << p1 << ")";
+        }
+      }
+    }
+  }
+}
+
+// Every call shape RunAttentionRows offers, plus one-row calls (every r0,
+// odd ones included) and a split at an odd row.
+TEST(KernelParityTest, Avx512AttentionRowsMatchesAvx2Bitwise) {
+  PO_SKIP_WITHOUT_AVX512();
+  const KernelOps* narrow = GetAvx2KernelOps();
+  const KernelOps* wide = GetAvx512KernelOps();
+  // head_dim 16 takes the 16-lane kernel; 10, 24 and 32 delegate to the
+  // 8-lane one. q_pos0 = 0 with 67 rows covers key counts 1..67, 500 rows
+  // the benchmark's prompt length; groups of 3, 4 and 5 query heads per KV
+  // head leave every head-blocking remainder.
+  const AttentionCase cases[] = {
+      {16, 8, 2, 0, 67},  {16, 6, 2, 0, 67},  {16, 10, 2, 0, 67}, {16, 8, 2, 29, 38},
+      {16, 8, 2, 0, 500}, {16, 4, 4, 3, 1},   {16, 5, 1, 17, 2},  {10, 8, 2, 0, 67},
+      {24, 6, 2, 5, 9},   {32, 10, 2, 13, 21},
+  };
+  uint64_t seed = 800;
+  for (const AttentionCase& c : cases) {
+    const int64_t total = c.q_pos0 + c.q_rows;
+    for (const int64_t n_prefix : {int64_t{0}, total / 2, total}) {
+      AttentionData data(c, n_prefix, seed += 10);
+      const std::string label = "head_dim=" + std::to_string(c.head_dim) + " heads=" +
+                                std::to_string(c.n_heads) + "/" +
+                                std::to_string(c.n_kv_heads) + " q_pos0=" +
+                                std::to_string(c.q_pos0) + " rows=" +
+                                std::to_string(c.q_rows) + " n_prefix=" +
+                                std::to_string(n_prefix);
+      std::vector<float> want = data.NewOutput();
+      RunAttentionRows(narrow, data, want, 0, c.q_rows, c.n_heads);
+
+      std::vector<float> got = data.NewOutput();
+      RunAttentionRows(wide, data, got, 0, c.q_rows, c.n_heads);
+      EXPECT_TRUE(BitsEqual(want, got)) << label << " (one call per group)";
+
+      got = data.NewOutput();
+      RunAttentionRows(wide, data, got, 0, c.q_rows, 1);
+      EXPECT_TRUE(BitsEqual(want, got)) << label << " (one head per call)";
+
+      got = data.NewOutput();
+      for (int64_t i = 0; i < c.q_rows; ++i) {
+        RunAttentionRows(wide, data, got, i, i + 1, c.n_heads);
+      }
+      EXPECT_TRUE(BitsEqual(want, got)) << label << " (one row per call)";
+
+      got = data.NewOutput();
+      const int64_t odd = std::min<int64_t>(3, c.q_rows);
+      RunAttentionRows(wide, data, got, 0, odd, c.n_heads);
+      RunAttentionRows(wide, data, got, odd, c.q_rows, c.n_heads);
+      EXPECT_TRUE(BitsEqual(want, got)) << label << " (rows split at " << odd << ")";
     }
   }
 }
