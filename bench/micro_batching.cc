@@ -23,6 +23,7 @@
 // packing metric is lane occupancy in the currency that costs money —
 // miss tokens per dispatched batch — and the run FAILS (exit 1) if packing
 // admits fewer miss-tokens per batch than the bucket rule on this workload.
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -70,6 +71,38 @@ std::vector<ScoringRequest> BenchWorkload(int n_requests, int64_t n_tokens) {
   return requests;
 }
 
+// Queues `workload` while the runtime is stopped, then times StartWorker()
+// + StopWorker() draining it. With one executor lane every decision sees
+// the full remaining queue, so batch formation is deterministic. Exits if a
+// request is refused or fails.
+double DrainSeconds(Engine& engine, const std::vector<ScoringRequest>& workload) {
+  std::atomic<int> failed{0};
+  const Engine::GroupCallback hook = [&failed](size_t, const Result<ScoringResponse>& r) {
+    if (!r.ok()) {
+      ++failed;
+    }
+  };
+  for (const auto& request : workload) {
+    if (auto submitted = engine.SubmitGroupAsync({request}, hook); !submitted.ok()) {
+      std::fprintf(stderr, "submit failed: %s\n", submitted.status().ToString().c_str());
+      std::exit(1);
+    }
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  if (Status started = engine.StartWorker(); !started.ok()) {
+    std::fprintf(stderr, "StartWorker failed: %s\n", started.ToString().c_str());
+    std::exit(1);
+  }
+  engine.StopWorker();
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  if (failed.load() > 0) {
+    std::fprintf(stderr, "%d requests failed\n", failed.load());
+    std::exit(1);
+  }
+  return elapsed;
+}
+
 struct Point {
   std::string backend;
   int64_t prompt_len = 0;
@@ -80,30 +113,16 @@ struct Point {
   double occupancy = 0.0;
 };
 
-// Drains the whole backlog through RunPending (deterministic batch
-// formation: every decision sees the full remaining queue).
 Point RunOnce(KernelBackend backend, const std::vector<ScoringRequest>& workload,
               int max_batch) {
   Engine engine(BenchOptions(backend, max_batch));
-  for (const auto& request : workload) {
-    auto id = engine.Submit(request);
-    (void)id;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto responses = engine.RunPending();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  if (!responses.ok()) {
-    std::fprintf(stderr, "RunPending failed: %s\n",
-                 responses.status().ToString().c_str());
-    std::exit(1);
-  }
+  const double elapsed = DrainSeconds(engine, workload);
   const EngineStats stats = engine.stats();
   Point p;
   p.backend = KernelBackendName(engine.model().kernel_backend());
   p.prompt_len = static_cast<int64_t>(workload[0].tokens.size());
   p.max_batch = max_batch;
-  p.requests = static_cast<int>(responses.value().size());
+  p.requests = static_cast<int>(stats.completed);
   p.seconds = elapsed;
   p.prefills_per_s = static_cast<double>(p.requests) / elapsed;
   p.occupancy = stats.batches_dispatched > 0
@@ -154,26 +173,14 @@ MixedPoint RunMixedOnce(KernelBackend backend,
   EngineOptions options = BenchOptions(backend, max_batch);
   options.batch_packing = packing;
   Engine engine(options);
-  for (const auto& request : workload) {
-    auto id = engine.Submit(request);
-    (void)id;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto responses = engine.RunPending();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  if (!responses.ok()) {
-    std::fprintf(stderr, "RunPending failed: %s\n",
-                 responses.status().ToString().c_str());
-    std::exit(1);
-  }
+  const double elapsed = DrainSeconds(engine, workload);
   const EngineStats stats = engine.stats();
   MixedPoint p;
   p.backend = KernelBackendName(engine.model().kernel_backend());
   p.packing = BatchPackingName(packing);
   p.max_batch = max_batch;
   p.seconds = elapsed;
-  p.prefills_per_s = static_cast<double>(responses.value().size()) / elapsed;
+  p.prefills_per_s = static_cast<double>(stats.completed) / elapsed;
   p.batches = stats.batches_dispatched;
   p.occupancy = stats.batches_dispatched > 0
                     ? static_cast<double>(stats.batched_requests) /

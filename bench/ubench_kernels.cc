@@ -11,15 +11,20 @@
 //     Where the host has AVX-512F, the avx2 backend's two tables — 8-lane
 //     (ops_avx2.cc) and 16-lane (ops_avx512.cc), same bits — are both timed
 //     on the packed GEMM at the small model's chunk shapes and on
-//     attention_rows; each point records its table's `lanes`. Written
-//     machine-readably to BENCH_kernels.json with the host's nproc, CPU and ISA
-//     (and echoed as a table).
+//     attention_rows; each point records its table's `lanes`. Each point is
+//     timed over kRepeats repeats and records their median and quartiles;
+//     the headline single-thread speedup over the scalar blocked GEMM is the
+//     median of per-repeat ratios, with the two kernels timed alternately.
+//     Written machine-readably to BENCH_kernels.json with po_bench's
+//     provenance header (host.h: git sha, nproc, CPU, ISA, backend, build
+//     type, compiler) and echoed as a table.
 //     docs/PERFORMANCE.md and the CI regression check read this file; a
 //     copy is checked into the repo root so the perf trajectory is
 //     diffable per PR.
 //  2. With google-benchmark available (PO_HAVE_GBENCH) and `--gbench`:
 //     the original regression-tracking microbenchmarks over tensor kernels,
 //     prefix-cache operations, scheduler decisions and end-to-end prefill.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -72,27 +77,61 @@ void SeedMatMul(const float* a, const float* b, float* c, int64_t m, int64_t k,
   }
 }
 
-// Best-of-reps wall time of fn(), with enough inner iterations to pass
-// min_seconds per rep.
+// Repeats per timed point. Host drift between repeats shows up as spread
+// instead of as a better or worse best-of.
+constexpr int kRepeats = 7;
+// Each repeat runs enough calls to last at least this long.
+constexpr double kRepeatSeconds = 0.05;
+
+using Clock = std::chrono::steady_clock;
+
+// Median and quartiles of a sample (linear interpolation between ranks).
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+Spread Quartiles(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  auto at = [&](double p) {
+    const double rank = p * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<size_t>(rank);
+    const size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (rank - static_cast<double>(lo)) * (samples[hi] - samples[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+// One warm-up call, then the number of calls a repeat needs to last
+// kRepeatSeconds.
 template <typename Fn>
-double TimeSeconds(const Fn& fn, double min_seconds = 0.1, int reps = 3) {
-  using Clock = std::chrono::steady_clock;
-  // Warm-up + calibration.
-  auto t0 = Clock::now();
+int CallsPerRepeat(const Fn& fn) {
+  const auto t0 = Clock::now();
   fn();
-  double once = std::chrono::duration<double>(Clock::now() - t0).count();
-  const int iters = once > 0 ? std::max(1, static_cast<int>(min_seconds / once)) : 1;
-  double best = 1e100;
-  for (int r = 0; r < reps; ++r) {
-    t0 = Clock::now();
-    for (int it = 0; it < iters; ++it) {
-      fn();
-    }
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - t0).count() / iters;
-    best = std::min(best, elapsed);
+  const double once = std::chrono::duration<double>(Clock::now() - t0).count();
+  return once > 0 ? std::max(1, static_cast<int>(kRepeatSeconds / once)) : 1;
+}
+
+// Seconds per call of fn(), averaged over one repeat of `calls` calls.
+template <typename Fn>
+double TimeRepeat(const Fn& fn, int calls) {
+  const auto t0 = Clock::now();
+  for (int i = 0; i < calls; ++i) {
+    fn();
   }
-  return best;
+  return std::chrono::duration<double>(Clock::now() - t0).count() / calls;
+}
+
+// Seconds per call of fn() over kRepeats repeats.
+template <typename Fn>
+Spread TimeSeconds(const Fn& fn) {
+  const int calls = CallsPerRepeat(fn);
+  std::vector<double> seconds;
+  for (int r = 0; r < kRepeats; ++r) {
+    seconds.push_back(TimeRepeat(fn, calls));
+  }
+  return Quartiles(std::move(seconds));
 }
 
 struct KernelPoint {
@@ -104,10 +143,33 @@ struct KernelPoint {
   // 8-lane kernels); 1 = scalar or shared code.
   int lanes;
   int threads;
-  double gflops;
-  double gbps;  // nominal traffic (inputs read once + outputs written once)
-  double seconds;
+  double flops;  // per call
+  double bytes;  // nominal traffic (inputs read once + outputs written once)
+  Spread seconds;  // per call
+
+  // GFLOP/s at the median time and at the quartile times (the slower
+  // quartile gives the lower rate).
+  Spread Gflops() const {
+    return {flops / seconds.q3 * 1e-9, flops / seconds.median * 1e-9,
+            flops / seconds.q1 * 1e-9};
+  }
+  double Gbps() const { return bytes / seconds.median * 1e-9; }
 };
+
+// The first line `command` prints; empty if it fails or prints nothing.
+std::string CommandOutput(const char* command) {
+  FILE* pipe = popen(command, "r");
+  if (pipe == nullptr) {
+    return "";
+  }
+  char buf[256] = {};
+  std::string out = std::fgets(buf, sizeof(buf), pipe) != nullptr ? buf : "";
+  pclose(pipe);
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out;
+}
 
 // Kernel backends the CPU can run, in fixed sweep order. The avx2
 // entry is the table the engine runs (16-lane where the CPU has AVX-512F).
@@ -144,11 +206,10 @@ void RunJsonSweep(const char* json_path) {
   const std::vector<int> thread_counts = {1, 2, 4, 8};
   const auto backends = AvailableBackends();
 
-  // Single-thread MatMul GFLOP/s per (backend, variant) at the headline
-  // shape, for the speedup summary.
-  double st_scalar_blocked = 0.0;
-  double st_best = 0.0;
+  // The fastest single-thread MatMul at the headline shape, and its
+  // speedup over the scalar blocked kernel.
   std::string st_best_name;
+  Spread st_speedup;
 
   // MatMul at an engine-ish shape (chunk of 256 tokens, hidden 512 — the
   // model's GEMM regime: every projection is [chunk, h] x [h, width]).
@@ -171,38 +232,68 @@ void RunJsonSweep(const char* json_path) {
     TrackingAllocator pack_alloc;
     const PackedMatrix packed = PackWeights(pack_alloc, b.data(), k, n, "bench.pack");
 
-    double s = TimeSeconds([&] { SeedMatMul(a.data(), b.data(), c.data(), m, k, n); });
+    Spread s = TimeSeconds([&] { SeedMatMul(a.data(), b.data(), c.data(), m, k, n); });
     points.push_back(
-        {"matmul", "seed_scalar", "scalar", 1, 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"matmul", "seed_scalar", "scalar", 1, 1, flops, bytes, s});
     s = TimeSeconds([&] { ref::MatMul(a.data(), b.data(), c.data(), m, k, n); });
     points.push_back(
-        {"matmul", "ref_scalar", "scalar", 1, 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"matmul", "ref_scalar", "scalar", 1, 1, flops, bytes, s});
+    // Single-thread candidates for the headline: the kernel with the
+    // lowest median time.
+    const KernelOps* best_ops = nullptr;
+    bool best_packed = false;
+    double best_seconds = 0.0;
+    auto consider = [&](const KernelOps* ops, bool is_packed, const Spread& t) {
+      if (best_ops == nullptr || t.median < best_seconds) {
+        best_ops = ops;
+        best_packed = is_packed;
+        best_seconds = t.median;
+      }
+    };
     for (const KernelOps* ops : backends) {
       for (int t : thread_counts) {
         ThreadPool pool(t);
         s = TimeSeconds(
             [&] { MatMul(a.data(), b.data(), c.data(), m, k, n, &pool, ops); });
-        points.push_back({"matmul", "blocked", ops->name, Lanes(ops), t, flops / s * 1e-9,
-                          bytes / s * 1e-9, s});
-        if (t == 1 && ops->backend == KernelBackend::kScalar) {
-          st_scalar_blocked = flops / s * 1e-9;
-        }
-        if (t == 1 && flops / s * 1e-9 > st_best) {
-          st_best = flops / s * 1e-9;
-          st_best_name = std::string(ops->name) + "/blocked";
+        points.push_back({"matmul", "blocked", ops->name, Lanes(ops), t, flops, bytes, s});
+        if (t == 1) {
+          consider(ops, false, s);
         }
         if (ops->gemm_layout != GemmLayout::kPacked) {
           continue;  // packed kernels exist only where the layout policy uses them
         }
         s = TimeSeconds([&] { MatMulPacked(a.data(), packed, c.data(), m, &pool, ops); });
-        points.push_back({"matmul", "packed", ops->name, Lanes(ops), t, flops / s * 1e-9,
-                          bytes / s * 1e-9, s});
-        if (t == 1 && flops / s * 1e-9 > st_best) {
-          st_best = flops / s * 1e-9;
-          st_best_name = std::string(ops->name) + "/packed";
+        points.push_back({"matmul", "packed", ops->name, Lanes(ops), t, flops, bytes, s});
+        if (t == 1) {
+          consider(ops, true, s);
         }
       }
     }
+
+    // The headline ratio: the scalar blocked kernel and the best one run
+    // alternately, one repeat each, so drift of the host between repeats
+    // moves both sides of each ratio.
+    ThreadPool serial(1);
+    const KernelOps* scalar = GetKernelOps(KernelBackend::kScalar);
+    auto scalar_call = [&] {
+      MatMul(a.data(), b.data(), c.data(), m, k, n, &serial, scalar);
+    };
+    auto best_call = [&] {
+      if (best_packed) {
+        MatMulPacked(a.data(), packed, c.data(), m, &serial, best_ops);
+      } else {
+        MatMul(a.data(), b.data(), c.data(), m, k, n, &serial, best_ops);
+      }
+    };
+    const int scalar_calls = CallsPerRepeat(scalar_call);
+    const int best_calls = CallsPerRepeat(best_call);
+    std::vector<double> ratios;
+    for (int r = 0; r < kRepeats; ++r) {
+      const double scalar_s = TimeRepeat(scalar_call, scalar_calls);
+      ratios.push_back(scalar_s / TimeRepeat(best_call, best_calls));
+    }
+    st_speedup = Quartiles(std::move(ratios));
+    st_best_name = std::string(best_ops->name) + (best_packed ? "/packed" : "/blocked");
   }
 
   // RoPE: recompute (seed) vs precomputed table; shared across backends
@@ -224,10 +315,10 @@ void RunJsonSweep(const char* json_path) {
     for (int64_t i = 0; i < rows; ++i) {
       positions[static_cast<size_t>(i)] = static_cast<int32_t>(i);
     }
-    double s = TimeSeconds(
+    Spread s = TimeSeconds(
         [&] { ref::ApplyRope(x.data(), rows, n_heads, head_dim, positions, 10000.0f); });
     points.push_back(
-        {"rope", "seed_recompute", "shared", 1, 1, flops / s * 1e-9, bytes / s * 1e-9,
+        {"rope", "seed_recompute", "shared", 1, 1, flops, bytes,
          s});
     RopeTable table(head_dim, 10000.0f);
     table.EnsureCapacity(rows);
@@ -237,7 +328,7 @@ void RunJsonSweep(const char* json_path) {
           [&] { ApplyRopeWithTable(x.data(), rows, n_heads, head_dim, positions, table,
                                    &pool); });
       points.push_back(
-          {"rope", "table", "shared", 1, t, flops / s * 1e-9, bytes / s * 1e-9, s});
+          {"rope", "table", "shared", 1, t, flops, bytes, s});
     }
   }
 
@@ -254,16 +345,16 @@ void RunJsonSweep(const char* json_path) {
     for (auto& v : x) {
       v = rng.NextUniformFloat(1.0f);
     }
-    double s = TimeSeconds([&] { ref::RmsNormRows(x.data(), w.data(), y.data(), m, h); });
+    Spread s = TimeSeconds([&] { ref::RmsNormRows(x.data(), w.data(), y.data(), m, h); });
     points.push_back(
-        {"rmsnorm", "ref_scalar", "scalar", 1, 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"rmsnorm", "ref_scalar", "scalar", 1, 1, flops, bytes, s});
     for (const KernelOps* ops : backends) {
       for (int t : thread_counts) {
         ThreadPool pool(t);
         s = TimeSeconds(
             [&] { RmsNormRows(x.data(), w.data(), y.data(), m, h, 1e-5f, &pool, ops); });
         points.push_back({"rmsnorm", "row_parallel", ops->name, Lanes(ops), t,
-                          flops / s * 1e-9, bytes / s * 1e-9, s});
+                          flops, bytes, s});
       }
     }
   }
@@ -280,16 +371,16 @@ void RunJsonSweep(const char* json_path) {
     for (auto& v : gate_up) {
       v = rng.NextUniformFloat(1.0f);
     }
-    double s = TimeSeconds([&] { ref::SwiGluRows(gate_up.data(), out.data(), m, inter); });
+    Spread s = TimeSeconds([&] { ref::SwiGluRows(gate_up.data(), out.data(), m, inter); });
     points.push_back(
-        {"swiglu", "ref_scalar", "scalar", 1, 1, flops / s * 1e-9, bytes / s * 1e-9, s});
+        {"swiglu", "ref_scalar", "scalar", 1, 1, flops, bytes, s});
     for (const KernelOps* ops : backends) {
       for (int t : thread_counts) {
         ThreadPool pool(t);
         s = TimeSeconds(
             [&] { SwiGluRows(gate_up.data(), out.data(), m, inter, &pool, ops); });
         points.push_back({"swiglu", "row_parallel", ops->name, Lanes(ops), t,
-                          flops / s * 1e-9, bytes / s * 1e-9, s});
+                          flops, bytes, s});
       }
     }
   }
@@ -326,15 +417,14 @@ void RunJsonSweep(const char* json_path) {
         variant += shape.name;
         variant += "_m" + std::to_string(m);
         for (const KernelOps* ops : Avx2Tables()) {
-          const double s = TimeSeconds([&] {
+          const Spread s = TimeSeconds([&] {
             if (m == 1) {
               ops->matmul_panels_packed(a.data(), packed, c.data(), 0, packed.n_panels());
             } else {
               ops->matmul_rows_packed(a.data(), packed, c.data(), 0, m);
             }
           });
-          points.push_back({"matmul", variant, ops->name, Lanes(ops), 1, flops / s * 1e-9,
-                            bytes / s * 1e-9, s});
+          points.push_back({"matmul", variant, ops->name, Lanes(ops), 1, flops, bytes, s});
         }
       }
     }
@@ -380,7 +470,7 @@ void RunJsonSweep(const char* json_path) {
       tables.push_back(ops);
     }
     for (const KernelOps* ops : tables) {
-      double s = TimeSeconds([&] {
+      Spread s = TimeSeconds([&] {
         for (int64_t i = 0; i < positions; ++i) {
           for (int64_t h = 0; h < n_heads; ++h) {
             const float* qv = q.data() + i * qs + h * d;
@@ -399,7 +489,7 @@ void RunJsonSweep(const char* json_path) {
         }
       });
       points.push_back({"attention", "per_key" + variant_suffix, ops->name, Lanes(ops), 1,
-                        flops / s * 1e-9, bytes / s * 1e-9, s});
+                        flops, bytes, s});
       s = TimeSeconds([&] {
         for (int64_t g = 0; g < n_kv; ++g) {
           ops->attention_rows(args, 0, positions, g * group, (g + 1) * group,
@@ -407,47 +497,56 @@ void RunJsonSweep(const char* json_path) {
         }
       });
       points.push_back({"attention", "rows" + variant_suffix, ops->name, Lanes(ops), 1,
-                        flops / s * 1e-9, bytes / s * 1e-9, s});
+                        flops, bytes, s});
     }
   }
 
-  std::printf("%-10s %-18s %-8s %5s %8s %12s %12s %12s\n", "kernel", "variant",
-              "backend", "lanes", "threads", "GFLOP/s", "GB/s", "sec/call");
+  std::printf("%-10s %-18s %-8s %5s %8s %12s %21s %12s %12s\n", "kernel", "variant",
+              "backend", "lanes", "threads", "GFLOP/s", "[q1, q3]", "GB/s", "sec/call");
   for (const auto& p : points) {
-    std::printf("%-10s %-18s %-8s %5d %8d %12.3f %12.3f %12.6f\n", p.kernel.c_str(),
-                p.variant.c_str(), p.backend.c_str(), p.lanes, p.threads, p.gflops,
-                p.gbps, p.seconds);
+    const Spread gflops = p.Gflops();
+    std::printf("%-10s %-18s %-8s %5d %8d %12.3f [%9.3f, %9.3f] %12.3f %12.6f\n",
+                p.kernel.c_str(), p.variant.c_str(), p.backend.c_str(), p.lanes, p.threads,
+                gflops.median, gflops.q1, gflops.q3, p.Gbps(), p.seconds.median);
   }
-  if (st_scalar_blocked > 0.0 && !st_best_name.empty()) {
-    std::printf(
-        "\nsingle-thread matmul (m=256,k=512,n=512): best %s at %.2f GFLOP/s = "
-        "%.2fx the scalar blocked kernel (%.2f GFLOP/s)\n",
-        st_best_name.c_str(), st_best, st_best / st_scalar_blocked,
-        st_scalar_blocked);
-  }
+  std::printf(
+      "\nsingle-thread matmul (m=256,k=512,n=512): best %s = %.2fx [q1 %.2f, q3 %.2f] "
+      "the scalar blocked kernel (median of %d alternating repeats)\n",
+      st_best_name.c_str(), st_speedup.median, st_speedup.q1, st_speedup.q3, kRepeats);
 
   FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
     return;
   }
-  // The machine probes of po_bench's provenance header (host.h).
+  // po_bench's provenance header (host.h). The sha is read from git at run
+  // time, so it names the checkout the binary runs in.
+  const po_bench::HostInfo host =
+      po_bench::ProbeHost(CommandOutput("git rev-parse HEAD 2>/dev/null"),
+                          !CommandOutput("git status --porcelain 2>/dev/null").empty());
   std::fprintf(f,
-               "{\n  \"host\": {\"nproc\": %d, \"cpu_model\": \"%s\", \"isa\": \"%s\", "
-               "\"avx2_lanes\": %d},\n"
-               "  \"avx2_available\": %s,\n  \"kernels\": [\n",
-               po_bench::VisibleCpus(), po_bench::CpuModel().c_str(),
-               po_bench::IsaFlags().c_str(),
+               "{\n  \"host\": {\"git_sha\": \"%s\", \"git_dirty\": %s, \"nproc\": %d, "
+               "\"cpu_model\": \"%s\", \"isa\": \"%s\", \"backend\": \"%s\", "
+               "\"build_type\": \"%s\", \"compiler\": \"%s\", \"avx2_lanes\": %d},\n"
+               "  \"avx2_available\": %s,\n  \"repeats\": %d,\n"
+               "  \"single_thread_matmul_speedup\": {\"best\": \"%s\", \"median\": %.4f, "
+               "\"q1\": %.4f, \"q3\": %.4f},\n  \"kernels\": [\n",
+               host.git_sha.c_str(), host.git_dirty ? "true" : "false", host.nproc,
+               host.cpu_model.c_str(), host.isa.c_str(), host.backend.c_str(),
+               host.build_type.c_str(), host.compiler.c_str(),
                Avx2Available() ? Lanes(GetKernelOps(KernelBackend::kAvx2)) : 0,
-               Avx2Available() ? "true" : "false");
+               Avx2Available() ? "true" : "false", kRepeats, st_best_name.c_str(),
+               st_speedup.median, st_speedup.q1, st_speedup.q3);
   for (size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
+    const Spread gflops = p.Gflops();
     std::fprintf(f,
                  "    {\"kernel\": \"%s\", \"variant\": \"%s\", \"backend\": \"%s\", "
-                 "\"lanes\": %d, \"threads\": %d, \"gflops\": %.4f, \"gbps\": %.4f, "
-                 "\"seconds_per_call\": %.6g}%s\n",
-                 p.kernel.c_str(), p.variant.c_str(), p.backend.c_str(), p.lanes,
-                 p.threads, p.gflops, p.gbps, p.seconds, i + 1 < points.size() ? "," : "");
+                 "\"lanes\": %d, \"threads\": %d, \"gflops\": %.4f, \"gflops_q1\": %.4f, "
+                 "\"gflops_q3\": %.4f, \"gbps\": %.4f, \"seconds_per_call\": %.6g}%s\n",
+                 p.kernel.c_str(), p.variant.c_str(), p.backend.c_str(), p.lanes, p.threads,
+                 gflops.median, gflops.q1, gflops.q3, p.Gbps(), p.seconds.median,
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

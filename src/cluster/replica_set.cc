@@ -31,8 +31,8 @@ ReplicaSet::ReplicaSet(ReplicaSetOptions options)
   for (int i = 0; i < options_.n_replicas; ++i) {
     engines_.push_back(std::make_unique<Engine>(options_.engine));
     // Every replica runs its own concurrent runtime; results come back
-    // through the per-item completion hook, so no engine callback is needed.
-    Status started = engines_.back()->StartWorker(nullptr);
+    // through the per-item completion hook.
+    Status started = engines_.back()->StartWorker();
     if (!started.ok()) {
       PO_LOG_WARNING << "replica " << i << " runtime failed to start: "
                      << started.ToString();

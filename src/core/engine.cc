@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <limits>
 
 #include "src/common/fault.h"
 #include "src/common/hash.h"
@@ -14,7 +13,7 @@ namespace prefillonly {
 
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
-      profile_activations_(options_.activation_budget_bytes),
+      scheduler_(options_.policy, options_.lambda, &estimator_, options_.batch_packing),
       epoch_(std::chrono::steady_clock::now()) {
   assert(options_.model.Valid());
   options_.max_concurrent_requests = std::max(options_.max_concurrent_requests, 1);
@@ -70,15 +69,27 @@ Engine::Engine(EngineOptions options)
       offload_payloads_.erase(*displaced);
     }
   });
-  estimator_ = std::make_unique<CacheMissProxyEstimator>();
-  scheduler_ = std::make_unique<Scheduler>(options_.policy, options_.lambda,
-                                           estimator_.get(), options_.batch_packing);
   batch_budget_ = MakeBatchBudget(options_.model, options_.mode,
                                   options_.activation_budget_bytes,
                                   options_.block_size);
 }
 
-Engine::~Engine() { StopWorker(); }
+Engine::~Engine() {
+  StopWorker();
+  // Requests admitted while the runtime was stopped and never drained:
+  // their waiters get a Status, not a broken promise, and their hooks fire.
+  std::vector<Pending> stranded;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stranded = std::move(waiting_);
+    waiting_.clear();
+    stats_.cancelled += static_cast<int64_t>(stranded.size());
+  }
+  for (Pending& pending : stranded) {
+    Fulfill(pending, Result<ScoringResponse>(
+                         Status::Cancelled("engine destroyed before dispatch")));
+  }
+}
 
 double Engine::NowSeconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - epoch_).count();
@@ -223,47 +234,6 @@ Result<std::vector<int64_t>> Engine::AdmitPendings(std::vector<Pending> pendings
   return ids;
 }
 
-Result<int64_t> Engine::Enqueue(
-    ScoringRequest request,
-    std::shared_ptr<std::promise<Result<ScoringResponse>>> promise) {
-  auto pending = MakePending(std::move(request), std::move(promise));
-  if (!pending.ok()) {
-    return pending.status();
-  }
-  std::vector<Pending> pendings;
-  pendings.push_back(pending.take());
-  auto ids = AdmitPendings(std::move(pendings));
-  if (!ids.ok()) {
-    return ids.status();
-  }
-  return ids.value()[0];
-}
-
-Result<int64_t> Engine::Submit(ScoringRequest request) {
-  return Enqueue(std::move(request), nullptr);
-}
-
-Result<Engine::ResponseFuture> Engine::SubmitAsync(ScoringRequest request) {
-  auto submission = SubmitAsyncHandle(std::move(request));
-  if (!submission.ok()) {
-    return submission.status();
-  }
-  return std::move(submission.value().future);
-}
-
-Result<Engine::AsyncSubmission> Engine::SubmitAsyncHandle(ScoringRequest request) {
-  auto promise = std::make_shared<std::promise<Result<ScoringResponse>>>();
-  ResponseFuture future = promise->get_future();
-  auto id = Enqueue(std::move(request), std::move(promise));
-  if (!id.ok()) {
-    return id.status();
-  }
-  AsyncSubmission submission;
-  submission.id = id.value();
-  submission.future = std::move(future);
-  return submission;
-}
-
 Result<std::vector<Engine::AsyncSubmission>> Engine::SubmitGroupAsync(
     std::vector<ScoringRequest> requests, GroupCallback on_done) {
   if (requests.empty()) {
@@ -405,8 +375,8 @@ std::vector<Engine::Candidate> Engine::SnapshotQueueLocked() const {
   return candidates;
 }
 
-Engine::BatchDecision Engine::PickBatchIds(const std::vector<Candidate>& candidates,
-                                           const Scheduler* scheduler) const {
+Engine::BatchDecision Engine::PickBatchIds(
+    const std::vector<Candidate>& candidates) const {
   assert(!candidates.empty());
   std::vector<SchedEntry> entries;
   entries.reserve(candidates.size());
@@ -452,8 +422,8 @@ Engine::BatchDecision Engine::PickBatchIds(const std::vector<Candidate>& candida
   // conservative by test, but blocks can still be evicted between this
   // decision and AcquirePrefix, and an overshooting stacked pass re-runs
   // its members alone.
-  const BatchPick pick = scheduler->PickBatch(entries, NowSeconds(),
-                                              options_.max_batch_size, batch_budget_);
+  const BatchPick pick = scheduler_.PickBatch(entries, NowSeconds(),
+                                             options_.max_batch_size, batch_budget_);
   BatchDecision decision;
   decision.ids.reserve(pick.picked.size());
   for (const size_t index : pick.picked) {
@@ -533,20 +503,19 @@ Engine::PrefillBatchPending Engine::DispatchStep(std::unique_lock<std::mutex>& l
     return {};
   }
   // The scheduling decision: snapshot the queue, then consult cache +
-  // scheduler with mu_ RELEASED, so Submit/stats never convoy behind an
+  // scheduler with mu_ RELEASED, so admission/stats never convoy behind an
   // in-flight prefix copy holding cache_mu_. n_cached_now is refreshed
   // against the live cache at every decision — continuous JCT calibration
   // (§6.3). Requests that arrive between snapshot and relock just wait for
   // the next decision.
   std::vector<Candidate> candidates = SnapshotQueueLocked();
-  const Scheduler* scheduler = scheduler_.get();
   lock.unlock();
   // A batched decision: the SRJF winner plus riders — the seed's co-batch
   // group-mates first, then budget-packed any-length entries (or the
   // legacy same-bucket tier under kBucket). A pick cancelled between
   // snapshot and relock simply drops out of the batch (TakeWaitingLocked
   // returns nullopt).
-  const BatchDecision decision = PickBatchIds(candidates, scheduler);
+  const BatchDecision decision = PickBatchIds(candidates);
   lock.lock();
   return TakeBatchLocked(decision);
 }
@@ -888,45 +857,6 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteLaneAndFinalize(
   return results;
 }
 
-Result<std::vector<ScoringResponse>> Engine::RunPending() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (runtime_running_) {
-    // Checked misuse: while the concurrent runtime owns the queue, a
-    // second scheduling loop would double-dispatch requests. Checked once,
-    // on entry: results of requests already executed are never thrown
-    // away mid-drain.
-    return Status::FailedPrecondition(
-        "RunPending() while the concurrent runtime is active; "
-        "use SubmitAsync()/StopWorker() instead");
-  }
-  if (profiling_) {
-    return Status::FailedPrecondition(
-        "RunPending() while ProfileJct() is in progress; retry after it returns");
-  }
-  std::vector<ScoringResponse> responses;
-  while (!waiting_.empty()) {
-    PrefillBatchPending batch = DispatchStep(lock);
-    if (batch.requests.empty()) {
-      // An expiry pass, or a StartWorker() racing mid-drain handed the
-      // picks to the dispatcher (they complete there), or a Cancel()
-      // withdrew them; either way we just stop claiming them.
-      continue;
-    }
-    lock.unlock();
-    auto batch_responses =
-        ExecuteLaneAndFinalize(std::move(batch.requests), batch.in_flight_hashes);
-    for (auto& response : batch_responses) {
-      if (response.ok()) {
-        responses.push_back(response.take());
-      } else {
-        PO_LOG_WARNING << "request failed: " << response.status().ToString();
-      }
-    }
-    lock.lock();
-  }
-  return responses;
-}
-
 Result<ScoringResponse> Engine::ScoreSync(ScoringRequest request) {
   // Through MakePending like every other frontend, so the lifecycle options
   // keep their contract here too: an already-expired deadline is rejected
@@ -951,14 +881,10 @@ Result<ScoringResponse> Engine::ScoreSync(ScoringRequest request) {
   return std::move(ExecuteLaneAndFinalize(std::move(lane), {}).front());
 }
 
-Status Engine::StartWorker(ResponseCallback callback) {
+Status Engine::StartWorker() {
   std::lock_guard<std::mutex> lock(mu_);
   if (runtime_running_) {
     return Status::FailedPrecondition("concurrent runtime is already running");
-  }
-  if (profiling_) {
-    return Status::FailedPrecondition(
-        "ProfileJct() is in progress; start the runtime after it returns");
   }
   runtime_running_ = true;
   draining_ = false;
@@ -966,8 +892,7 @@ Status Engine::StartWorker(ResponseCallback callback) {
   executors_.clear();
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
   for (int i = 0; i < options_.max_concurrent_requests; ++i) {
-    executors_.emplace_back(
-        [this, callback]() mutable { ExecutorLoop(std::move(callback)); });
+    executors_.emplace_back([this] { ExecutorLoop(); });
   }
   if (options_.watchdog_timeout_ms > 0) {
     watchdog_stop_ = false;
@@ -1047,7 +972,7 @@ void Engine::DispatcherLoop() {
   exec_queue_->Close();
 }
 
-void Engine::ExecutorLoop(ResponseCallback callback) {
+void Engine::ExecutorLoop() {
   while (auto item = exec_queue_->Pop()) {
     PrefillBatchPending batch = std::move(*item);
     const int reserve = batch.reserve_workers;
@@ -1057,25 +982,20 @@ void Engine::ExecutorLoop(ResponseCallback callback) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(FaultInjector::Global().stall_ms()));
     }
-    std::vector<Result<ScoringResponse>> responses = [&] {
+    {
       // The lease is this lane's worker partition: `reserve` workers held
       // exclusively for the whole execution (one stacked pass for the whole
       // batch), plus per-kernel borrowing of whatever is idle. Destroyed
       // (workers returned) before completion is announced, so a waiting
       // dispatchee can inherit them immediately.
       ThreadPool::Lease lease(*pool_, reserve);
-      return ExecuteLaneAndFinalize(std::move(batch.requests), batch.in_flight_hashes);
-    }();
+      ExecuteLaneAndFinalize(std::move(batch.requests), batch.in_flight_hashes);
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       --in_flight_;
     }
     dispatch_cv_.notify_all();
-    if (callback) {
-      for (auto& response : responses) {
-        callback(std::move(response));
-      }
-    }
   }
 }
 
@@ -1131,69 +1051,6 @@ Engine::HealthStatus Engine::Health() const {
   return HealthStatus::kOk;
 }
 
-Result<double> Engine::ProfileJct(int64_t max_input_len, int64_t granularity) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (runtime_running_ || profiling_) {
-      // The estimator/scheduler swap below would race with in-flight
-      // scheduling decisions (and profiling wants the machine to itself).
-      // profiling_ stays set until the swap is done; StartWorker and
-      // RunPending refuse to begin while it is.
-      return Status::FailedPrecondition(
-          "ProfileJct() while the concurrent runtime is active; "
-          "profile before StartWorker()");
-    }
-    profiling_ = true;
-  }
-  // Time real prefill passes; a zero-filled fake prefix of n_cached tokens
-  // reproduces the exact computation shape of a cache hit.
-  auto measure = [&](int64_t n_input, int64_t n_cached) -> double {
-    std::vector<int32_t> tokens(static_cast<size_t>(n_input), 1);
-    KvCacheData prefix;
-    if (n_cached > 0) {
-      prefix.n_tokens = n_cached;
-      prefix.layers.resize(static_cast<size_t>(options_.model.n_layers));
-      for (auto& layer : prefix.layers) {
-        layer.k = Tensor::Zeros(profile_activations_,
-                                {n_cached, options_.model.kv_size()}, "profile.k");
-        layer.v = Tensor::Zeros(profile_activations_,
-                                {n_cached, options_.model.kv_size()}, "profile.v");
-      }
-    }
-    PrefillOptions prefill;
-    prefill.mode = options_.mode;
-    prefill.chunk_size = options_.chunk_size;
-    auto pass = [&] {
-      auto result = model_->Prefill(tokens, n_cached > 0 ? &prefix : nullptr, prefill,
-                                    profile_activations_);
-      (void)result;
-    };
-    // One untimed warm-up, then the fastest of kTimedPasses: the minimum
-    // is the pass least disturbed by other processes on the host, whose
-    // preemptions only ever add time.
-    constexpr int kTimedPasses = 5;
-    pass();
-    double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < kTimedPasses; ++i) {
-      const double t0 = NowSeconds();
-      pass();
-      best = std::min(best, NowSeconds() - t0);
-    }
-    return best;
-  };
-  auto profiled = ProfiledJctEstimator::Profile(measure, max_input_len, granularity);
-  std::lock_guard<std::mutex> lock(mu_);
-  profiling_ = false;
-  if (!profiled.ok()) {
-    return profiled.status();
-  }
-  const double r2 = profiled.value().r_squared();
-  estimator_ = std::make_unique<ProfiledJctEstimator>(profiled.take());
-  scheduler_ = std::make_unique<Scheduler>(options_.policy, options_.lambda,
-                                           estimator_.get(), options_.batch_packing);
-  return r2;
-}
-
 Status Engine::CheckInvariants() const {
   std::lock_guard<std::mutex> lock(mu_);
   const int64_t terminal = stats_.completed + stats_.failed + stats_.cancelled +
@@ -1219,8 +1076,6 @@ Status Engine::CheckInvariants() const {
 EngineStats Engine::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   EngineStats out = stats_;
-  out.peak_activation_bytes =
-      std::max(out.peak_activation_bytes, profile_activations_.peak_bytes());
   out.faults_injected = FaultInjector::Global().total_fires();
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
   out.cache_bytes = cache_memory_.current_bytes();

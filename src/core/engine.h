@@ -26,18 +26,16 @@
 //   * constrained sampling (§2.3): probabilities over the caller's allowed
 //     token list, from a single prefill pass.
 //
-// Two frontends:
-//   * synchronous: Submit(...) then RunPending() — deterministic, used by
-//     tests and benchmarks; rejected with kFailedPrecondition while the
-//     concurrent runtime is active;
-//   * concurrent (ISSUE 2): StartWorker() spawns a dispatcher plus
-//     EngineOptions::max_concurrent_requests executor threads. The SRJF
-//     scheduler picks the next request under the dispatch lock whenever an
-//     executor slot frees, and each in-flight request runs on an elastic
-//     partition of the ThreadPool workers (ThreadPool::Lease). Responses are
-//     delivered through the optional callback and/or the std::future returned
-//     by SubmitAsync. ScoreSync remains valid while the runtime is active —
-//     it executes inline on the calling thread as one more concurrent lane.
+// One lifecycle, one way in: SubmitGroupAsync enqueues (a single request is
+// a group of one) and the concurrent runtime executes. StartWorker() spawns
+// a dispatcher plus EngineOptions::max_concurrent_requests executor threads;
+// the scheduler picks the next batch under the dispatch lock whenever an
+// executor slot frees, and each batch runs on an elastic partition of the
+// ThreadPool workers (ThreadPool::Lease). Requests admitted while the
+// runtime is stopped wait; StartWorker() then StopWorker() drains such a
+// backlog in scheduler order. Results are delivered through each request's
+// std::future and the per-item group hook. ScoreSync is the inline lane: it
+// executes on the calling thread, whether or not the runtime is active.
 //
 // Determinism contract: a request's logits are bitwise identical whether it
 // ran on 1, 4, or all workers, alone or alongside other requests
@@ -327,35 +325,22 @@ class Engine {
   const EngineOptions& options() const { return options_; }
   const LlamaModel& model() const { return *model_; }
 
-  using ResponseCallback = std::function<void(Result<ScoringResponse>)>;
   using ResponseFuture = std::future<Result<ScoringResponse>>;
 
-  // --- Synchronous frontend -------------------------------------------
-  // Validates and enqueues; returns the request id. Valid in both modes:
-  // queued requests are drained by RunPending() or, when the runtime is
-  // active, dispatched by the scheduler as executor slots free up.
-  Result<int64_t> Submit(ScoringRequest request);
-  // Schedules and executes everything queued; returns responses in
-  // completion (i.e. scheduling) order. kFailedPrecondition while the
-  // concurrent runtime is active — the dispatcher owns the queue then.
-  Result<std::vector<ScoringResponse>> RunPending();
-  // Convenience: submit one request and run it to completion on the calling
-  // thread. Safe concurrently with the runtime and with other ScoreSync
-  // calls (each lane has its own activation arena).
+  // The inline lane: admits one request and runs it to completion on the
+  // calling thread. Safe concurrently with the runtime and with other
+  // ScoreSync calls (each lane has its own activation arena).
   Result<ScoringResponse> ScoreSync(ScoringRequest request);
 
   // --- Concurrent runtime (ISSUE 2) -----------------------------------
-  // Starts the dispatcher and max_concurrent_requests executors. `callback`
-  // (may be empty) is invoked on an executor thread for every completion.
+  // Starts the dispatcher and max_concurrent_requests executors, which
+  // also pick up whatever was queued while the runtime was stopped.
   // kFailedPrecondition if already running.
-  Status StartWorker(ResponseCallback callback);
+  Status StartWorker();
   // Drains the queue and all in-flight requests, then joins the runtime.
   // Safe to call when not running (no-op) and from multiple threads.
   void StopWorker();
   bool worker_running() const;
-  // Validates and enqueues like Submit, and additionally returns a future
-  // fulfilled exactly once when the request completes (in either mode).
-  Result<ResponseFuture> SubmitAsync(ScoringRequest request);
 
   // --- Request lifecycle (ISSUE 5) ------------------------------------
   // The engine id plus the future a lifecycle client polls/cancels with.
@@ -363,34 +348,33 @@ class Engine {
     int64_t id = 0;
     ResponseFuture future;
   };
-  // SubmitAsync, with the engine id exposed for Cancel()/Phase().
-  Result<AsyncSubmission> SubmitAsyncHandle(ScoringRequest request);
-  // Atomic multi-request admission: validates EVERY request up front (none
-  // is enqueued unless all pass), then enqueues the whole group under one
-  // lock so a scheduling decision sees all members together. Groups of
-  // size >= 2 are tagged as deliberate co-batch candidates: PickBatch seeds
-  // normally, then fills lanes with the seed's group-mates regardless of
-  // their LengthBucket (the caller co-submitted them for one decision), so
+  // The one admission entry point; a single request is a group of one.
+  // Atomic admission: validates EVERY request up front (none is enqueued
+  // unless all pass), then enqueues the whole group under one lock so a
+  // scheduling decision sees all members together. Groups of size >= 2 are
+  // tagged as deliberate co-batch candidates: PickBatch seeds normally,
+  // then fills lanes with the seed's group-mates regardless of their
+  // LengthBucket (the caller co-submitted them for one decision), so
   // multi-item API calls are co-scheduled deliberately instead of
   // probabilistically. Futures/ids are index-aligned with `requests`.
-  // Per-item completion hook for group submissions (ISSUE 8). Invoked
-  // exactly once per item, with the item's index in the submitted group and
-  // its terminal result, from whichever thread finalizes the item (an
-  // executor lane, the watchdog, Cancel(), or the dispatcher's deadline
-  // sweep). Called with NO engine locks held, so the callback may call back
-  // into this or another Engine — the ReplicaSet failover path relies on
-  // exactly that. May fire before SubmitGroupAsync returns (the index, not
-  // the engine id, identifies the item for this reason).
+  // Per-item completion hook (ISSUE 8). Invoked exactly once per item, with
+  // the item's index in the submitted group and its terminal result, from
+  // whichever thread finalizes the item (an executor lane, the watchdog,
+  // Cancel(), the dispatcher's deadline sweep, or ~Engine for a request
+  // never dispatched). Called with NO engine locks held, so the callback
+  // may call back into this or another Engine — the ReplicaSet failover
+  // path relies on exactly that. May fire before SubmitGroupAsync returns
+  // (the index, not the engine id, identifies the item for this reason).
   using GroupCallback =
       std::function<void(size_t item_index, const Result<ScoringResponse>& result)>;
   Result<std::vector<AsyncSubmission>> SubmitGroupAsync(
       std::vector<ScoringRequest> requests, GroupCallback on_done = nullptr);
   // Cancels a request by engine id.
-  //  * still queued  -> dequeued, never executes; its future/callback gets
+  //  * still queued  -> dequeued, never executes; its future/hook gets
   //    kCancelled and stats().cancelled increments (completed/failed and the
   //    batch counters never see it);
   //  * in flight     -> mark-and-ignore: the prefill finishes but its result
-  //    is discarded; the future/callback gets kCancelled and
+  //    is discarded; the future/hook gets kCancelled and
   //    stats().cancelled_in_flight increments;
   //  * unknown (completed or never existed) -> kNotFound.
   Status Cancel(int64_t id);
@@ -408,13 +392,6 @@ class Engine {
   // delivered through the future, not queryable here.
   enum class RequestPhase { kUnknown, kQueued, kRunning };
   RequestPhase Phase(int64_t id) const;
-
-  // --- JCT profiling (§6.3) -------------------------------------------
-  // Times real prefill passes over an (n_input, n_cached) grid and fits the
-  // linear JCT model; on success the scheduler uses it instead of the
-  // cache-miss-token proxy. Call before StartWorker: profiling wants the
-  // machine to itself.
-  Result<double> ProfileJct(int64_t max_input_len, int64_t granularity);
 
   // Coarse serving health (ISSUE 6), the /v1/health answer: kOverloaded
   // while shedding is active; kDegraded (sticky) once the watchdog has had
@@ -445,7 +422,8 @@ class Engine {
     // Shared so scheduling snapshots can reference the chain without copying
     // it or holding mu_; immutable after construction.
     std::shared_ptr<const std::vector<uint64_t>> chain;
-    // Engaged for SubmitAsync requests; fulfilled exactly once on completion.
+    // Engaged for queued requests (null for ScoreSync, which returns its
+    // result directly); fulfilled exactly once on completion.
     std::shared_ptr<std::promise<Result<ScoringResponse>>> promise;
     // Guards that exactly-once: the finalizer and the watchdog race for the
     // exchange, the loser's set_value is dropped (ISSUE 6).
@@ -506,8 +484,6 @@ class Engine {
   // submitted counted, dispatcher notified); groups therefore become
   // visible to the scheduler atomically. Returns the assigned ids.
   Result<std::vector<int64_t>> AdmitPendings(std::vector<Pending> pendings);
-  Result<int64_t> Enqueue(ScoringRequest request,
-                          std::shared_ptr<std::promise<Result<ScoringResponse>>> promise);
   // Removes every waiting request whose deadline has lapsed; requires mu_.
   // The caller fulfills their promises (kDeadlineExceeded) WITHOUT mu_.
   std::vector<Pending> TakeExpiredLocked(double now);
@@ -559,10 +535,9 @@ class Engine {
     int64_t budget_skips = 0;
     int64_t prefix_waits = 0;
   };
-  BatchDecision PickBatchIds(const std::vector<Candidate>& candidates,
-                             const Scheduler* scheduler) const;
-  // Removes and returns the waiting request with `id`; nullopt if another
-  // drain loop claimed it meanwhile. Requires mu_.
+  BatchDecision PickBatchIds(const std::vector<Candidate>& candidates) const;
+  // Removes and returns the waiting request with `id`; nullopt if it left
+  // the queue meanwhile (Cancel, CancelIfQueued). Requires mu_.
   std::optional<Pending> TakeWaitingLocked(int64_t id);
   // Takes the decision's ids off the queue (an id cancelled since the
   // snapshot drops out), marks them running, adds the batch and packing
@@ -570,15 +545,14 @@ class Engine {
   // in_flight_blocks_, and updates the shedding state. Requires mu_ (takes
   // cache_mu_ inside).
   PrefillBatchPending TakeBatchLocked(const BatchDecision& decision);
-  // The one dispatch step both drain loops (RunPending, DispatcherLoop)
-  // share; requires a non-empty queue and `lock` held on mu_, and returns
-  // with it held. Fails every lapsed request and returns an empty batch
+  // One dispatch step of DispatcherLoop; requires a non-empty queue and
+  // `lock` held on mu_, and returns with it held. Fails every lapsed request and returns an empty batch
   // (the caller re-checks its loop condition), or else snapshots the
   // queue, picks, and returns TakeBatchLocked's batch. mu_ is released
   // while expired requests are fulfilled and across PickBatchIds.
   PrefillBatchPending DispatchStep(std::unique_lock<std::mutex>& lock);
   void DispatcherLoop();
-  void ExecutorLoop(ResponseCallback callback);
+  void ExecutorLoop();
 
   // --- Robustness plumbing (ISSUE 6) -----------------------------------
   // Fulfills a promise (and fires the per-item completion hook, if any)
@@ -609,8 +583,6 @@ class Engine {
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;  // intra-op workers, shared by the model
   std::unique_ptr<LlamaModel> model_;
-  TrackingAllocator profile_activations_;  // ProfileJct only; per-request
-                                           // arenas live in Execute
   TrackingAllocator cache_memory_;
   TrackingAllocator offload_memory_;  // the "CPU side" of the offload tier
 
@@ -629,10 +601,12 @@ class Engine {
   int64_t offload_demotions_ = 0;
   int64_t offload_promotions_ = 0;
 
-  std::unique_ptr<JctEstimator> estimator_;
-  std::unique_ptr<Scheduler> scheduler_;
+  // Set once in the constructor and immutable afterwards, so a scheduling
+  // decision reads them without mu_. The scheduler points at the estimator.
+  CacheMissProxyEstimator estimator_;
+  Scheduler scheduler_;
   // Admission cost model handed to Scheduler::PickBatch (ISSUE 9); built
-  // once from the model config + prefill mode, immutable afterwards.
+  // once from the model config + prefill mode.
   BatchBudget batch_budget_;
 
   std::chrono::steady_clock::time_point epoch_;
@@ -669,9 +643,6 @@ class Engine {
   int executing_ = 0;   // all lanes currently inside Execute (incl. ScoreSync)
   bool runtime_running_ = false;
   bool draining_ = false;
-  // ProfileJct in progress: excludes StartWorker/RunPending so the
-  // estimator/scheduler swap can never race an in-flight pick.
-  bool profiling_ = false;
 
   std::unique_ptr<BlockingQueue<PrefillBatchPending>> exec_queue_;  // dispatcher -> executors
   std::thread dispatcher_;

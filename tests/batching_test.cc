@@ -29,6 +29,7 @@
 #include "src/core/request.h"
 #include "src/model/llama.h"
 #include "src/sched/batch_cost.h"
+#include "tests/engine_backlog.h"
 
 namespace prefillonly {
 namespace {
@@ -612,7 +613,7 @@ ScoringRequest YesNoRequest(std::vector<int32_t> tokens, int64_t user) {
   return request;
 }
 
-TEST(BatchingEngineTest, RunPendingBatchesMatchSerialReferenceBitwise) {
+TEST(BatchingEngineTest, DrainedBatchesMatchSerialReferenceBitwise) {
   // 8 same-length-bucket requests (lengths 33..47 all land in bucket 5), so
   // a max_batch_size = 4 drain forms two full batches.
   std::vector<ScoringRequest> requests;
@@ -638,10 +639,11 @@ TEST(BatchingEngineTest, RunPendingBatchesMatchSerialReferenceBitwise) {
     EngineOptions options = BatchEngineOptions();
     options.max_batch_size = max_batch;
     Engine engine(options);
+    Backlog backlog(engine);
     for (const auto& request : requests) {
-      ASSERT_TRUE(engine.Submit(request).ok());
+      ASSERT_TRUE(backlog.Submit(request).ok());
     }
-    auto responses = engine.RunPending();
+    auto responses = backlog.Drain();
     ASSERT_TRUE(responses.ok()) << responses.status().ToString();
     ASSERT_EQ(responses.value().size(), requests.size());
     for (const ScoringResponse& response : responses.value()) {
@@ -701,12 +703,13 @@ TEST(BatchingEngineTest, PrefixCacheHitsInsideBatchesKeepBits) {
   EngineOptions options = BatchEngineOptions();
   options.max_batch_size = 4;
   Engine engine(options);
+  Backlog backlog(engine);
   // Warm pass, then a batched drain of the four siblings.
   ASSERT_TRUE(engine.ScoreSync(sibling(0, 0)).ok());
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(engine.Submit(sibling(static_cast<int32_t>(i), i)).ok());
+    ASSERT_TRUE(backlog.Submit(sibling(static_cast<int32_t>(i), i)).ok());
   }
-  auto responses = engine.RunPending();
+  auto responses = backlog.Drain();
   ASSERT_TRUE(responses.ok());
   ASSERT_EQ(responses.value().size(), 4u);
   for (const ScoringResponse& response : responses.value()) {
@@ -749,10 +752,11 @@ TEST(BatchingEngineTest, PoolContentionFallsBackToSoloNotFailure) {
   options.cache_budget_tokens = 64;
   options.max_batch_size = 2;
   Engine engine(options);
+  Backlog backlog(engine);
   for (const auto& request : requests) {
-    ASSERT_TRUE(engine.Submit(request).ok());
+    ASSERT_TRUE(backlog.Submit(request).ok());
   }
-  auto responses = engine.RunPending();
+  auto responses = backlog.Drain();
   ASSERT_TRUE(responses.ok());
   ASSERT_EQ(responses.value().size(), 2u);
   for (const ScoringResponse& response : responses.value()) {
@@ -794,6 +798,7 @@ void RunMixedLengthPacked(KernelBackend backend, int threads, PrefillMode mode,
   packed_options.num_threads = threads;
   packed_options.max_batch_size = 6;
   Engine packed(packed_options);
+  Backlog backlog(packed);
   ASSERT_EQ(packed.options().batch_packing, BatchPacking::kFirstFit);
 
   Rng rng(seed);
@@ -815,9 +820,9 @@ void RunMixedLengthPacked(KernelBackend backend, int threads, PrefillMode mode,
 
     const EngineStats before = packed.stats();
     for (const auto& request : requests) {
-      ASSERT_TRUE(packed.Submit(request).ok());
+      ASSERT_TRUE(backlog.Submit(request).ok());
     }
-    auto responses = packed.RunPending();
+    auto responses = backlog.Drain();
     ASSERT_TRUE(responses.ok()) << responses.status().ToString();
     ASSERT_EQ(responses.value().size(), requests.size());
     for (const ScoringResponse& response : responses.value()) {
@@ -885,10 +890,11 @@ TEST(BatchingEngineTest, BudgetSkipStillDispatchesTheSmallerRider) {
   options.activation_budget_bytes =
       projector.SequenceBytes(8, 0) + projector.SequenceBytes(16, 0);
   Engine engine(options);
+  Backlog backlog(engine);
   for (const auto& request : requests) {
-    ASSERT_TRUE(engine.Submit(request).ok());
+    ASSERT_TRUE(backlog.Submit(request).ok());
   }
-  auto responses = engine.RunPending();
+  auto responses = backlog.Drain();
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   ASSERT_EQ(responses.value().size(), 3u);
   for (const ScoringResponse& response : responses.value()) {
@@ -931,15 +937,16 @@ TEST(BatchingEngineTest, PackedAdmissionProjectionNeverOptimistic) {
       options.max_batch_size = 8;
       options.num_threads = 2;
       Engine engine(options);
+      Backlog backlog(engine);
 
       const int n = 1 + static_cast<int>(rng.NextBounded(6));
       size_t projected = 0;
       for (int i = 0; i < n; ++i) {
         const int len = 1 + static_cast<int>(rng.NextBounded(96));
-        ASSERT_TRUE(engine.Submit(YesNoRequest(RandomTokens(rng, len), i)).ok());
+        ASSERT_TRUE(backlog.Submit(YesNoRequest(RandomTokens(rng, len), i)).ok());
         projected += projector.SequenceBytes(len, /*n_cached_now=*/0);
       }
-      auto responses = engine.RunPending();
+      auto responses = backlog.Drain();
       ASSERT_TRUE(responses.ok()) << responses.status().ToString();
       ASSERT_EQ(responses.value().size(), static_cast<size_t>(n));
 
@@ -966,6 +973,7 @@ TEST(BatchingEngineTest, PackedProjectionCoversWarmedPrefixes) {
     options.cache_budget_tokens = 4096;
     options.max_batch_size = 8;
     Engine engine(options);
+    Backlog backlog(engine);
 
     Rng rng(77 + static_cast<uint64_t>(mode));
     const std::vector<int32_t> prefix = RandomTokens(rng, 48);
@@ -981,9 +989,9 @@ TEST(BatchingEngineTest, PackedProjectionCoversWarmedPrefixes) {
       const int tail = 1 + static_cast<int>(rng.NextBounded(32));
       for (int32_t t : RandomTokens(rng, tail)) tokens.push_back(t);
       lengths.push_back(static_cast<int>(tokens.size()));
-      ASSERT_TRUE(engine.Submit(YesNoRequest(std::move(tokens), i)).ok());
+      ASSERT_TRUE(backlog.Submit(YesNoRequest(std::move(tokens), i)).ok());
     }
-    auto responses = engine.RunPending();
+    auto responses = backlog.Drain();
     ASSERT_TRUE(responses.ok()) << responses.status().ToString();
     ASSERT_EQ(responses.value().size(), 3u);
     for (size_t i = 0; i < responses.value().size(); ++i) {

@@ -31,6 +31,7 @@
 #include "src/core/engine.h"
 #include "src/core/request.h"
 #include "src/server/http_server.h"
+#include "tests/engine_backlog.h"
 
 namespace prefillonly {
 namespace {
@@ -250,10 +251,10 @@ TEST(ChaosAbortTest, DeadlineLapsingBetweenChunksSkipsRemainingWork) {
   // cooperative poll aborts the pass with kDeadlineExceeded.
   FaultScope scope("exec.stall=x1;stall_ms=600");
   Engine engine(TinyChaosOptions());
-  ASSERT_TRUE(engine.StartWorker(/*callback=*/nullptr).ok());
+  ASSERT_TRUE(engine.StartWorker().ok());
   ScoringRequest request = YesNoRequest(tokens);
   request.deadline_ms = 150;
-  auto submitted = engine.SubmitAsyncHandle(std::move(request));
+  auto submitted = SubmitOne(engine, std::move(request));
   ASSERT_TRUE(submitted.ok());
   auto result = submitted.value().future.get();
   engine.StopWorker();
@@ -287,8 +288,8 @@ TEST(ChaosAbortTest, CancelInFlightStopsAtNextChunkBoundary) {
   // cancelling inside it must stop the pass at the first poll.
   FaultScope scope("exec.stall=x1;stall_ms=600");
   Engine engine(TinyChaosOptions());
-  ASSERT_TRUE(engine.StartWorker(/*callback=*/nullptr).ok());
-  auto submitted = engine.SubmitAsyncHandle(YesNoRequest(tokens));
+  ASSERT_TRUE(engine.StartWorker().ok());
+  auto submitted = SubmitOne(engine, YesNoRequest(tokens));
   ASSERT_TRUE(submitted.ok());
   const int64_t id = submitted.value().id;
   while (engine.Phase(id) != Engine::RequestPhase::kRunning) {
@@ -319,8 +320,8 @@ TEST(ChaosDegradeTest, WatchdogFailsStuckPromiseAndTurnsHealthDegraded) {
   options.watchdog_timeout_ms = 100;
   Engine engine(options);
   EXPECT_EQ(engine.Health(), Engine::HealthStatus::kOk);
-  ASSERT_TRUE(engine.StartWorker(/*callback=*/nullptr).ok());
-  auto submitted = engine.SubmitAsyncHandle(YesNoRequest(Tokens(64, 6)));
+  ASSERT_TRUE(engine.StartWorker().ok());
+  auto submitted = SubmitOne(engine, YesNoRequest(Tokens(64, 6)));
   ASSERT_TRUE(submitted.ok());
   auto result = submitted.value().future.get();
   ASSERT_FALSE(result.ok());
@@ -341,12 +342,13 @@ TEST(ChaosDegradeTest, ShedHysteresisRejectsAboveHighUntilDrainedBelowLow) {
   EngineOptions options = TinyChaosOptions();
   options.shed_high_watermark = 4;  // low defaults to high/2 = 2
   Engine engine(options);
-  // Synchronous mode keeps the queue depth exact: nothing drains between
+  // A stopped runtime keeps the queue depth exact: nothing drains between
   // submissions, so the watermark arithmetic is deterministic.
+  Backlog backlog(engine);
   int accepted = 0;
   int shed = 0;
   for (int i = 0; i < 10; ++i) {
-    auto id = engine.Submit(YesNoRequest(Tokens(32, 100 + i)));
+    auto id = backlog.Submit(YesNoRequest(Tokens(32, 100 + i)));
     if (id.ok()) {
       ++accepted;
     } else {
@@ -363,13 +365,13 @@ TEST(ChaosDegradeTest, ShedHysteresisRejectsAboveHighUntilDrainedBelowLow) {
   EXPECT_EQ(stats.submitted, 4);
   EXPECT_EQ(stats.shed, 6);
 
-  auto responses = engine.RunPending();
+  auto responses = backlog.Drain();
   ASSERT_TRUE(responses.ok());
   EXPECT_EQ(responses.value().size(), 4u);
   // Drained below the low watermark: shedding disengages and new
   // submissions are welcome again.
   EXPECT_EQ(engine.Health(), Engine::HealthStatus::kOk);
-  EXPECT_TRUE(engine.Submit(YesNoRequest(Tokens(32, 200))).ok());
+  EXPECT_TRUE(backlog.Submit(YesNoRequest(Tokens(32, 200))).ok());
   stats = engine.stats();
   EXPECT_EQ(Terminal(stats) + 1, stats.submitted);  // one still queued
 }
@@ -391,7 +393,7 @@ void RunSeededSchedule(const std::string& schedule) {
   options.cache_budget_tokens = 256;       // small: keeps eviction pressure on
   options.cpu_offload_budget_tokens = 256; // exercises the offload fault sites
   Engine engine(options);
-  ASSERT_TRUE(engine.StartWorker(/*callback=*/nullptr).ok());
+  ASSERT_TRUE(engine.StartWorker().ok());
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 6;
@@ -402,8 +404,8 @@ void RunSeededSchedule(const std::string& schedule) {
     clients.emplace_back([&engine, &mu, &futures, c] {
       for (int i = 0; i < kPerClient; ++i) {
         const int64_t n = 48 + 16 * ((c + i) % 4);
-        auto submitted = engine.SubmitAsyncHandle(
-            YesNoRequest(Tokens(n, static_cast<uint64_t>(c * 100 + i)), c));
+        auto submitted = SubmitOne(
+            engine, YesNoRequest(Tokens(n, static_cast<uint64_t>(c * 100 + i)), c));
         ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
         std::lock_guard<std::mutex> lock(mu);
         futures.push_back(std::move(submitted.value().future));
@@ -472,8 +474,8 @@ TEST(ChaosScheduleTest, InjectionDisabledIsBitIdenticalAndHealthy) {
   options.shed_high_watermark = 100;
   options.watchdog_timeout_ms = 10'000;
   Engine armed(options);
-  ASSERT_TRUE(armed.StartWorker(/*callback=*/nullptr).ok());
-  auto submitted = armed.SubmitAsyncHandle(YesNoRequest(tokens));
+  ASSERT_TRUE(armed.StartWorker().ok());
+  auto submitted = SubmitOne(armed, YesNoRequest(tokens));
   ASSERT_TRUE(submitted.ok());
   auto response = submitted.value().future.get();
   armed.StopWorker();

@@ -4,7 +4,7 @@
 //  1. DETERMINISM — a request's logits (hence its constrained probabilities)
 //     are bitwise identical whether it ran on 1, 4, or all workers, alone or
 //     alongside other requests, at in-flight counts {1, 2, 4};
-//  2. ACCOUNTING — under N client threads hammering Submit/SubmitAsync, no
+//  2. ACCOUNTING — under N client threads hammering SubmitGroupAsync, no
 //     request is lost or double-completed and the stats counters sum.
 // Plus the elastic worker-partition behavior of ThreadPool::Lease and the
 // checked-misuse errors of the runtime lifecycle.
@@ -22,6 +22,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/core/request.h"
+#include "tests/engine_backlog.h"
 
 namespace prefillonly {
 namespace {
@@ -174,16 +175,16 @@ TEST(ConcurrencyTest, BitwiseIdenticalAcrossInFlightCounts) {
     EngineOptions options = TinyEngineOptions();
     options.max_concurrent_requests = in_flight;
     Engine engine(options);
-    ASSERT_TRUE(engine.StartWorker(nullptr).ok());
+    ASSERT_TRUE(engine.StartWorker().ok());
 
     // One client thread per request so submissions and executions overlap.
     std::vector<Engine::ResponseFuture> futures(requests.size());
     std::vector<std::thread> clients;
     for (size_t i = 0; i < requests.size(); ++i) {
       clients.emplace_back([&engine, &requests, &futures, i] {
-        auto submitted = engine.SubmitAsync(requests[i]);
+        auto submitted = SubmitOne(engine, requests[i]);
         ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
-        futures[i] = submitted.take();
+        futures[i] = std::move(submitted.value().future);
       });
     }
     for (auto& t : clients) {
@@ -211,9 +212,9 @@ TEST(ConcurrencyTest, ScoreSyncLaneMatchesBitsWhileRuntimeRuns) {
   EngineOptions options = TinyEngineOptions();
   options.max_concurrent_requests = 2;
   Engine engine(options);
-  ASSERT_TRUE(engine.StartWorker(nullptr).ok());
+  ASSERT_TRUE(engine.StartWorker().ok());
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(engine.Submit(YesNoRequest(Tokens(50 + i, 2000 + i), 100 + i)).ok());
+    ASSERT_TRUE(SubmitOne(engine, YesNoRequest(Tokens(50 + i, 2000 + i), 100 + i)).ok());
   }
   auto inline_response = engine.ScoreSync(requests[0]);
   ASSERT_TRUE(inline_response.ok());
@@ -246,21 +247,14 @@ TEST(ConcurrencyTest, BatchedRuntimeKeepsBitsAndAccounting) {
 
       // Backlog first, runtime second: the first dispatch decisions see the
       // whole queue and can form full batches.
+      Backlog backlog(engine);
       std::vector<Engine::ResponseFuture> futures;
       for (const auto& request : requests) {
-        auto submitted = engine.SubmitAsync(request);
+        auto submitted = backlog.SubmitHandle(request);
         ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
-        futures.push_back(submitted.take());
+        futures.push_back(std::move(submitted.value().future));
       }
-      std::mutex delivered_mu;
-      std::vector<int64_t> delivered_ids;
-      ASSERT_TRUE(engine
-                      .StartWorker([&](Result<ScoringResponse> response) {
-                        ASSERT_TRUE(response.ok()) << response.status().ToString();
-                        std::lock_guard<std::mutex> lock(delivered_mu);
-                        delivered_ids.push_back(response.value().request_id);
-                      })
-                      .ok());
+      ASSERT_TRUE(engine.StartWorker().ok());
 
       std::set<int64_t> response_ids;
       for (size_t i = 0; i < futures.size(); ++i) {
@@ -277,6 +271,11 @@ TEST(ConcurrencyTest, BatchedRuntimeKeepsBitsAndAccounting) {
       }
       engine.StopWorker();
 
+      std::vector<int64_t> delivered_ids;
+      for (const Result<ScoringResponse>& response : backlog.Take()) {
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        delivered_ids.push_back(response.value().request_id);
+      }
       std::set<int64_t> delivered_set(delivered_ids.begin(), delivered_ids.end());
       EXPECT_EQ(delivered_ids.size(), static_cast<size_t>(kRequests));
       EXPECT_EQ(delivered_set, response_ids);
@@ -306,16 +305,8 @@ TEST(ConcurrencyTest, NoRequestLostOrDoubleCompleted) {
   EngineOptions options = TinyEngineOptions();
   options.max_concurrent_requests = 4;
   Engine engine(options);
-
-  std::mutex delivered_mu;
-  std::vector<int64_t> delivered_ids;
-  ASSERT_TRUE(engine
-                  .StartWorker([&](Result<ScoringResponse> response) {
-                    ASSERT_TRUE(response.ok()) << response.status().ToString();
-                    std::lock_guard<std::mutex> lock(delivered_mu);
-                    delivered_ids.push_back(response.value().request_id);
-                  })
-                  .ok());
+  Backlog backlog(engine);
+  ASSERT_TRUE(engine.StartWorker().ok());
 
   std::mutex futures_mu;
   std::vector<std::pair<int64_t, Engine::ResponseFuture>> futures;
@@ -325,10 +316,10 @@ TEST(ConcurrencyTest, NoRequestLostOrDoubleCompleted) {
       for (int i = 0; i < kPerClient; ++i) {
         auto request =
             YesNoRequest(Tokens(30 + 5 * i + c, 3000 + c * 100 + i), c * 100 + i);
-        auto submitted = engine.SubmitAsync(std::move(request));
+        auto submitted = backlog.SubmitHandle(std::move(request));
         ASSERT_TRUE(submitted.ok());
         std::lock_guard<std::mutex> lock(futures_mu);
-        futures.emplace_back(c * 100 + i, submitted.take());
+        futures.emplace_back(c * 100 + i, std::move(submitted.value().future));
       }
     });
   }
@@ -349,7 +340,12 @@ TEST(ConcurrencyTest, NoRequestLostOrDoubleCompleted) {
 
   engine.StopWorker();
 
-  // Callback deliveries: exactly one per request, no duplicates, none lost.
+  // Hook deliveries: exactly one per request, no duplicates, none lost.
+  std::vector<int64_t> delivered_ids;
+  for (const Result<ScoringResponse>& response : backlog.Take()) {
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    delivered_ids.push_back(response.value().request_id);
+  }
   std::set<int64_t> delivered_set(delivered_ids.begin(), delivered_ids.end());
   EXPECT_EQ(delivered_ids.size(), static_cast<size_t>(kClients * kPerClient));
   EXPECT_EQ(delivered_set, response_ids);
@@ -367,9 +363,10 @@ TEST(ConcurrencyTest, StopWorkerDrainsBacklog) {
   options.max_concurrent_requests = 2;
   Engine engine(options);
   std::atomic<int> delivered{0};
-  ASSERT_TRUE(engine.StartWorker([&](Result<ScoringResponse>) { ++delivered; }).ok());
+  auto hook = [&](size_t, const Result<ScoringResponse>&) { ++delivered; };
+  ASSERT_TRUE(engine.StartWorker().ok());
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine.Submit(YesNoRequest(Tokens(25 + i, 4000 + i), i)).ok());
+    ASSERT_TRUE(SubmitOne(engine, YesNoRequest(Tokens(25 + i, 4000 + i), i), hook).ok());
   }
   engine.StopWorker();  // must serve everything queued before returning
   EXPECT_EQ(delivered.load(), 10);
@@ -379,44 +376,15 @@ TEST(ConcurrencyTest, StopWorkerDrainsBacklog) {
 
 // --------------------------------------------------- Lifecycle misuse
 
-TEST(ConcurrencyTest, RunPendingWhileRuntimeActiveIsCheckedError) {
-  Engine engine(TinyEngineOptions());
-  ASSERT_TRUE(engine.StartWorker(nullptr).ok());
-  auto result = engine.RunPending();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-  engine.StopWorker();
-  // After stopping, the synchronous frontend works again.
-  ASSERT_TRUE(engine.Submit(YesNoRequest(Tokens(20, 5000))).ok());
-  auto drained = engine.RunPending();
-  ASSERT_TRUE(drained.ok());
-  EXPECT_EQ(drained.value().size(), 1u);
-}
-
 TEST(ConcurrencyTest, DoubleStartIsCheckedError) {
   Engine engine(TinyEngineOptions());
-  ASSERT_TRUE(engine.StartWorker(nullptr).ok());
-  EXPECT_EQ(engine.StartWorker(nullptr).code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(engine.StartWorker().ok());
+  EXPECT_EQ(engine.StartWorker().code(), StatusCode::kFailedPrecondition);
   engine.StopWorker();
   engine.StopWorker();  // idempotent
   // The runtime can be restarted after a full stop.
-  ASSERT_TRUE(engine.StartWorker(nullptr).ok());
+  ASSERT_TRUE(engine.StartWorker().ok());
   engine.StopWorker();
-}
-
-TEST(ConcurrencyTest, SubmitAsyncResolvesInSyncModeToo) {
-  Engine engine(TinyEngineOptions());
-  auto submitted = engine.SubmitAsync(YesNoRequest(Tokens(33, 6000), 42));
-  ASSERT_TRUE(submitted.ok());
-  auto future = submitted.take();
-  auto responses = engine.RunPending();
-  ASSERT_TRUE(responses.ok());
-  ASSERT_EQ(responses.value().size(), 1u);
-  auto via_future = future.get();
-  ASSERT_TRUE(via_future.ok());
-  EXPECT_EQ(via_future.value().user_id, 42);
-  EXPECT_TRUE(SameBits(via_future.value().probabilities,
-                       responses.value()[0].probabilities));
 }
 
 }  // namespace

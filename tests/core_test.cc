@@ -10,6 +10,7 @@
 #include "src/core/kv_block_store.h"
 #include "src/core/request.h"
 #include "src/workload/dataset.h"
+#include "tests/engine_backlog.h"
 
 namespace prefillonly {
 namespace {
@@ -323,15 +324,16 @@ TEST(EngineTest, OffloadMemoryAccountedSeparately) {
 
 // ----------------------------------------------------------- Scheduling
 
-TEST(EngineTest, RunPendingSchedulesShortestFirst) {
+TEST(EngineTest, BacklogDrainsShortestFirst) {
   EngineOptions options = TinyEngineOptions();
   options.lambda = 0.0;
   Engine engine(options);
-  auto long_id = engine.Submit(YesNoRequest(Tokens(120, 9)));
-  auto short_id = engine.Submit(YesNoRequest(Tokens(20, 10)));
+  Backlog backlog(engine);
+  auto long_id = backlog.Submit(YesNoRequest(Tokens(120, 9)));
+  auto short_id = backlog.Submit(YesNoRequest(Tokens(20, 10)));
   ASSERT_TRUE(long_id.ok());
   ASSERT_TRUE(short_id.ok());
-  const auto responses = engine.RunPending().value();
+  const auto responses = backlog.Drain().value();
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_EQ(responses[0].request_id, short_id.value());
   EXPECT_EQ(responses[1].request_id, long_id.value());
@@ -341,9 +343,10 @@ TEST(EngineTest, FifoPolicyPreservesSubmissionOrder) {
   EngineOptions options = TinyEngineOptions();
   options.policy = SchedPolicy::kFifo;
   Engine engine(options);
-  auto long_id = engine.Submit(YesNoRequest(Tokens(120, 11)));
-  auto short_id = engine.Submit(YesNoRequest(Tokens(20, 12)));
-  const auto responses = engine.RunPending().value();
+  Backlog backlog(engine);
+  auto long_id = backlog.Submit(YesNoRequest(Tokens(120, 11)));
+  auto short_id = backlog.Submit(YesNoRequest(Tokens(20, 12)));
+  const auto responses = backlog.Drain().value();
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_EQ(responses[0].request_id, long_id.value());
   EXPECT_EQ(responses[1].request_id, short_id.value());
@@ -365,9 +368,10 @@ TEST(EngineTest, CalibrationPrioritizesCacheHitRequest) {
   sibling.push_back(2);
   sibling.push_back(3);
   sibling.push_back(4);
-  auto stranger_id = engine.Submit(YesNoRequest(Tokens(48, 14), 2));
-  auto sibling_id = engine.Submit(YesNoRequest(sibling, 1));
-  const auto responses = engine.RunPending().value();
+  Backlog backlog(engine);
+  auto stranger_id = backlog.Submit(YesNoRequest(Tokens(48, 14), 2));
+  auto sibling_id = backlog.Submit(YesNoRequest(sibling, 1));
+  const auto responses = backlog.Drain().value();
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_EQ(responses[0].request_id, sibling_id.value());
   EXPECT_GT(responses[0].n_cached, 0);
@@ -413,33 +417,21 @@ TEST(EngineTest, AsyncWorkerDeliversAllResponses) {
   Engine engine(TinyEngineOptions());
   std::atomic<int> delivered{0};
   std::atomic<int> ok{0};
-  engine.StartWorker([&](Result<ScoringResponse> response) {
+  auto hook = [&](size_t, const Result<ScoringResponse>& response) {
     if (response.ok()) {
       ++ok;
     }
     ++delivered;
-  });
+  };
+  ASSERT_TRUE(engine.StartWorker().ok());
   const int n = 8;
   for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE(engine.Submit(YesNoRequest(Tokens(30 + i, 18 + i), i)).ok());
+    ASSERT_TRUE(SubmitOne(engine, YesNoRequest(Tokens(30 + i, 18 + i), i), hook).ok());
   }
   engine.StopWorker();  // drains the queue before returning
   EXPECT_EQ(delivered.load(), n);
   EXPECT_EQ(ok.load(), n);
   EXPECT_EQ(engine.stats().completed, n);
-}
-
-// ------------------------------------------------------------- Profiling
-
-TEST(EngineTest, ProfileJctFitsTimingModel) {
-  EngineOptions options = TinyEngineOptions();
-  Engine engine(options);
-  auto r2 = engine.ProfileJct(/*max_input_len=*/128, /*granularity=*/32);
-  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
-  // Real timings are noisy, but the linear fit should explain most of it.
-  EXPECT_GT(r2.value(), 0.3);
-  // Engine still works after the estimator swap.
-  EXPECT_TRUE(engine.ScoreSync(YesNoRequest(Tokens(40, 30))).ok());
 }
 
 // ----------------------------------------------------------- KvBlockStore

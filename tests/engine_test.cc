@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "src/engine/engine_config.h"
 #include "src/gpu/memory_model.h"
 #include "src/workload/dataset.h"
+#include "tests/engine_backlog.h"
 
 namespace prefillonly {
 namespace {
@@ -262,10 +264,10 @@ TEST(ClusterTest, PipelineOverlapsRequests) {
 
 // -------------------------- Request lifecycle on the real engine (ISSUE 5)
 //
-// These tests run WITHOUT the concurrent runtime: submissions stay queued
-// until RunPending() drains them, so cancel-while-queued and pre-dispatch
-// deadline expiry are exercised deterministically, and the engine counters
-// prove exactly what executed.
+// These tests submit while the concurrent runtime is stopped: submissions
+// stay queued until StartWorker() + StopWorker() drain them, so
+// cancel-while-queued and pre-dispatch deadline expiry are exercised
+// deterministically, and the engine counters prove exactly what executed.
 
 EngineOptions LifecycleOptions() {
   EngineOptions options;
@@ -285,7 +287,8 @@ ScoringRequest LifecycleRequest(int seed, int n_tokens = 32) {
 
 TEST(EngineLifecycleTest, CancelledQueuedRequestNeverExecutes) {
   Engine engine(LifecycleOptions());
-  auto submission = engine.SubmitAsyncHandle(LifecycleRequest(1));
+  Backlog backlog(engine);
+  auto submission = backlog.SubmitHandle(LifecycleRequest(1));
   ASSERT_TRUE(submission.ok());
   EXPECT_EQ(engine.Phase(submission.value().id), Engine::RequestPhase::kQueued);
 
@@ -297,7 +300,7 @@ TEST(EngineLifecycleTest, CancelledQueuedRequestNeverExecutes) {
 
   // Draining the queue runs nothing: the counters prove the cancelled
   // request never reached a prefill.
-  auto drained = engine.RunPending();
+  auto drained = backlog.Drain();
   ASSERT_TRUE(drained.ok());
   EXPECT_TRUE(drained.value().empty());
   const EngineStats stats = engine.stats();
@@ -312,9 +315,10 @@ TEST(EngineLifecycleTest, CancelUnknownOrFinishedIsNotFound) {
   Engine engine(LifecycleOptions());
   EXPECT_EQ(engine.Cancel(12345).code(), StatusCode::kNotFound);
 
-  auto submission = engine.SubmitAsyncHandle(LifecycleRequest(2));
+  Backlog backlog(engine);
+  auto submission = backlog.SubmitHandle(LifecycleRequest(2));
   ASSERT_TRUE(submission.ok());
-  ASSERT_TRUE(engine.RunPending().ok());
+  ASSERT_TRUE(backlog.Drain().ok());
   ASSERT_TRUE(submission.value().future.get().ok());
   // Cancel-after-done: the engine reports kNotFound (terminal results live
   // in the caller's future); the API layer turns this into idempotence.
@@ -325,7 +329,7 @@ TEST(EngineLifecycleTest, ExpiredDeadlineRejectedAtSubmission) {
   Engine engine(LifecycleOptions());
   ScoringRequest request = LifecycleRequest(3);
   request.deadline_ms = 0;
-  auto submitted = engine.SubmitAsync(std::move(request));
+  auto submitted = SubmitOne(engine, std::move(request));
   ASSERT_FALSE(submitted.ok());
   EXPECT_EQ(submitted.status().code(), StatusCode::kDeadlineExceeded);
   // Rejected at the door: it never counted as submitted, let alone ran.
@@ -348,14 +352,16 @@ TEST(EngineLifecycleTest, LapsedDeadlineFailsBeforeDispatch) {
   Engine engine(LifecycleOptions());
   ScoringRequest request = LifecycleRequest(4);
   request.deadline_ms = 1;
-  auto submission = engine.SubmitAsyncHandle(std::move(request));
+  Backlog backlog(engine);
+  auto submission = backlog.SubmitHandle(std::move(request));
   ASSERT_TRUE(submission.ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
-  // The next scheduling decision purges it instead of prefilling it.
-  auto drained = engine.RunPending();
-  ASSERT_TRUE(drained.ok());
-  EXPECT_TRUE(drained.value().empty());
+  // The next scheduling decision purges it instead of prefilling it: the
+  // drain delivers exactly one result, the deadline failure.
+  auto drained = backlog.DrainResults();
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].status().code(), StatusCode::kDeadlineExceeded);
   auto result = submission.value().future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -378,7 +384,8 @@ TEST(EngineLifecycleTest, GroupSubmissionCoBatchesAcrossBuckets) {
   auto submitted = engine.SubmitGroupAsync(std::move(group));
   ASSERT_TRUE(submitted.ok());
   ASSERT_EQ(submitted.value().size(), 3u);
-  ASSERT_TRUE(engine.RunPending().ok());
+  ASSERT_TRUE(engine.StartWorker().ok());
+  engine.StopWorker();
   for (auto& submission : submitted.value()) {
     auto result = submission.future.get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -405,16 +412,41 @@ TEST(EngineLifecycleTest, HigherPriorityClassRunsFirst) {
   ScoringRequest low = LifecycleRequest(30);
   ScoringRequest high = LifecycleRequest(31);
   high.priority = 2;
-  auto low_id = engine.Submit(std::move(low));
-  auto high_id = engine.Submit(std::move(high));
+  Backlog backlog(engine);
+  auto low_id = backlog.Submit(std::move(low));
+  auto high_id = backlog.Submit(std::move(high));
   ASSERT_TRUE(low_id.ok());
   ASSERT_TRUE(high_id.ok());
   // Equal lengths tie FIFO under SRJF — only the class flips the order.
-  auto responses = engine.RunPending();
+  auto responses = backlog.Drain();
   ASSERT_TRUE(responses.ok());
   ASSERT_EQ(responses.value().size(), 2u);
   EXPECT_EQ(responses.value()[0].request_id, high_id.value());
   EXPECT_EQ(responses.value()[1].request_id, low_id.value());
+}
+
+TEST(EngineLifecycleTest, DestroyedEngineCancelsQueuedRequests) {
+  // Queued while the runtime is stopped and never drained: destroying the
+  // engine must deliver a Status, not a broken promise, and fire the hook.
+  std::atomic<int> hook_calls{0};
+  std::atomic<int> hook_code{-1};
+  Engine::ResponseFuture future;
+  {
+    Engine engine(LifecycleOptions());
+    auto submitted = SubmitOne(engine, LifecycleRequest(50),
+                               [&](size_t, const Result<ScoringResponse>& result) {
+                                 ++hook_calls;
+                                 hook_code = static_cast<int>(result.status().code());
+                               });
+    ASSERT_TRUE(submitted.ok());
+    future = std::move(submitted.value().future);
+    EXPECT_EQ(hook_calls.load(), 0);
+  }
+  auto result = future.get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(hook_calls.load(), 1);
+  EXPECT_EQ(hook_code.load(), static_cast<int>(StatusCode::kCancelled));
 }
 
 }  // namespace

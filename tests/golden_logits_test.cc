@@ -40,6 +40,7 @@
 #include "src/common/thread_pool.h"
 #include "src/core/engine.h"
 #include "src/model/llama.h"
+#include "tests/engine_backlog.h"
 #include "tests/golden_logits.inc"
 
 namespace prefillonly {
@@ -144,14 +145,15 @@ TEST(GoldenLogitsTest, BatchedEngineMatchesGoldenBitsToo) {
   EngineOptions options = GoldenEngineOptions();
   options.max_batch_size = 4;
   Engine engine(options);
+  Backlog backlog(engine);
   for (int p = 0; p < golden::kNumPrompts; ++p) {
     ScoringRequest request;
     request.user_id = p;
     request.tokens = Prompt(777 + static_cast<uint64_t>(p), golden::kPromptLengths[p]);
     request.allowed_tokens = {3, 7, 11, 19};
-    ASSERT_TRUE(engine.Submit(std::move(request)).ok());
+    ASSERT_TRUE(backlog.Submit(std::move(request)).ok());
   }
-  auto responses = engine.RunPending();
+  auto responses = backlog.Drain();
   ASSERT_TRUE(responses.ok());
   ASSERT_EQ(responses.value().size(), static_cast<size_t>(golden::kNumPrompts));
   for (const ScoringResponse& response : responses.value()) {

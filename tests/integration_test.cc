@@ -12,6 +12,7 @@
 #include "src/gpu/memory_model.h"
 #include "src/workload/dataset.h"
 #include "src/workload/tokenizer.h"
+#include "tests/engine_backlog.h"
 
 namespace prefillonly {
 namespace {
@@ -139,6 +140,7 @@ TEST(RealFig5Test, CalibratedSrjfGetsBothHits) {
   options.cache_budget_tokens = 208;  // holds one 200-ish-token prefix
   options.lambda = 0.0;
   Engine engine(options);
+  Backlog backlog(engine);
   const int64_t vocab = options.model.vocab_size;
 
   // Shared prefixes: {A, D} and {B, C}; lengths A<C<B<D.
@@ -153,11 +155,11 @@ TEST(RealFig5Test, CalibratedSrjfGetsBothHits) {
     return Request(std::move(tokens), user);
   };
 
-  const auto id_a = engine.Submit(make(prefix_ad, 150, 1)).value();
-  const auto id_b = engine.Submit(make(prefix_bc, 190, 2)).value();
-  const auto id_c = engine.Submit(make(prefix_bc, 180, 2)).value();
-  const auto id_d = engine.Submit(make(prefix_ad, 200, 1)).value();
-  const auto responses = engine.RunPending().value();
+  const auto id_a = backlog.Submit(make(prefix_ad, 150, 1)).value();
+  const auto id_b = backlog.Submit(make(prefix_bc, 190, 2)).value();
+  const auto id_c = backlog.Submit(make(prefix_bc, 180, 2)).value();
+  const auto id_d = backlog.Submit(make(prefix_ad, 200, 1)).value();
+  const auto responses = backlog.Drain().value();
   ASSERT_EQ(responses.size(), 4u);
 
   // Expected order: A (shortest), D (hits A's prefix), C, B (hits C's).

@@ -24,6 +24,7 @@
 #include "src/core/engine.h"
 #include "src/sched/jct.h"
 #include "src/sched/scheduler.h"
+#include "tests/engine_backlog.h"
 
 namespace prefillonly {
 namespace {
@@ -224,7 +225,7 @@ std::vector<std::vector<TokenProbability>> SoloReference(
   return ::testing::AssertionSuccess();
 }
 
-TEST(PrefixDispatchEngineTest, RunPendingComputesEachSharedProfileOnce) {
+TEST(PrefixDispatchEngineTest, DrainComputesEachSharedProfileOnce) {
   // One lane, batches of up to 4, a cold cache: the first batch takes one
   // post per user — a second post of the same user would recompute the
   // same profile — and every later post reuses its published profile.
@@ -232,11 +233,12 @@ TEST(PrefixDispatchEngineTest, RunPendingComputesEachSharedProfileOnce) {
   const auto expected = SoloReference(requests);
 
   Engine engine(DispatchOptions());
+  Backlog backlog(engine);
   for (const ScoringRequest& request : requests) {
-    ASSERT_TRUE(engine.Submit(request).ok());
+    ASSERT_TRUE(backlog.Submit(request).ok());
   }
   ASSERT_TRUE(engine.CheckInvariants().ok()) << "queued work counts in the ledger";
-  auto responses = engine.RunPending();
+  auto responses = backlog.Drain();
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   ASSERT_EQ(responses.value().size(), requests.size());
   int cold = 0;
@@ -267,26 +269,25 @@ TEST(PrefixDispatchEngineTest, TwoLaneRuntimeKeepsBitsAndInvariants) {
   EngineOptions options = DispatchOptions();
   options.max_concurrent_requests = 2;
   Engine engine(options);
-  for (const ScoringRequest& request : requests) {
-    ASSERT_TRUE(engine.Submit(request).ok());
-  }
   std::mutex mu;
   std::vector<ScoringResponse> responses;
   std::vector<std::string> violations;
-  ASSERT_TRUE(engine
-                  .StartWorker([&](Result<ScoringResponse> response) {
-                    const Status invariants = engine.CheckInvariants();
-                    std::lock_guard<std::mutex> lock(mu);
-                    if (!invariants.ok()) {
-                      violations.push_back(invariants.ToString());
-                    }
-                    if (response.ok()) {
-                      responses.push_back(response.take());
-                    } else {
-                      violations.push_back(response.status().ToString());
-                    }
-                  })
-                  .ok());
+  auto hook = [&](size_t, const Result<ScoringResponse>& response) {
+    const Status invariants = engine.CheckInvariants();
+    std::lock_guard<std::mutex> lock(mu);
+    if (!invariants.ok()) {
+      violations.push_back(invariants.ToString());
+    }
+    if (response.ok()) {
+      responses.push_back(response.value());
+    } else {
+      violations.push_back(response.status().ToString());
+    }
+  };
+  for (const ScoringRequest& request : requests) {
+    ASSERT_TRUE(SubmitOne(engine, request, hook).ok());
+  }
+  ASSERT_TRUE(engine.StartWorker().ok());
   engine.StopWorker();
   EXPECT_TRUE(violations.empty()) << violations.front();
   ASSERT_EQ(responses.size(), requests.size());
@@ -303,10 +304,11 @@ TEST(LaneAccountingTest, TotalExecuteCountsABatchOnce) {
   // the batch's wall time as its execute_time_s; the engine's lane time
   // counts that wall time once, not once per member.
   Engine engine(DispatchOptions());
+  Backlog backlog(engine);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(engine.Submit(YesNoRequest(Tokens(40 + i, 300 + i), i)).ok());
+    ASSERT_TRUE(backlog.Submit(YesNoRequest(Tokens(40 + i, 300 + i), i)).ok());
   }
-  auto responses = engine.RunPending();
+  auto responses = backlog.Drain();
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
   ASSERT_EQ(responses.value().size(), 4u);
   double member_sum = 0.0;
@@ -338,13 +340,13 @@ void RunSharedProfileSchedule(const std::string& schedule) {
   options.cache_budget_tokens = 128;        // small: keeps eviction pressure on
   options.cpu_offload_budget_tokens = 128;  // exercises the offload fault sites
   Engine engine(options);
-  ASSERT_TRUE(engine.StartWorker(/*callback=*/nullptr).ok());
+  ASSERT_TRUE(engine.StartWorker().ok());
   std::vector<Engine::ResponseFuture> futures;
   for (int round = 0; round < 2; ++round) {
     for (const ScoringRequest& request : SharedProfileRequests()) {
-      auto future = engine.SubmitAsync(request);
-      ASSERT_TRUE(future.ok()) << future.status().ToString();
-      futures.push_back(std::move(future.value()));
+      auto submitted = SubmitOne(engine, request);
+      ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+      futures.push_back(std::move(submitted.value().future));
     }
   }
   for (auto& future : futures) {

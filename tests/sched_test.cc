@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cmath>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "src/core/engine.h"
 #include "src/sched/jct.h"
 #include "src/sched/scheduler.h"
+#include "tests/engine_backlog.h"
 
 namespace prefillonly {
 namespace {
@@ -544,26 +544,25 @@ EngineOptions OrderTestOptions(SchedPolicy policy, double lambda) {
 }
 
 // Runs the queued backlog through the runtime; returns completion order ids.
-std::vector<int64_t> DrainAndCollect(Engine& engine) {
-  std::mutex mu;
+std::vector<int64_t> DrainAndCollect(Backlog& backlog) {
+  auto responses = backlog.Drain();
+  EXPECT_TRUE(responses.ok()) << responses.status().ToString();
   std::vector<int64_t> order;
-  EXPECT_TRUE(engine
-                  .StartWorker([&](Result<ScoringResponse> response) {
-                    ASSERT_TRUE(response.ok()) << response.status().ToString();
-                    std::lock_guard<std::mutex> lock(mu);
-                    order.push_back(response.value().request_id);
-                  })
-                  .ok());
-  engine.StopWorker();  // drains the whole backlog
+  if (responses.ok()) {
+    for (const ScoringResponse& response : responses.value()) {
+      order.push_back(response.request_id);
+    }
+  }
   return order;
 }
 
 TEST(EngineSchedulingOrderTest, FifoCompletesInArrivalOrder) {
   Engine engine(OrderTestOptions(SchedPolicy::kFifo, 0.0));
-  const auto long_id = engine.Submit(EngineRequest(EngineTokens(120, 1))).value();
-  const auto mid_id = engine.Submit(EngineRequest(EngineTokens(60, 2))).value();
-  const auto short_id = engine.Submit(EngineRequest(EngineTokens(20, 3))).value();
-  const auto order = DrainAndCollect(engine);
+  Backlog backlog(engine);
+  const auto long_id = backlog.Submit(EngineRequest(EngineTokens(120, 1))).value();
+  const auto mid_id = backlog.Submit(EngineRequest(EngineTokens(60, 2))).value();
+  const auto short_id = backlog.Submit(EngineRequest(EngineTokens(20, 3))).value();
+  const auto order = DrainAndCollect(backlog);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], long_id);
   EXPECT_EQ(order[1], mid_id);
@@ -572,6 +571,7 @@ TEST(EngineSchedulingOrderTest, FifoCompletesInArrivalOrder) {
 
 TEST(EngineSchedulingOrderTest, CalibratedSrjfRunsCachedShortJobFirst) {
   Engine engine(OrderTestOptions(SchedPolicy::kSrjfCalibrated, 0.0));
+  Backlog backlog(engine);
   // Warm the cache with a 96-token prefix.
   const auto profile = EngineTokens(96, 10);
   auto warm = profile;
@@ -581,12 +581,12 @@ TEST(EngineSchedulingOrderTest, CalibratedSrjfRunsCachedShortJobFirst) {
   // Backlog: a long uncached job arrives FIRST, then a sibling of the cached
   // prefix (97 tokens input but only ~1 block of cache misses). Calibrated
   // SRJF must complete the cached job ahead of the long one.
-  const auto long_id = engine.Submit(EngineRequest(EngineTokens(120, 11), 2)).value();
+  const auto long_id = backlog.Submit(EngineRequest(EngineTokens(120, 11), 2)).value();
   auto sibling = profile;
   sibling.push_back(2);
   sibling.push_back(3);
-  const auto sibling_id = engine.Submit(EngineRequest(sibling, 1)).value();
-  const auto order = DrainAndCollect(engine);
+  const auto sibling_id = backlog.Submit(EngineRequest(sibling, 1)).value();
+  const auto order = DrainAndCollect(backlog);
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0], sibling_id);
   EXPECT_EQ(order[1], long_id);
@@ -599,15 +599,16 @@ TEST(EngineSchedulingOrderTest, LambdaBoundsQueueingOfTheLongJob) {
   // the size difference and it runs first (Algorithm 1's starvation offset).
   for (const double lambda : {0.0, 1e9}) {
     Engine engine(OrderTestOptions(SchedPolicy::kSrjfCalibrated, lambda));
-    const auto long_id = engine.Submit(EngineRequest(EngineTokens(120, 20), 1)).value();
+    Backlog backlog(engine);
+    const auto long_id = backlog.Submit(EngineRequest(EngineTokens(120, 20), 1)).value();
     // Let the long job age so its queueing-time offset is unambiguous.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     std::vector<int64_t> short_ids;
     for (int i = 0; i < 3; ++i) {
       short_ids.push_back(
-          engine.Submit(EngineRequest(EngineTokens(20 + i, 30 + i), 2 + i)).value());
+          backlog.Submit(EngineRequest(EngineTokens(20 + i, 30 + i), 2 + i)).value());
     }
-    const auto order = DrainAndCollect(engine);
+    const auto order = DrainAndCollect(backlog);
     ASSERT_EQ(order.size(), 4u);
     if (lambda == 0.0) {
       EXPECT_EQ(order.back(), long_id) << "pure SRJF must run the long job last";
@@ -644,15 +645,16 @@ TEST(EngineSchedulingOrderTest, BatchFormationKeepsTheStarvationBound) {
       options.max_batch_size = 2;
       options.batch_packing = packing;
       Engine engine(options);
+      Backlog backlog(engine);
       const auto long_id =
-          engine.Submit(EngineRequest(EngineTokens(120, 40), 1)).value();
+          backlog.Submit(EngineRequest(EngineTokens(120, 40), 1)).value();
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       for (int i = 0; i < 4; ++i) {
         // Lengths 20..23 share LengthBucket 4.
         ASSERT_TRUE(
-            engine.Submit(EngineRequest(EngineTokens(20 + i, 50 + i), 2 + i)).ok());
+            backlog.Submit(EngineRequest(EngineTokens(20 + i, 50 + i), 2 + i)).ok());
       }
-      const auto order = DrainAndCollect(engine);
+      const auto order = DrainAndCollect(backlog);
       ASSERT_EQ(order.size(), 5u);
       if (lambda == 0.0) {
         if (packing == BatchPacking::kBucket) {
