@@ -23,6 +23,12 @@
 // packing metric is lane occupancy in the currency that costs money —
 // miss tokens per dispatched batch — and the run FAILS (exit 1) if packing
 // admits fewer miss-tokens per batch than the bucket rule on this workload.
+//
+// Every point is the median of kReps drains, each on a fresh engine, with
+// the quartiles of the drain time beside it: one drain lasts milliseconds,
+// so a single one (or the best of several) mostly measures host noise.
+// Occupancy is deterministic and the same in every drain.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -108,10 +114,29 @@ struct Point {
   int64_t prompt_len = 0;
   int max_batch = 0;
   int requests = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  // one drain; the median one after MedianOf
+  double seconds_q1 = 0.0;
+  double seconds_q3 = 0.0;
   double prefills_per_s = 0.0;
   double occupancy = 0.0;
 };
+
+// The median of `reps` runs of run() by drain time, carrying the
+// quartiles of the drain time (nearest rank). Its rates are the median
+// drain's.
+template <typename P, typename Run>
+P MedianOf(int reps, const Run& run) {
+  std::vector<P> runs;
+  for (int r = 0; r < reps; ++r) {
+    runs.push_back(run());
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const P& a, const P& b) { return a.seconds < b.seconds; });
+  P median = runs[runs.size() / 2];
+  median.seconds_q1 = runs[runs.size() / 4].seconds;
+  median.seconds_q3 = runs[3 * runs.size() / 4].seconds;
+  return median;
+}
 
 Point RunOnce(KernelBackend backend, const std::vector<ScoringRequest>& workload,
               int max_batch) {
@@ -160,7 +185,9 @@ struct MixedPoint {
   std::string backend;
   std::string packing;
   int max_batch = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;  // one drain; the median one after MedianOf
+  double seconds_q1 = 0.0;
+  double seconds_q3 = 0.0;
   double prefills_per_s = 0.0;
   double occupancy = 0.0;            // requests per dispatched batch
   double miss_tokens_per_batch = 0.0;  // lane occupancy in miss tokens
@@ -194,24 +221,11 @@ MixedPoint RunMixedOnce(KernelBackend backend,
   return p;
 }
 
-MixedPoint RunMixedBest(KernelBackend backend,
-                        const std::vector<ScoringRequest>& workload,
-                        BatchPacking packing, int max_batch, int reps) {
-  MixedPoint best = RunMixedOnce(backend, workload, packing, max_batch);
-  for (int r = 1; r < reps; ++r) {
-    MixedPoint p = RunMixedOnce(backend, workload, packing, max_batch);
-    if (p.seconds < best.seconds) {
-      best = p;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
   constexpr int kRequests = 32;
-  constexpr int kReps = 5;
+  constexpr int kReps = 7;
   const int64_t kPromptLens[] = {8, 16, 64};
   const int kBatchSizes[] = {1, 2, 4, 8};
 
@@ -222,8 +236,8 @@ int main() {
 
   std::printf("continuous batching: %d requests per cell, %u hardware threads\n\n",
               kRequests, std::thread::hardware_concurrency());
-  std::printf("%-8s %10s %10s %10s %12s %16s %10s\n", "backend", "prompt", "batch",
-              "requests", "seconds", "prefills/sec", "occupancy");
+  std::printf("%-8s %10s %10s %10s %12s %21s %16s %10s\n", "backend", "prompt", "batch",
+              "requests", "seconds", "[q1, q3]", "prefills/sec", "occupancy");
 
   std::vector<Point> points;
   for (KernelBackend backend : backends) {
@@ -231,21 +245,16 @@ int main() {
       const auto workload = BenchWorkload(kRequests, prompt_len);
       // Warm-up run: each RunOnce builds a fresh engine, so this only
       // pre-faults code/malloc pages — enough to keep first-measured-cell
-      // jitter out of the best-of-N below.
+      // jitter out of the medians below.
       (void)RunOnce(backend, workload, 1);
       for (int max_batch : kBatchSizes) {
-        Point best = RunOnce(backend, workload, max_batch);
-        for (int r = 1; r < kReps; ++r) {
-          Point p = RunOnce(backend, workload, max_batch);
-          if (p.seconds < best.seconds) {
-            best = p;
-          }
-        }
-        std::printf("%-8s %10lld %10d %10d %12.4f %16.2f %10.2f\n",
-                    best.backend.c_str(), static_cast<long long>(best.prompt_len),
-                    best.max_batch, best.requests, best.seconds, best.prefills_per_s,
-                    best.occupancy);
-        points.push_back(best);
+        const Point p =
+            MedianOf<Point>(kReps, [&] { return RunOnce(backend, workload, max_batch); });
+        std::printf("%-8s %10lld %10d %10d %12.4f [%9.4f, %9.4f] %16.2f %10.2f\n",
+                    p.backend.c_str(), static_cast<long long>(p.prompt_len), p.max_batch,
+                    p.requests, p.seconds, p.seconds_q1, p.seconds_q3, p.prefills_per_s,
+                    p.occupancy);
+        points.push_back(p);
       }
     }
   }
@@ -267,31 +276,32 @@ int main() {
                 name, static_cast<long long>(kPromptLens[0]),
                 solo > 0 ? batch4 / solo : 0.0);
   }
-  std::printf("(single-core container numbers; the real scaling curve is pending a "
-              "multi-core host, see ROADMAP.md)\n");
 
   // Mixed-length scenario (ISSUE 9): packed vs bucket admission on the same
   // cross-bucket backlog, same max_batch_size.
   constexpr int kMixedBatch = 8;
   std::printf("\nmixed-length packing: lengths {2,5,9,17,33,65} cycling, "
               "max_batch %d\n", kMixedBatch);
-  std::printf("%-8s %10s %10s %12s %16s %10s %18s\n", "backend", "packing",
-              "batches", "seconds", "prefills/sec", "occupancy",
+  std::printf("%-8s %10s %10s %12s %21s %16s %10s %18s\n", "backend", "packing",
+              "batches", "seconds", "[q1, q3]", "prefills/sec", "occupancy",
               "miss_tok/batch");
   std::vector<MixedPoint> mixed;
   bool gate_ok = true;
   for (KernelBackend backend : backends) {
     const auto workload = MixedWorkload(kRequests);
     (void)RunMixedOnce(backend, workload, BatchPacking::kBucket, kMixedBatch);
-    MixedPoint bucket = RunMixedBest(backend, workload, BatchPacking::kBucket,
-                                     kMixedBatch, kReps);
-    MixedPoint packed = RunMixedBest(backend, workload, BatchPacking::kFirstFit,
-                                     kMixedBatch, kReps);
+    const auto median = [&](BatchPacking packing) {
+      return MedianOf<MixedPoint>(
+          kReps, [&] { return RunMixedOnce(backend, workload, packing, kMixedBatch); });
+    };
+    const MixedPoint bucket = median(BatchPacking::kBucket);
+    const MixedPoint packed = median(BatchPacking::kFirstFit);
     for (const MixedPoint* p : {&bucket, &packed}) {
-      std::printf("%-8s %10s %10lld %12.4f %16.2f %10.2f %18.2f\n",
+      std::printf("%-8s %10s %10lld %12.4f [%9.4f, %9.4f] %16.2f %10.2f %18.2f\n",
                   p->backend.c_str(), p->packing.c_str(),
-                  static_cast<long long>(p->batches), p->seconds,
-                  p->prefills_per_s, p->occupancy, p->miss_tokens_per_batch);
+                  static_cast<long long>(p->batches), p->seconds, p->seconds_q1,
+                  p->seconds_q3, p->prefills_per_s, p->occupancy,
+                  p->miss_tokens_per_batch);
       mixed.push_back(*p);
     }
     std::printf("%s: packed/bucket miss-tokens-per-batch = %.3f, "
@@ -324,10 +334,12 @@ int main() {
     const auto& p = points[i];
     std::fprintf(f,
                  "    {\"backend\": \"%s\", \"prompt_len\": %lld, \"max_batch\": %d, "
-                 "\"requests\": %d, \"seconds\": %.6g, \"prefills_per_s\": %.4f, "
+                 "\"requests\": %d, \"seconds\": %.6g, \"seconds_q1\": %.6g, "
+                 "\"seconds_q3\": %.6g, \"prefills_per_s\": %.4f, "
                  "\"occupancy\": %.4f}%s\n",
                  p.backend.c_str(), static_cast<long long>(p.prompt_len), p.max_batch,
-                 p.requests, p.seconds, p.prefills_per_s, p.occupancy,
+                 p.requests, p.seconds, p.seconds_q1, p.seconds_q3, p.prefills_per_s,
+                 p.occupancy,
                  i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"mixed_length\": [\n");
@@ -335,11 +347,12 @@ int main() {
     const auto& p = mixed[i];
     std::fprintf(f,
                  "    {\"backend\": \"%s\", \"packing\": \"%s\", \"max_batch\": %d, "
-                 "\"batches\": %lld, \"seconds\": %.6g, \"prefills_per_s\": %.4f, "
-                 "\"occupancy\": %.4f, \"miss_tokens_per_batch\": %.4f}%s\n",
+                 "\"batches\": %lld, \"seconds\": %.6g, \"seconds_q1\": %.6g, "
+                 "\"seconds_q3\": %.6g, \"prefills_per_s\": %.4f, \"occupancy\": %.4f, "
+                 "\"miss_tokens_per_batch\": %.4f}%s\n",
                  p.backend.c_str(), p.packing.c_str(), p.max_batch,
-                 static_cast<long long>(p.batches), p.seconds, p.prefills_per_s,
-                 p.occupancy, p.miss_tokens_per_batch,
+                 static_cast<long long>(p.batches), p.seconds, p.seconds_q1,
+                 p.seconds_q3, p.prefills_per_s, p.occupancy, p.miss_tokens_per_batch,
                  i + 1 < mixed.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -7,7 +7,9 @@
 //     host supports it; ISSUE 3) at 1/2/4/8 threads, dense and prepacked
 //     GEMM variants (prepacked only on kPacked-layout backends), the RoPE
 //     recompute-vs-table pair, and causal attention
-//     (per-key dot/axpy path vs attention_rows) at 150 and 500 positions.
+//     (per-key dot/axpy path vs attention_rows) at 150 and 500 positions,
+//     and a whole solo 500-token hybrid prefill of the `small` model at
+//     1/2/4 threads (ms per pass; the thread counts alternate per repeat).
 //     Where the host has AVX-512F, the avx2 backend's two tables — 8-lane
 //     (ops_avx2.cc) and 16-lane (ops_avx512.cc), same bits — are both timed
 //     on the packed GEMM at the small model's chunk shapes and on
@@ -29,6 +31,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -501,6 +504,61 @@ void RunJsonSweep(const char* json_path) {
     }
   }
 
+  // A solo 500-token hybrid prefill of the `small` model (chunk 64, the
+  // po_bench deployment's mode) on the default backend at 1/2/4 threads:
+  // pass-level thread scaling, fork-join overhead included. One repeat of
+  // each thread count in turn, so host drift moves every count alike, each
+  // after one untimed pass on its pool; the speedup is the median of
+  // per-repeat ratios against the 1-thread pass.
+  struct PassPoint {
+    int threads;
+    Spread ms;
+    Spread speedup;
+  };
+  std::vector<PassPoint> pass_points;
+  {
+    const int64_t n_tokens = 500;
+    LlamaModel model(ModelConfig::Small(), 42);
+    Rng rng(7);
+    std::vector<int32_t> tokens(static_cast<size_t>(n_tokens));
+    for (auto& t : tokens) {
+      t = static_cast<int32_t>(
+          rng.NextBounded(static_cast<uint64_t>(model.config().vocab_size)));
+    }
+    PrefillOptions options;
+    options.mode = PrefillMode::kHybrid;
+    options.chunk_size = 64;
+    const std::vector<int> pass_threads = {1, 2, 4};
+    std::vector<std::unique_ptr<ThreadPool>> pools;
+    std::vector<int> calls;
+    for (const int t : pass_threads) {
+      pools.push_back(std::make_unique<ThreadPool>(t));
+    }
+    auto pass = [&](size_t i) {
+      model.SetThreadPool(pools[i].get());
+      TrackingAllocator act;
+      const auto result = model.Prefill(tokens, nullptr, options, act);
+      if (!result.ok()) {
+        std::fprintf(stderr, "prefill failed: %s\n", result.status().ToString().c_str());
+      }
+    };
+    for (size_t i = 0; i < pass_threads.size(); ++i) {
+      calls.push_back(CallsPerRepeat([&] { pass(i); }));
+    }
+    std::vector<std::vector<double>> ms(pass_threads.size());
+    std::vector<std::vector<double>> ratios(pass_threads.size());
+    for (int r = 0; r < kRepeats; ++r) {
+      for (size_t i = 0; i < pass_threads.size(); ++i) {
+        pass(i);  // untimed: the previous count's threads left the caches cold
+        ms[i].push_back(1e3 * TimeRepeat([&] { pass(i); }, calls[i]));
+        ratios[i].push_back(ms[0].back() / ms[i].back());
+      }
+    }
+    for (size_t i = 0; i < pass_threads.size(); ++i) {
+      pass_points.push_back({pass_threads[i], Quartiles(ms[i]), Quartiles(ratios[i])});
+    }
+  }
+
   std::printf("%-10s %-18s %-8s %5s %8s %12s %21s %12s %12s\n", "kernel", "variant",
               "backend", "lanes", "threads", "GFLOP/s", "[q1, q3]", "GB/s", "sec/call");
   for (const auto& p : points) {
@@ -513,6 +571,15 @@ void RunJsonSweep(const char* json_path) {
       "\nsingle-thread matmul (m=256,k=512,n=512): best %s = %.2fx [q1 %.2f, q3 %.2f] "
       "the scalar blocked kernel (median of %d alternating repeats)\n",
       st_best_name.c_str(), st_speedup.median, st_speedup.q1, st_speedup.q3, kRepeats);
+  std::printf("\nsolo hybrid prefill, small model, 500 tokens, chunk 64 (%s):\n",
+              GetKernelOps(KernelBackend::kAuto)->name);
+  std::printf("%8s %10s %21s %10s %21s\n", "threads", "ms/pass", "[q1, q3]", "speedup",
+              "[q1, q3]");
+  for (const PassPoint& p : pass_points) {
+    std::printf("%8d %10.3f [%9.3f, %9.3f] %9.2fx [%9.2f, %9.2f]\n", p.threads,
+                p.ms.median, p.ms.q1, p.ms.q3, p.speedup.median, p.speedup.q1,
+                p.speedup.q3);
+  }
 
   FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
@@ -547,6 +614,18 @@ void RunJsonSweep(const char* json_path) {
                  p.kernel.c_str(), p.variant.c_str(), p.backend.c_str(), p.lanes, p.threads,
                  gflops.median, gflops.q1, gflops.q3, p.Gbps(), p.seconds.median,
                  i + 1 < points.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"prefill_pass\": [\n");
+  for (size_t i = 0; i < pass_points.size(); ++i) {
+    const PassPoint& p = pass_points[i];
+    std::fprintf(f,
+                 "    {\"model\": \"small\", \"mode\": \"hybrid\", \"tokens\": 500, "
+                 "\"chunk\": 64, \"backend\": \"%s\", \"threads\": %d, \"ms\": %.4f, "
+                 "\"ms_q1\": %.4f, \"ms_q3\": %.4f, \"speedup_vs_1\": %.4f, "
+                 "\"speedup_q1\": %.4f, \"speedup_q3\": %.4f}%s\n",
+                 GetKernelOps(KernelBackend::kAuto)->name, p.threads, p.ms.median,
+                 p.ms.q1, p.ms.q3, p.speedup.median, p.speedup.q1, p.speedup.q3,
+                 i + 1 < pass_points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

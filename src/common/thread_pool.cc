@@ -127,6 +127,7 @@ void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
     fn(0, n, 0);
     return;
   }
+  fork_joins_.fetch_add(1, std::memory_order_relaxed);
   // Wake exactly the assigned workers — each sleeps on its own cv.
   for (int i = 0; i < n_helpers; ++i) {
     slots_[helpers[static_cast<size_t>(i)]].cv.notify_one();

@@ -20,9 +20,17 @@
 // Borrowed workers return to the shared free set when the call completes, so
 // a lone request elastically expands to the whole machine while N concurrent
 // requests settle at ~num_threads/N workers each.
+//
+// Every ParallelFor that hands work to a spawned worker is one fork-join:
+// waking the helper and joining it costs about 12 us, as much as a small
+// GEMM. Callers on a hot path therefore fork over coarse regions, not per
+// kernel call: a prefill pass runs each layer's row-local chain of kernels
+// as one row-parallel region whose kernels run serially on each thread's
+// slice of the rows (src/model/llama.h). fork_joins() counts the dispatches.
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -86,6 +94,12 @@ class ThreadPool {
   // performance knob.
   void ParallelFor(int64_t n, int64_t grain, const RangeFn& fn);
 
+  // Fork-joins dispatched so far: ParallelFor calls that handed a shard to
+  // at least one spawned worker. Calls that ran inline on the caller do not
+  // count. Relaxed and monotonic; tests read it to pin how often a prefill
+  // pass forks (tests/batching_test.cc).
+  uint64_t fork_joins() const { return fork_joins_.load(std::memory_order_relaxed); }
+
   // The range worker `shard` of `shards` owns: floor-balanced contiguous
   // blocks, first `n % shards` blocks one element larger.
   static std::pair<int64_t, int64_t> ShardRange(int64_t n, int shards, int shard);
@@ -121,6 +135,7 @@ class ThreadPool {
   std::unique_ptr<Slot[]> slots_;  // one per spawned worker
   std::vector<int> free_workers_;  // spawned workers not held by any lease
   bool stop_ = false;
+  std::atomic<uint64_t> fork_joins_{0};
 
   static thread_local Lease* tls_lease_;
 };

@@ -1,6 +1,7 @@
 #include "src/model/llama.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -47,6 +48,117 @@ int64_t RetainedNewTokens(const PrefillSequence& seq, int64_t n_cached,
       return std::clamp<int64_t>(seq.prefix_budget_tokens - n_cached, 0, n_new);
   }
   return 0;
+}
+
+// ------------------------------------------------------------------------
+// Row-parallel regions. A pass forks once per row-local chain of kernels,
+// not once per kernel call: RunRowRegion issues ONE ParallelFor in which
+// each thread walks its fixed slice of every chunk of the region's rows and
+// calls the chain's kernels serially (pool = nullptr) on those rows. The
+// chains are row-local, so no thread reads a row another one writes, and
+// every element goes through the same kernel code as a serial pass: the
+// bits do not depend on the slicing.
+// ------------------------------------------------------------------------
+
+// Fewest rows of a chunk worth a slice of their own: a fork-join costs
+// about as much as a few rows of one layer's linear chain.
+constexpr int64_t kMinSliceRows = 4;
+
+// The shared state of one region.
+struct RowRegionState {
+  int64_t row_begin = 0;
+  int64_t row_end = 0;
+  int64_t chunk = 0;
+  int slices = 1;
+  // Polled regions: the slice holding each chunk's first row polls
+  // abort_check before the chunk, on the calling thread.
+  const PrefillOptions* polled = nullptr;
+  std::atomic<bool> stop{false};  // set by a non-OK poll
+  Status status;                  // that poll's status
+};
+
+// One thread's share of a region: slices [s0, s1) of every chunk, which
+// ThreadPool::ShardRange makes one contiguous run of each chunk's rows.
+class RowSlice {
+ public:
+  RowSlice(RowRegionState& region, int64_t s0, int64_t s1)
+      : region_(region), s0_(static_cast<int>(s0)), s1_(static_cast<int>(s1)) {}
+
+  // Calls fn(b, e, t) for this slice's rows [b, e) of each chunk, in
+  // order, skipping chunks where the slice is empty. Rows [t, t + e - b)
+  // of a [chunk, ...] temporary are this slice's own in every chunk: t is
+  // where its share of a full chunk starts, and its share of a short last
+  // chunk is never larger. False once the region has stopped: the slice
+  // did none of the chunks left.
+  template <typename Fn>
+  bool ForEachChunk(Fn&& fn) const {
+    const bool polls = s0_ == 0 && region_.polled != nullptr;
+    const int64_t t = ThreadPool::ShardRange(region_.chunk, region_.slices, s0_).first;
+    for (int64_t r0 = region_.row_begin; r0 < region_.row_end; r0 += region_.chunk) {
+      if (polls) {
+        if (Status abort = CheckAbort(*region_.polled); !abort.ok()) {
+          region_.status = std::move(abort);
+          region_.stop.store(true, std::memory_order_relaxed);
+          return false;
+        }
+      } else if (region_.stop.load(std::memory_order_relaxed)) {
+        return false;
+      }
+      const int64_t cs = std::min(region_.chunk, region_.row_end - r0);
+      const int64_t b = r0 + ThreadPool::ShardRange(cs, region_.slices, s0_).first;
+      const int64_t e = r0 + ThreadPool::ShardRange(cs, region_.slices, s1_ - 1).second;
+      if (b < e) {
+        fn(b, e, t);
+      }
+    }
+    return true;
+  }
+
+ private:
+  RowRegionState& region_;
+  int s0_;
+  int s1_;
+};
+
+// Runs body(const RowSlice&) once per thread over rows [row_begin,
+// row_end) cut into chunks of `chunk` rows (the last may be short), as one
+// fork-join on `pool` (null = serial). With `polled`, abort_check is polled
+// before every chunk of every ForEachChunk walk, by the calling thread
+// only, and the first non-OK status stops the region and is returned.
+template <typename Body>
+Status RunRowRegion(ThreadPool* pool, int64_t row_begin, int64_t row_end, int64_t chunk,
+                    const PrefillOptions* polled, Body&& body) {
+  RowRegionState region;
+  region.row_begin = row_begin;
+  region.row_end = row_end;
+  region.chunk = chunk;
+  region.polled = polled;
+  if (pool != nullptr) {
+    const int64_t rows = std::min(chunk, row_end - row_begin);
+    region.slices = static_cast<int>(std::clamp<int64_t>(
+        rows / kMinSliceRows, 1, static_cast<int64_t>(pool->num_threads())));
+  }
+  if (region.slices == 1) {
+    body(RowSlice(region, 0, 1));
+  } else {
+    pool->ParallelFor(region.slices, /*grain=*/1,
+                      [&](int64_t s0, int64_t s1, int /*worker*/) {
+                        body(RowSlice(region, s0, s1));
+                      });
+  }
+  return std::move(region.status);
+}
+
+// An unpolled one-chunk region: fn(b, e) over each thread's rows of
+// [row_begin, row_end).
+template <typename Fn>
+void ParallelRows(ThreadPool* pool, int64_t row_begin, int64_t row_end, Fn&& fn) {
+  const Status ok = RunRowRegion(
+      pool, row_begin, row_end, row_end - row_begin, nullptr, [&](const RowSlice& slice) {
+        slice.ForEachChunk([&](int64_t b, int64_t e, int64_t /*t*/) { fn(b, e); });
+      });
+  assert(ok.ok());
+  (void)ok;
 }
 
 // Fills a tensor with deterministic uniform values in [-scale, scale).
@@ -135,12 +247,12 @@ LlamaModel::LlamaModel(ModelConfig config, uint64_t seed, KernelBackend backend)
   lm_head_ = make_weight({h, config_.vocab_size}, "w.lm_head", fan(h));
 }
 
-void LlamaModel::MatMulW(const float* a, const Weight& w, float* c,
-                         int64_t m) const {
+void LlamaModel::MatMulW(const float* a, const Weight& w, float* c, int64_t m,
+                         ThreadPool* pool) const {
   if (!w.packed.empty()) {
-    MatMulPacked(a, w.packed, c, m, pool_, kops_);
+    MatMulPacked(a, w.packed, c, m, pool, kops_);
   } else {
-    MatMul(a, w.dense.data(), c, m, w.dense.dim(0), w.dense.dim(1), pool_, kops_);
+    MatMul(a, w.dense.data(), c, m, w.dense.dim(0), w.dense.dim(1), pool, kops_);
   }
 }
 
@@ -288,7 +400,7 @@ std::vector<float> LlamaModel::LastLogits(const float* hidden_row) const {
   RmsNormRows(hidden_row, final_norm_.data(), normed.data(), 1, h, config_.rms_eps,
               nullptr, kops_);
   std::vector<float> logits(static_cast<size_t>(config_.vocab_size));
-  MatMulW(normed.data(), lm_head_, logits.data(), 1);
+  MatMulW(normed.data(), lm_head_, logits.data(), 1, pool_);
   return logits;
 }
 
@@ -314,6 +426,29 @@ void LlamaModel::ForEachLiveRun(std::span<const SeqLayout> layouts, bool last_la
   if (run1 > run0) {
     fn(run0, run1 - run0);
   }
+}
+
+template <typename Live>
+void LlamaModel::QkvRows(const LayerWeights& w, const float* hidden, float* normed,
+                         float* q, float* k, float* v, std::span<const int32_t> positions,
+                         int64_t b, int64_t e, Live&& live) const {
+  const int64_t h = config_.hidden_size;
+  const int64_t qs = config_.q_size();
+  const int64_t kvw = config_.kv_size();
+  const auto pos = [&](int64_t r, int64_t n) {
+    return positions.subspan(static_cast<size_t>(r), static_cast<size_t>(n));
+  };
+  RmsNormRows(hidden + b * h, w.attn_norm.data(), normed + b * h, e - b, h,
+              config_.rms_eps, nullptr, kops_);
+  live(b, e, [&](int64_t r, int64_t n) {
+    MatMulW(normed + r * h, w.wq, q + r * qs, n);
+    ApplyRopeWithTable(q + r * qs, n, config_.n_heads, config_.head_dim, pos(r, n),
+                       rope_table_);
+  });
+  MatMulW(normed + b * h, w.wk, k + b * kvw, e - b);
+  MatMulW(normed + b * h, w.wv, v + b * kvw, e - b);
+  ApplyRopeWithTable(k + b * kvw, e - b, config_.n_kv_heads, config_.head_dim,
+                     pos(b, e - b), rope_table_);
 }
 
 // ------------------------------------------------------------------------
@@ -473,15 +608,19 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
     const LayerWeights& w = layers_[l];
     LayerKv& kv = pass_kv[l];
     const bool last = l + 1 == layers_.size();
-    // Runs fn(row, count) over the rows this layer computes past K/V.
-    const auto live = [&](auto&& fn) { ForEachLiveRun(layouts, last, 0, m_rows, fn); };
+    // Runs fn(row, count) over the rows of [b, e) this layer computes past
+    // K/V.
+    const auto live = [&](int64_t b, int64_t e, auto&& fn) {
+      ForEachLiveRun(layouts, last, b, e, fn);
+    };
+    // One row-parallel region over the whole stack per stage: each stage
+    // runs between two tracked allocations, which keep their order.
+    const auto stage = [&](auto&& fn) {
+      ParallelRows(pool_, 0, m_rows, [&](int64_t b, int64_t e) { live(b, e, fn); });
+    };
 
     PO_TRY_ALLOC(normed, act, "act.normed", {m_rows, h});
-    RmsNormRows(hidden.data(), w.attn_norm.data(), normed.data(), m_rows, h,
-                config_.rms_eps, pool_, kops_);
-
     PO_TRY_ALLOC(q, act, "act.q", {m_rows, qs});
-    live([&](int64_t r, int64_t n) { MatMulW(normed.row(r), w.wq, q.row(r), n); });
     if (drop_kv) {
       // The naive §4.1 ablation: this layer's K/V rows for the whole stack
       // live from here to the end of the layer.
@@ -491,17 +630,11 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
         return Oom("kv.layer");
       }
     }
-    MatMulW(normed.data(), w.wk, kv.k.data(), m_rows);
-    MatMulW(normed.data(), w.wv, kv.v.data(), m_rows);
-    normed = Tensor();  // free before attention
-
-    live([&](int64_t r, int64_t n) {
-      ApplyRopeWithTable(q.row(r), n, config_.n_heads, config_.head_dim,
-                         positions.subspan(static_cast<size_t>(r), static_cast<size_t>(n)),
-                         rope_table_, pool_);
+    ParallelRows(pool_, 0, m_rows, [&](int64_t b, int64_t e) {
+      QkvRows(w, hidden.data(), normed.data(), q.data(), kv.k.data(), kv.v.data(),
+              positions, b, e, live);
     });
-    ApplyRopeWithTable(kv.k.data(), m_rows, config_.n_kv_heads, config_.head_dim,
-                       positions, rope_table_, pool_);
+    normed = Tensor();  // free before attention
 
     // Block-diagonal attention: each sequence's query rows see only its own
     // prefix + new keys.
@@ -519,34 +652,34 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
     q = Tensor();
 
     PO_TRY_ALLOC(attn_proj, act, "act.attn_proj", {m_rows, h});
-    live([&](int64_t r, int64_t n) {
+    stage([&](int64_t r, int64_t n) {
       MatMulW(attn_out.row(r), w.wo, attn_proj.row(r), n);
-      AddInPlace(hidden.row(r), attn_proj.row(r), n * h, pool_, kops_);
+      AddInPlace(hidden.row(r), attn_proj.row(r), n * h, nullptr, kops_);
     });
     attn_out = Tensor();
     attn_proj = Tensor();
 
     PO_TRY_ALLOC(normed2, act, "act.normed", {m_rows, h});
-    live([&](int64_t r, int64_t n) {
+    stage([&](int64_t r, int64_t n) {
       RmsNormRows(hidden.row(r), w.mlp_norm.data(), normed2.row(r), n, h, config_.rms_eps,
-                  pool_, kops_);
+                  nullptr, kops_);
     });
     // The Fig. 3/4 spike: [m_rows, 2*intermediate] = 28672 floats/token at
     // Llama-3.1-8B scale, 14x one layer's KV cache.
     PO_TRY_ALLOC(gate_up, act, "mlp.intermediate1", {m_rows, 2 * inter});
-    live([&](int64_t r, int64_t n) {
+    stage([&](int64_t r, int64_t n) {
       MatMulW(normed2.row(r), w.w_gate_up, gate_up.row(r), n);
     });
     normed2 = Tensor();
     PO_TRY_ALLOC(mlp_act, act, "mlp.intermediate2", {m_rows, inter});
-    live([&](int64_t r, int64_t n) {
-      SwiGluRows(gate_up.row(r), mlp_act.row(r), n, inter, pool_, kops_);
+    stage([&](int64_t r, int64_t n) {
+      SwiGluRows(gate_up.row(r), mlp_act.row(r), n, inter, nullptr, kops_);
     });
     gate_up = Tensor();
     PO_TRY_ALLOC(down, act, "mlp.down", {m_rows, h});
-    live([&](int64_t r, int64_t n) {
+    stage([&](int64_t r, int64_t n) {
       MatMulW(mlp_act.row(r), w.w_down, down.row(r), n);
-      AddInPlace(hidden.row(r), down.row(r), n * h, pool_, kops_);
+      AddInPlace(hidden.row(r), down.row(r), n * h, nullptr, kops_);
     });
     mlp_act = Tensor();
     if (drop_kv) {
@@ -625,32 +758,25 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchChunked(
     for (size_t l = 0; l < layers_.size(); ++l) {
       const LayerWeights& w = layers_[l];
       const bool last = l + 1 == layers_.size();
-      // Runs fn(row, count) over the rows of this chunk the layer computes
-      // past K/V, as chunk-local rows.
-      const auto live = [&](auto&& fn) {
-        ForEachLiveRun(layouts, last, r0, r1,
+      // Runs fn(row, count) over the rows of chunk-local [b, e) the layer
+      // computes past K/V, as chunk-local rows.
+      const auto live = [&](int64_t b, int64_t e, auto&& fn) {
+        ForEachLiveRun(layouts, last, r0 + b, r0 + e,
                        [&](int64_t r, int64_t n) { fn(r - r0, n); });
+      };
+      // The standard pass's stages, each one region over this chunk.
+      const auto stage = [&](auto&& fn) {
+        ParallelRows(pool_, 0, cs, [&](int64_t b, int64_t e) { live(b, e, fn); });
       };
 
       PO_TRY_ALLOC(normed, act, "act.normed", {cs, h});
-      RmsNormRows(hidden_c.data(), w.attn_norm.data(), normed.data(), cs, h,
-                  config_.rms_eps, pool_, kops_);
-
       PO_TRY_ALLOC(q, act, "act.q", {cs, qs});
-      live([&](int64_t r, int64_t n) { MatMulW(normed.row(r), w.wq, q.row(r), n); });
       // K/V of this chunk go straight into the resident per-layer cache.
-      MatMulW(normed.data(), w.wk, pass_kv[l].k.row(r0), cs);
-      MatMulW(normed.data(), w.wv, pass_kv[l].v.row(r0), cs);
-      normed = Tensor();
-
-      live([&](int64_t r, int64_t n) {
-        ApplyRopeWithTable(q.row(r), n, config_.n_heads, config_.head_dim,
-                           chunk_positions.subspan(static_cast<size_t>(r),
-                                                   static_cast<size_t>(n)),
-                           rope_table_, pool_);
+      ParallelRows(pool_, 0, cs, [&](int64_t b, int64_t e) {
+        QkvRows(w, hidden_c.data(), normed.data(), q.data(), pass_kv[l].k.row(r0),
+                pass_kv[l].v.row(r0), chunk_positions, b, e, live);
       });
-      ApplyRopeWithTable(pass_kv[l].k.row(r0), cs, config_.n_kv_heads,
-                         config_.head_dim, chunk_positions, rope_table_, pool_);
+      normed = Tensor();
 
       PO_TRY_ALLOC(attn_out, act, "act.attn_out", {cs, qs});
       for (size_t s = 0; s < n_seqs; ++s) {
@@ -673,32 +799,32 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchChunked(
       q = Tensor();
 
       PO_TRY_ALLOC(attn_proj, act, "act.attn_proj", {cs, h});
-      live([&](int64_t r, int64_t n) {
+      stage([&](int64_t r, int64_t n) {
         MatMulW(attn_out.row(r), w.wo, attn_proj.row(r), n);
-        AddInPlace(hidden_c.row(r), attn_proj.row(r), n * h, pool_, kops_);
+        AddInPlace(hidden_c.row(r), attn_proj.row(r), n * h, nullptr, kops_);
       });
       attn_out = Tensor();
       attn_proj = Tensor();
 
       PO_TRY_ALLOC(normed2, act, "act.normed", {cs, h});
-      live([&](int64_t r, int64_t n) {
+      stage([&](int64_t r, int64_t n) {
         RmsNormRows(hidden_c.row(r), w.mlp_norm.data(), normed2.row(r), n, h,
-                    config_.rms_eps, pool_, kops_);
+                    config_.rms_eps, nullptr, kops_);
       });
       PO_TRY_ALLOC(gate_up, act, "mlp.intermediate1", {cs, 2 * inter});
-      live([&](int64_t r, int64_t n) {
+      stage([&](int64_t r, int64_t n) {
         MatMulW(normed2.row(r), w.w_gate_up, gate_up.row(r), n);
       });
       normed2 = Tensor();
       PO_TRY_ALLOC(mlp_act, act, "mlp.intermediate2", {cs, inter});
-      live([&](int64_t r, int64_t n) {
-        SwiGluRows(gate_up.row(r), mlp_act.row(r), n, inter, pool_, kops_);
+      stage([&](int64_t r, int64_t n) {
+        SwiGluRows(gate_up.row(r), mlp_act.row(r), n, inter, nullptr, kops_);
       });
       gate_up = Tensor();
       PO_TRY_ALLOC(down, act, "mlp.down", {cs, h});
-      live([&](int64_t r, int64_t n) {
+      stage([&](int64_t r, int64_t n) {
         MatMulW(mlp_act.row(r), w.w_down, down.row(r), n);
-        AddInPlace(hidden_c.row(r), down.row(r), n * h, pool_, kops_);
+        AddInPlace(hidden_c.row(r), down.row(r), n * h, nullptr, kops_);
       });
       mlp_act = Tensor();
     }
@@ -793,94 +919,68 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
     }
   }
 
-  // Runs `fn(r0, cs, out_rows)` for each row chunk, where out_rows points at
-  // the output buffer's chunk rows. Chunks are global over the stacked rows
-  // (row-independent linear layers make the chunk grid bitwise-invisible).
-  // Emulates the three ablation levels:
-  //  - prealloc: write chunks straight into the final buffer;
-  //  - no prealloc: materialize per-chunk outputs, then concatenate — the
-  //    transient 2x output footprint hybrid prefilling's preallocation
-  //    optimization removes (§4.3).
-  // Returns the buffer holding the full [m_rows, width] output.
-  auto chunked_linear = [&](int64_t width, Tensor* reuse, const char* tag,
-                            auto&& fn) -> Result<Tensor*> {
-    if (prealloc) {
-      Tensor* out = reuse;
-      for (int64_t r0 = 0; r0 < m_rows; r0 += chunk) {
-        if (Status abort = CheckAbort(options); !abort.ok()) {
-          return abort;
-        }
-        const int64_t cs = std::min(chunk, m_rows - r0);
-        fn(r0, cs, out->row(r0));
-      }
-      return out;
-    }
-    // Ablation path: per-chunk tensors then concatenate.
+  // The ablation without preallocation (§4.3): each chunk's output is its
+  // own tensor, computed as one region over the chunk's rows by
+  // `chain(b, e, t, out_b)` (t = b's row in the chunk, out_b = the output
+  // row of row b). The pieces are then concatenated into a fresh
+  // whole-stack `proj_buf`: the transient 2x output footprint that
+  // preallocation removes. The chains already consumed each piece, so the
+  // concatenation is pure footprint.
+  auto per_chunk_outputs = [&](const char* tag, auto&& chain) -> Status {
     std::vector<Tensor> pieces;
     for (int64_t r0 = 0; r0 < m_rows; r0 += chunk) {
       if (Status abort = CheckAbort(options); !abort.ok()) {
         return abort;
       }
       const int64_t cs = std::min(chunk, m_rows - r0);
-      Tensor piece = Tensor::TryCreate(act, {cs, width}, tag);
+      Tensor piece = Tensor::TryCreate(act, {cs, h}, tag);
       if (piece.empty()) {
         return Oom(tag);
       }
-      fn(r0, cs, piece.data());
+      ParallelRows(pool_, r0, r0 + cs, [&](int64_t b, int64_t e) {
+        chain(b, e, b - r0, piece.row(b - r0));
+      });
       pieces.push_back(std::move(piece));
     }
-    *reuse = Tensor();  // the reuse target is not written on this path
-    Tensor full = Tensor::TryCreate(act, {m_rows, width}, tag);
-    if (full.empty()) {
-      return Oom(tag);
-    }
+    proj_buf = Tensor();
+    PO_TRY_ALLOC(full, act, tag, {m_rows, h});
     int64_t r0 = 0;
     for (Tensor& piece : pieces) {
       std::memcpy(full.row(r0), piece.data(), piece.bytes());
       r0 += piece.rows();
       piece = Tensor();
     }
-    *reuse = std::move(full);
-    return reuse;
+    proj_buf = std::move(full);
+    return Status::Ok();
   };
 
   for (size_t l = 0; l < layers_.size(); ++l) {
     const LayerWeights& w = layers_[l];
     const bool last = l + 1 == layers_.size();
-    // Runs fn(row, count) over the rows of [r0, r1) this layer computes
-    // past K/V.
-    const auto live = [&](int64_t r0, int64_t r1, auto&& fn) {
-      ForEachLiveRun(layouts, last, r0, r1, fn);
+    // Runs fn(row, count) over the rows of [b, e) this layer computes past
+    // K/V.
+    const auto live = [&](int64_t b, int64_t e, auto&& fn) {
+      ForEachLiveRun(layouts, last, b, e, fn);
     };
 
-    RmsNormRows(hidden.data(), w.attn_norm.data(), normed.data(), m_rows, h,
-                config_.rms_eps, pool_, kops_);
-
-    // QKV projections: linear, so chunked; outputs written directly into the
-    // preallocated whole-stack buffers (chunking + preallocation).
-    for (int64_t r0 = 0; r0 < m_rows; r0 += chunk) {
-      if (Status abort = CheckAbort(options); !abort.ok()) {
-        return abort;
-      }
-      const int64_t cs = std::min(chunk, m_rows - r0);
-      live(r0, r0 + cs, [&](int64_t r, int64_t n) {
-        MatMulW(normed.row(r), w.wq, q_buf.row(r), n);
+    // Region 1: attention norm, QKV projections and RoPE, chunk by chunk,
+    // written straight into the preallocated whole-stack buffers (chunking
+    // + preallocation).
+    const auto region1 = [&](const RowSlice& slice) {
+      slice.ForEachChunk([&](int64_t b, int64_t e, int64_t /*t*/) {
+        QkvRows(w, hidden.data(), normed.data(), q_buf.data(), k_buf.data(), v_buf.data(),
+                positions, b, e, live);
       });
-      MatMulW(normed.row(r0), w.wk, k_buf.row(r0), cs);
-      MatMulW(normed.row(r0), w.wv, v_buf.row(r0), cs);
+    };
+    if (Status s = RunRowRegion(pool_, 0, m_rows, chunk, &options, region1); !s.ok()) {
+      return s;
     }
-    live(0, m_rows, [&](int64_t r, int64_t n) {
-      ApplyRopeWithTable(q_buf.row(r), n, config_.n_heads, config_.head_dim,
-                         positions.subspan(static_cast<size_t>(r), static_cast<size_t>(n)),
-                         rope_table_, pool_);
-    });
-    ApplyRopeWithTable(k_buf.data(), m_rows, config_.n_kv_heads, config_.head_dim,
-                       positions, rope_table_, pool_);
 
-    // Attention runs UNCHUNKED over each whole sequence — the "hybrid" in
-    // hybrid prefilling: chunking attention would degrade kernel efficiency
-    // (the chunked-prefill baseline's flaw), while linear layers chunk for
-    // free. Across sequences it is block-diagonal.
+    // Region 2: attention runs UNCHUNKED over each whole sequence — the
+    // "hybrid" in hybrid prefilling: chunking attention would degrade
+    // kernel efficiency (the chunked-prefill baseline's flaw), while linear
+    // layers chunk for free. Across sequences it is block-diagonal; each
+    // sequence is one fork-join of its own (Attention).
     for (size_t s = 0; s < n_seqs; ++s) {
       const SeqLayout& lo = layouts[s];
       const KvCacheData* prefix = SeqPrefix(sequences[s]);
@@ -904,51 +1004,75 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
       }
     }
 
-    // Output projection: linear -> chunked. With in_place, the `normed`
-    // buffer (dead after QKV) is reused as the output.
-    Tensor* o_target = in_place ? &normed : &proj_buf;
-    auto o_proj = chunked_linear(
-        h, o_target, "act.attn_proj", [&](int64_t r0, int64_t cs, float* out) {
-          live(r0, r0 + cs, [&](int64_t r, int64_t n) {
-            MatMulW(attn_out.row(r), w.wo, out + (r - r0) * h, n);
-          });
-        });
-    if (!o_proj.ok()) {
-      return o_proj.status();
-    }
-    // With in_place the o-proj output lives in `normed`: each run adds it
-    // to the residual before the MLP norm overwrites those rows.
-    live(0, m_rows, [&](int64_t r, int64_t n) {
-      AddInPlace(hidden.row(r), o_proj.value()->row(r), n * h, pool_, kops_);
-      RmsNormRows(hidden.row(r), w.mlp_norm.data(), normed.row(r), n, h, config_.rms_eps,
-                  pool_, kops_);
-    });
+    // Region 3's two chains over rows [b, e), `out_b` being row b of the
+    // output. With in_place the output rows are `normed`'s (dead after
+    // QKV): the o-proj output is added to the residual before the MLP norm
+    // overwrites those rows, and gate_up reads a run's normed rows BEFORE
+    // down writes over them — the relative-position argument of §4.3 (row
+    // i of the output lands exactly where row i of the input lived).
+    const auto o_proj_chain = [&](int64_t b, int64_t e, float* out_b) {
+      live(b, e, [&](int64_t r, int64_t n) {
+        float* out = out_b + (r - b) * h;
+        MatMulW(attn_out.row(r), w.wo, out, n);
+        AddInPlace(hidden.row(r), out, n * h, nullptr, kops_);
+        RmsNormRows(hidden.row(r), w.mlp_norm.data(), normed.row(r), n, h,
+                    config_.rms_eps, nullptr, kops_);
+      });
+    };
+    // The MLP virtual layer (gate_up -> SwiGLU -> down) + residual; `gate_up`
+    // and `mlp_act` are rows of the [chunk, ...] temporaries for row b.
+    const auto mlp_chain = [&](int64_t b, int64_t e, float* gate_up, float* mlp_act,
+                               float* out_b) {
+      live(b, e, [&](int64_t r, int64_t n) {
+        float* gu = gate_up + (r - b) * 2 * inter;
+        float* a = mlp_act + (r - b) * inter;
+        float* out = out_b + (r - b) * h;
+        MatMulW(normed.row(r), w.w_gate_up, gu, n);
+        SwiGluRows(gu, a, n, inter, nullptr, kops_);
+        MatMulW(a, w.w_down, out, n);
+        AddInPlace(hidden.row(r), out, n * h, nullptr, kops_);
+      });
+    };
 
-    // MLP virtual layer (gate_up -> SwiGLU -> down), chunk-by-chunk. The
-    // [chunk, 2*intermediate] temporaries replace the [m_rows, 2*inter]
-    // spike of the standard pass.
-    PO_TRY_ALLOC(gate_up_c, act, "mlp.intermediate1.chunk", {chunk, 2 * inter});
-    PO_TRY_ALLOC(mlp_act_c, act, "mlp.intermediate2.chunk", {chunk, inter});
-    Tensor* mlp_target = in_place ? &normed : &proj_buf;
-    auto mlp_out = chunked_linear(
-        h, mlp_target, "mlp.down", [&](int64_t r0, int64_t cs, float* out) {
-          // When in_place, `out` aliases normed.row(r0): gate_up reads a
-          // run's normed rows BEFORE down writes over them, so the
-          // aliasing is safe — this is the relative-position argument of
-          // §4.3 (row i of the output lands exactly where row i of the
-          // input lived).
-          live(r0, r0 + cs, [&](int64_t r, int64_t n) {
-            MatMulW(normed.row(r), w.w_gate_up, gate_up_c.data(), n);
-            SwiGluRows(gate_up_c.data(), mlp_act_c.data(), n, inter, pool_, kops_);
-            MatMulW(mlp_act_c.data(), w.w_down, out + (r - r0) * h, n);
+    // The [chunk, 2*intermediate] MLP temporaries replace the [m_rows,
+    // 2*inter] spike of the standard pass; each thread uses its slice's
+    // rows of them.
+    if (prealloc) {
+      Tensor& out = in_place ? normed : proj_buf;
+      PO_TRY_ALLOC(gate_up_c, act, "mlp.intermediate1.chunk", {chunk, 2 * inter});
+      PO_TRY_ALLOC(mlp_act_c, act, "mlp.intermediate2.chunk", {chunk, inter});
+      // Region 3: o-proj, residual, MLP norm, then the MLP chunk by chunk.
+      // Both walks poll, as two chunked linears do.
+      const auto region3 = [&](const RowSlice& slice) {
+        if (slice.ForEachChunk([&](int64_t b, int64_t e, int64_t /*t*/) {
+              o_proj_chain(b, e, out.row(b));
+            })) {
+          slice.ForEachChunk([&](int64_t b, int64_t e, int64_t t) {
+            mlp_chain(b, e, gate_up_c.row(t), mlp_act_c.row(t), out.row(b));
           });
-        });
-    if (!mlp_out.ok()) {
-      return mlp_out.status();
+        }
+      };
+      if (Status s = RunRowRegion(pool_, 0, m_rows, chunk, &options, region3); !s.ok()) {
+        return s;
+      }
+    } else {
+      if (Status s = per_chunk_outputs(
+              "act.attn_proj", [&](int64_t b, int64_t e, int64_t /*t*/, float* out_b) {
+                o_proj_chain(b, e, out_b);
+              });
+          !s.ok()) {
+        return s;
+      }
+      PO_TRY_ALLOC(gate_up_c, act, "mlp.intermediate1.chunk", {chunk, 2 * inter});
+      PO_TRY_ALLOC(mlp_act_c, act, "mlp.intermediate2.chunk", {chunk, inter});
+      if (Status s = per_chunk_outputs(
+              "mlp.down", [&](int64_t b, int64_t e, int64_t t, float* out_b) {
+                mlp_chain(b, e, gate_up_c.row(t), mlp_act_c.row(t), out_b);
+              });
+          !s.ok()) {
+        return s;
+      }
     }
-    live(0, m_rows, [&](int64_t r, int64_t n) {
-      AddInPlace(hidden.row(r), mlp_out.value()->row(r), n * h, pool_, kops_);
-    });
   }
 
   std::vector<PrefillResult> results(n_seqs);

@@ -146,12 +146,25 @@ class LlamaModel {
   KernelBackend kernel_backend() const { return kops_->backend; }
   const KernelOps* kernel_ops() const { return kops_; }
 
-  // Intra-op parallelism. The pool (not owned; may be null = serial) is used
-  // by every kernel of the forward pass. Work is partitioned so each output
-  // element is owned by exactly one thread with a fixed accumulation order,
-  // so logits are bitwise identical for every thread count and every
-  // PrefillMode (tests/model_test.cc asserts this). Not thread-safe against
-  // concurrent Prefill calls; set it once at wiring time.
+  // Intra-op parallelism. The pool (not owned; may be null = serial) runs
+  // the forward pass as row-parallel regions, not one fork-join per kernel
+  // call. A region is one ParallelFor over a row-local chain of kernels:
+  // each thread takes a fixed slice of every chunk of the stacked rows and
+  // calls the chain's kernels serially on it, so a slice uses the same rows
+  // of the [chunk, ...] MLP temporaries in every chunk and no two threads
+  // write one row. The hybrid pass forks three times per layer: (1) the
+  // attention norm, Q/K/V and RoPE, (2) attention, one fork per sequence
+  // over its (row, head) pairs, (3) o-proj, residual, MLP norm, gate_up,
+  // SwiGLU, down, residual. The standard and chunked passes fork once per
+  // stage between two tracked allocations (whole stack, or per chunk), so
+  // every pass keeps its allocation order and tracked peak. abort_check is
+  // polled by the calling thread only, at the chunk grid of a serial pass;
+  // a non-OK poll stops the other threads at their next chunk. Each output
+  // element goes through the same kernel code with a fixed accumulation
+  // order whatever the slicing, so logits are bitwise identical for every
+  // thread count and every PrefillMode (tests/model_test.cc,
+  // tests/batching_test.cc). Not thread-safe against concurrent Prefill
+  // calls; set it once at wiring time.
   void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
@@ -217,8 +230,10 @@ class LlamaModel {
   };
 
   // MatMul against a weight matrix, taking the packed path when the weight
-  // carries a packed image.
-  void MatMulW(const float* a, const Weight& w, float* c, int64_t m) const;
+  // carries a packed image. Serial unless `pool` is given: inside a row
+  // region every kernel runs on its own thread's rows.
+  void MatMulW(const float* a, const Weight& w, float* c, int64_t m,
+               ThreadPool* pool = nullptr) const;
 
   // Checks one sequence of a pass against the shared options.
   Status Validate(const PrefillSequence& seq, const PrefillOptions& options) const;
@@ -249,6 +264,16 @@ class LlamaModel {
   template <typename Fn>
   static void ForEachLiveRun(std::span<const SeqLayout> layouts, bool last_layer,
                              int64_t r0, int64_t r1, Fn&& fn);
+
+  // The head of one layer on stacked rows [b, e), serially: attention
+  // RMSNorm of `hidden` into `normed`, the Q/K/V projections, and RoPE of
+  // Q and K. Q and its RoPE cover only the live rows (`live` as
+  // ForEachLiveRun over [b, e)). Each pointer is row 0 of a row-major
+  // buffer at the config's stride; `positions` is indexed by the same row.
+  template <typename Live>
+  void QkvRows(const LayerWeights& w, const float* hidden, float* normed, float* q,
+               float* k, float* v, std::span<const int32_t> positions, int64_t b,
+               int64_t e, Live&& live) const;
 
   Result<std::vector<PrefillResult>> PrefillBatchStandard(
       std::span<const PrefillSequence> sequences, std::span<const SeqLayout> layouts,

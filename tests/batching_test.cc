@@ -17,7 +17,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -591,6 +593,202 @@ TEST(BatchingParityTest, FinalRowLayoutsHoldPinnedFingerprints) {
       }
     }
   }
+}
+
+// ------------------------------------------------ row regions
+//
+// Every pass runs its row-local kernel chains as row regions
+// (src/model/llama.cc, RunRowRegion): one fork-join per region, in which
+// each thread walks a fixed slice of every chunk and calls the kernels
+// serially on it. A slice of a chunk is ThreadPool::ShardRange of the
+// chunk's rows, so the slice grid moves with the thread count and the
+// chunk size. These tests pin what that grid must not move, and how often a
+// pass may fork:
+//
+//  - OddSplitsHoldPinnedBitsAndPeaks: logits, retained KV and tracked peaks
+//    at threads {1, 2, 3, 4, 8}, on stacks whose chunk grid and slice grid
+//    do not line up — chunk sizes that do not divide the stack, a one-row
+//    last chunk, batched final rows on slice edges — against values
+//    recorded from the passes that forked once per kernel call. Bits are
+//    independent of pass and thread count, so one fingerprint per (case,
+//    backend) covers every cell; peaks are pinned per pass. Failures print
+//    the new fingerprint; PREFILLONLY_GOLDEN=off skips them, as above.
+//  - AbortOnTheKthPollStopsAfterExactlyKPolls: only the calling thread
+//    polls abort_check, at the chunk grid of a serial pass, and a non-OK
+//    poll ends the pass with that status and no further poll.
+//  - HybridPassForksAtMostThreePerLayer: a 500-token hybrid pass at two
+//    threads forks at most three times per layer (QKV region, attention,
+//    o-proj + MLP region), plus a small constant.
+
+constexpr PinnedPass kRegionPasses[] = {kStd, kChunked, kHybrid, kHybridNoInPlace,
+                                        kHybridNoPrealloc};
+
+PrefillOptions RegionPassOptions(PinnedPass pass, int64_t chunk_size) {
+  PinnedCell cell{};
+  cell.pass = pass;
+  PrefillOptions options = PinnedOptions(cell);
+  options.chunk_size = chunk_size;
+  return options;
+}
+
+struct CaseSeq {
+  int64_t length;
+  int64_t n_cached;
+};
+
+struct OddSplitCase {
+  const char* name;
+  int64_t chunk_size;
+  KvRetention retention;  // kPrefixBudget keeps positions [0, length - 2)
+  int n_seqs;
+  CaseSeq seqs[3];
+  uint64_t hash[2];  // scalar, avx2
+  size_t peak[5];    // per pass, in kRegionPasses order
+};
+
+// The `small` model: chunk c gives max(1, min(c / 4, threads)) slices, so
+// chunk 24 is cut 1/2/3/4/6 ways at threads 1/2/3/4/8 and its short last
+// chunks are cut unevenly.
+const OddSplitCase kOddSplitCases[] = {
+    // 130 rows under chunk 24: five full chunks and a last one of 10.
+    {"chunk 24 over 130 rows", 24, KvRetention::kAll, 1, {{130, 0}},
+     {0x02d652bfd09546d4ull, 0x059be6ea0c7bd896ull},
+     {899080, 274952, 562184, 628744, 695304}},
+    // 65 rows under chunk 64: the last chunk is one row, the final row.
+    {"one-row last chunk", 64, KvRetention::kAll, 1, {{65, 0}},
+     {0x1ae9629df789695eull, 0xa786e8a29b69bcebull},
+     {449540, 443652, 560644, 593924, 627204}},
+    // Final rows 5, 11, 23 of one chunk of 24: 11 and 23 close a slice at
+    // 2, 4 and 8 threads (slices of 12, 6 and 4 rows), 5 at 4 threads.
+    {"final rows close slices", 24, KvRetention::kPrefixBudget, 3,
+     {{6, 0}, {6, 0}, {12, 0}},
+     {0x7bd2a99a2977b82full, 0x4a2d5bafb73c6e6full},
+     {165936, 165936, 202800, 215088, 227376}},
+    // Final rows 6, 12, 23: 12 opens a slice at 2, 4 and 8 threads, 6 at 4
+    // threads.
+    {"final rows open slices", 24, KvRetention::kPrefixBudget, 3,
+     {{7, 0}, {6, 0}, {11, 0}},
+     {0xc65ea48bb2b2b6eaull, 0x6f38830157da5645ull},
+     {165932, 165932, 202796, 215084, 227372}},
+    // 7 + 6 + 10 new rows behind cached prefixes under chunk 9: chunks of
+    // 9, 9 and 5, each cut in two.
+    {"cached prefixes, chunk 9", 9, KvRetention::kPrefixBudget, 3,
+     {{20, 13}, {9, 3}, {10, 0}},
+     {0x0c0a4c64d1fbb016ull, 0x1cfd2d1839198fc3ull},
+     {159056, 76624, 118864, 130640, 142416}},
+};
+
+TEST(RowRegionTest, OddSplitsHoldPinnedBitsAndPeaks) {
+  if (GoldenDisabled()) {
+    GTEST_SKIP() << "PREFILLONLY_GOLDEN=off: fingerprints tied to another toolchain";
+  }
+  const ModelConfig config = ModelConfig::Small();
+  for (const KernelBackend backend : BackendsUnderTest()) {
+    const int b = backend == KernelBackend::kAvx2 ? 1 : 0;
+    LlamaModel model(config, /*seed=*/42, backend);
+    for (const OddSplitCase& c : kOddSplitCases) {
+      // Cached prefixes live in their own arena, outside the measured peaks:
+      // each is the kAll KV of a solo pass over the sequence's head.
+      TrackingAllocator prefix_arena;
+      std::vector<std::vector<int32_t>> tokens;
+      std::vector<KvCacheData> prefixes(static_cast<size_t>(c.n_seqs));
+      for (int i = 0; i < c.n_seqs; ++i) {
+        Rng rng(9000 + 10 * static_cast<uint64_t>(c.seqs[i].length) +
+                static_cast<uint64_t>(i));
+        tokens.push_back(RandomTokens(rng, c.seqs[i].length, config.vocab_size));
+        if (c.seqs[i].n_cached > 0) {
+          PrefillOptions keep;
+          keep.retention = KvRetention::kAll;
+          auto head = model.Prefill(std::span<const int32_t>(tokens.back())
+                                        .first(static_cast<size_t>(c.seqs[i].n_cached)),
+                                    nullptr, keep, prefix_arena);
+          ASSERT_TRUE(head.ok()) << head.status().ToString();
+          prefixes[static_cast<size_t>(i)] = head.take().kv;
+        }
+      }
+      std::vector<PrefillSequence> sequences;
+      for (int i = 0; i < c.n_seqs; ++i) {
+        const KvCacheData& prefix = prefixes[static_cast<size_t>(i)];
+        sequences.push_back({tokens[static_cast<size_t>(i)],
+                             prefix.empty() ? nullptr : &prefix, c.retention,
+                             c.seqs[i].length - 2});
+      }
+      for (const int threads : {1, 2, 3, 4, 8}) {
+        ThreadPool pool(threads);
+        model.SetThreadPool(&pool);
+        for (size_t p = 0; p < std::size(kRegionPasses); ++p) {
+          TrackingAllocator arena;
+          auto results = model.PrefillBatch(
+              sequences, RegionPassOptions(kRegionPasses[p], c.chunk_size), arena);
+          ASSERT_TRUE(results.ok()) << results.status().ToString();
+          const uint64_t got = Fingerprint(results.value());
+          EXPECT_EQ(got, c.hash[b])
+              << KernelBackendName(backend) << " \"" << c.name << "\" pass " << p
+              << " threads " << threads << ": now 0x" << std::hex << got << "ull";
+          EXPECT_EQ(arena.peak_bytes(), c.peak[p])
+              << KernelBackendName(backend) << " \"" << c.name << "\" pass " << p
+              << " threads " << threads;
+        }
+        model.SetThreadPool(nullptr);
+      }
+    }
+  }
+}
+
+TEST(RowRegionTest, AbortOnTheKthPollStopsAfterExactlyKPolls) {
+  const ModelConfig config = ModelConfig::Small();
+  LlamaModel model(config, /*seed=*/42);
+  Rng rng(77);
+  const std::vector<int32_t> tokens = RandomTokens(rng, 130, config.vocab_size);
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    model.SetThreadPool(&pool);
+    for (size_t p = 0; p < std::size(kRegionPasses); ++p) {
+      PrefillOptions options = RegionPassOptions(kRegionPasses[p], /*chunk_size=*/24);
+      int64_t polls = 0;
+      int64_t abort_at = 0;  // 0 = never
+      options.abort_check = [&] {
+        ++polls;
+        return polls == abort_at
+                   ? Status::Cancelled("abort at poll " + std::to_string(polls))
+                   : Status::Ok();
+      };
+      TrackingAllocator arena;
+      ASSERT_TRUE(model.Prefill(tokens, nullptr, options, arena).ok());
+      const int64_t total = polls;
+      ASSERT_GT(total, 0);
+      for (const int64_t k : {int64_t{1}, int64_t{2}, total / 2 + 1, total - 1, total}) {
+        SCOPED_TRACE("threads " + std::to_string(threads) + " pass " + std::to_string(p) +
+                     " k " + std::to_string(k) + " of " + std::to_string(total));
+        polls = 0;
+        abort_at = k;
+        auto aborted = model.Prefill(tokens, nullptr, options, arena);
+        ASSERT_FALSE(aborted.ok());
+        EXPECT_EQ(aborted.status().code(), StatusCode::kCancelled);
+        EXPECT_EQ(aborted.status().message(), "abort at poll " + std::to_string(k));
+        EXPECT_EQ(polls, k);
+      }
+    }
+    model.SetThreadPool(nullptr);
+  }
+}
+
+TEST(RowRegionTest, HybridPassForksAtMostThreePerLayer) {
+  const ModelConfig config = ModelConfig::Small();
+  LlamaModel model(config, /*seed=*/42);
+  ThreadPool pool(2);
+  model.SetThreadPool(&pool);
+  Rng rng(500);
+  const std::vector<int32_t> tokens = RandomTokens(rng, 500, config.vocab_size);
+  PrefillOptions options;
+  options.mode = PrefillMode::kHybrid;
+  options.chunk_size = 64;
+  TrackingAllocator arena;
+  const uint64_t before = pool.fork_joins();
+  ASSERT_TRUE(model.Prefill(tokens, nullptr, options, arena).ok());
+  const uint64_t forks = pool.fork_joins() - before;
+  EXPECT_GT(forks, 0u) << "the pass never used the second thread";
+  EXPECT_LE(forks, 3u * static_cast<uint64_t>(config.n_layers) + 2u);
 }
 
 // ------------------------------------------------- engine-layer parity

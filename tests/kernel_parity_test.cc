@@ -116,6 +116,22 @@ TEST(ThreadPoolTest, ReusableAcrossManyDispatches) {
   }
 }
 
+TEST(ThreadPoolTest, ForkJoinsCountOnlyDispatchedCalls) {
+  const auto noop = [](int64_t, int64_t, int) {};
+  ThreadPool serial(1);
+  serial.ParallelFor(100, /*grain=*/1, noop);
+  EXPECT_EQ(serial.fork_joins(), 0u);  // no spawned worker: always inline
+
+  ThreadPool pool(3);
+  pool.ParallelFor(1, /*grain=*/1, noop);    // one shard: inline
+  pool.ParallelFor(100, /*grain=*/64, noop);  // under 2 grains: inline
+  EXPECT_EQ(pool.fork_joins(), 0u);
+  for (int i = 0; i < 5; ++i) {
+    pool.ParallelFor(100, /*grain=*/1, noop);
+  }
+  EXPECT_EQ(pool.fork_joins(), 5u);
+}
+
 // --------------------------------------------------------------------- MatMul
 
 void ExpectMatMulParity(int64_t m, int64_t k, int64_t n, uint64_t seed) {
