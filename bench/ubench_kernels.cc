@@ -464,7 +464,7 @@ void RunJsonSweep(const char* json_path) {
       }
     }
     const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-    const AttentionArgs args{q.data(), out.data(), nullptr, nullptr, k.data(), v.data(),
+    const AttentionArgs args{q.data(), out.data(), nullptr, nullptr, 0, k.data(), v.data(),
                              0,        0,          n_heads, n_kv,    d,        scale};
     std::string variant_suffix = "_";
     variant_suffix += std::to_string(positions);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "src/common/fault.h"
 #include "src/common/hash.h"
@@ -503,8 +502,8 @@ Engine::PrefillBatchPending Engine::DispatchStep(std::unique_lock<std::mutex>& l
     return {};
   }
   // The scheduling decision: snapshot the queue, then consult cache +
-  // scheduler with mu_ RELEASED, so admission/stats never convoy behind an
-  // in-flight prefix copy holding cache_mu_. n_cached_now is refreshed
+  // scheduler with mu_ RELEASED, so admission/stats never convoy behind a
+  // lane's acquire or publication holding cache_mu_. n_cached_now is refreshed
   // against the live cache at every decision — continuous JCT calibration
   // (§6.3). Requests that arrive between snapshot and relock just wait for
   // the next decision.
@@ -520,8 +519,7 @@ Engine::PrefillBatchPending Engine::DispatchStep(std::unique_lock<std::mutex>& l
   return TakeBatchLocked(decision);
 }
 
-Status Engine::AcquirePrefix(const Pending& pending, TrackingAllocator& activations,
-                             PrefixAcq& out) {
+Status Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
   const auto n_tokens = static_cast<int64_t>(pending.request.tokens.size());
 
   // Suffix KV cache discarding, decided up front: only the prefix that fits
@@ -531,7 +529,7 @@ Status Engine::AcquirePrefix(const Pending& pending, TrackingAllocator& activati
   std::span<const uint64_t> chain(*pending.chain);
   out.chain = chain.subspan(0, static_cast<size_t>(out.budget_blocks));
 
-  // --- Cache acquire + prefix assembly, atomic under cache_mu_ ---------
+  // --- Cache acquire + prefix view, atomic under cache_mu_ -------------
   // Token-accurate hit-rate accounting: the request presents every token up
   // to the cache budget, including a trailing partial block that can never
   // hit — counting whole chain blocks instead would deflate the denominator
@@ -554,93 +552,58 @@ Status Engine::AcquirePrefix(const Pending& pending, TrackingAllocator& activati
   const int64_t max_prefix_blocks = (n_tokens - 1) / options_.block_size;
   out.prefix_blocks = std::min(gpu_matched + offload_matched, max_prefix_blocks);
   out.gpu_prefix_blocks = std::min(gpu_matched, out.prefix_blocks);
-  out.n_cached = out.prefix_blocks * options_.block_size;
 
-  if (out.prefix_blocks > 0) {
-    // GPU-resident blocks first, then offloaded payloads "reloaded" into
-    // the contiguous prefix (the copy is the simulated H2D transfer).
-    // Matched blocks are pinned (refcounted), so the payloads cannot be
-    // evicted while we copy; the copies happen under cache_mu_ so the
-    // offload tier cannot mutate between the match above and the reads.
-    out.prefix.n_tokens = out.n_cached;
-    out.prefix.layers.resize(static_cast<size_t>(options_.model.n_layers));
-    for (auto& layer : out.prefix.layers) {
-      layer.k = Tensor::TryCreate(activations, {out.n_cached, options_.model.kv_size()},
-                                  "kvstore.prefix.k");
-      layer.v = Tensor::TryCreate(activations, {out.n_cached, options_.model.kv_size()},
-                                  "kvstore.prefix.v");
-      if (layer.k.empty() || layer.v.empty()) {
-        // Roll back: unpin and free the partial copy so the caller can
-        // retry alone (multi-member call) or fail cleanly with a Status
-        // instead of aborting the process on arena exhaustion.
-        out.prefix = KvCacheData();
-        cache_->Release(out.acq, 0);
-        out.acq = Acquisition();
-        return Status::ResourceExhausted(
-            "activation allocation failed: kvstore.prefix");
-      }
-    }
-    if (out.gpu_prefix_blocks > 0) {
-      const KvCacheData gpu_part =
-          store_->AssemblePrefix(out.acq.blocks, out.gpu_prefix_blocks);
-      for (size_t l = 0; l < out.prefix.layers.size(); ++l) {
-        std::memcpy(out.prefix.layers[l].k.data(), gpu_part.layers[l].k.data(),
-                    gpu_part.layers[l].k.bytes());
-        std::memcpy(out.prefix.layers[l].v.data(), gpu_part.layers[l].v.data(),
-                    gpu_part.layers[l].v.bytes());
-      }
-    }
-    for (int64_t b = out.gpu_prefix_blocks; b < out.prefix_blocks; ++b) {
+  // The pass reads the prefix in place. GPU-tier blocks are pinned, so no
+  // lane evicts, demotes or overwrites them before PublishKv; offloaded ones
+  // are promoted here, cloned into cache memory (the simulated H2D transfer)
+  // under this acquisition's fresh ids, which no other lane can see.
+  for (int64_t b = 0; b < out.prefix_blocks; ++b) {
+    const BlockId block = out.acq.blocks[static_cast<size_t>(b)];
+    if (b >= out.gpu_prefix_blocks) {
       auto payload = offload_payloads_.find(out.chain[static_cast<size_t>(b)]);
       assert(payload != offload_payloads_.end());
-      CopyBlockInto(payload->second, out.prefix, b, options_.block_size);
+      store_->PutBlock(block, CloneBlock(payload->second, cache_memory_));
       offload_hit_tokens_ += options_.block_size;
     }
+    const KvBlock* rows = store_->Find(block);
+    assert(rows != nullptr);
+    out.prefix.Append(rows->layers);
   }
   return Status::Ok();
 }
 
 void Engine::PublishKv(PrefixAcq& pa, const PrefillResult* pass) {
   // --- Cache release + KV publication, atomic under cache_mu_ ----------
-  // Hand the retained fresh prefix blocks to the cache + payload store.
-  // Blocks served from the offload tier are PROMOTED: their payload moves
-  // back to the GPU tier instead of being recomputed or duplicated.
+  // Hand the retained fresh prefix blocks to the cache + payload store. A
+  // promoted block stays if Release inserts it (its offload copy goes), and
+  // is dropped if not: the failure path, or a sibling cached the hash first.
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  if (pass == nullptr) {
-    cache_->Release(pa.acq, 0);
-    return;
-  }
-  const auto inserted = cache_->Release(pa.acq, pa.budget_blocks);
+  std::vector<BlockId> freed(pa.acq.blocks.begin() + pa.gpu_prefix_blocks,
+                             pa.acq.blocks.begin() + pa.prefix_blocks);
+  const auto inserted = cache_->Release(pa.acq, pass != nullptr ? pa.budget_blocks : 0);
   for (const auto& [block_index, block_id] : inserted) {
-    const uint64_t hash = pa.chain[static_cast<size_t>(block_index)];
     if (block_index < pa.prefix_blocks) {
-      auto payload = offload_payloads_.find(hash);
-      if (payload != offload_payloads_.end()) {
-        store_->PutBlock(block_id, CloneBlock(payload->second, cache_memory_));
-        offload_payloads_.erase(payload);
-        offload_dir_->Erase(hash);
-        ++offload_promotions_;
-      } else {
-        // A concurrent request promoted (and possibly re-evicted) this
-        // offload payload between our acquire and release. The rows are
-        // still at hand in the assembled prefix — publish from there;
-        // pass->kv starts at n_cached and cannot serve this block.
-        store_->Put(block_id, pa.prefix, /*source_start=*/0, block_index);
-      }
+      const uint64_t hash = pa.chain[static_cast<size_t>(block_index)];
+      offload_payloads_.erase(hash);
+      offload_dir_->Erase(hash);
+      ++offload_promotions_;
+      std::erase(freed, block_id);
     } else {
       store_->Put(block_id, pass->kv, pass->kv_start, block_index);
     }
   }
+  for (const BlockId block : freed) {
+    store_->Drop(block);
+  }
 }
 
-Status Engine::AcquirePrefixWithBackoff(const Pending& pending,
-                                        TrackingAllocator& activations,
-                                        int retry_max, PrefixAcq& out) {
+Status Engine::AcquirePrefixWithBackoff(const Pending& pending, int retry_max,
+                                        PrefixAcq& out) {
   // First rung of the degradation ladder (ISSUE 6): transient acquisition
   // failures — the block pool momentarily pinned by other lanes, an
   // injected allocation fault — retry with exponential backoff before the
   // request fails, unless the backoff would land past the deadline.
-  Status acquired = AcquirePrefix(pending, activations, out);
+  Status acquired = AcquirePrefix(pending, out);
   for (int attempt = 1;
        acquired.code() == StatusCode::kResourceExhausted && attempt <= retry_max;
        ++attempt) {
@@ -655,7 +618,7 @@ Status Engine::AcquirePrefixWithBackoff(const Pending& pending,
       ++stats_.alloc_retries;
     }
     out = PrefixAcq();
-    acquired = AcquirePrefix(pending, activations, out);
+    acquired = AcquirePrefix(pending, out);
     if (acquired.ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.alloc_retry_successes;
@@ -692,8 +655,7 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
       continue;
     }
     const int retry_max = alone ? options_.alloc_retry_max : 0;
-    if (Status s = AcquirePrefixWithBackoff(pendings[i], activations, retry_max, acqs[i]);
-        s.ok()) {
+    if (Status s = AcquirePrefixWithBackoff(pendings[i], retry_max, acqs[i]); s.ok()) {
       live.push_back(i);
     } else if (alone) {
       results[i] = s;
@@ -723,21 +685,22 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
     for (const size_t i : live) {
       PrefillSequence seq;
       seq.tokens = pendings[i].request.tokens;
-      seq.cached_prefix = acqs[i].prefix.empty() ? nullptr : &acqs[i].prefix;
+      seq.cached_prefix = acqs[i].prefix;
       seq.retention = KvRetention::kPrefixBudget;
       seq.prefix_budget_tokens = acqs[i].budget_blocks * options_.block_size;
       sequences.push_back(seq);
     }
 
     // One stacked prefill for every live member. It runs without any engine
-    // lock: the model is immutable, the prefixes are private copies, and
-    // intra-op workers come from this thread's elastic ThreadPool partition.
+    // lock: the model is immutable, the prefixes are views of blocks this
+    // lane has pinned or promoted (no other lane writes or frees them before
+    // PublishKv), and intra-op workers come from this thread's elastic
+    // ThreadPool partition.
     auto passes = model_->PrefillBatch(sequences, prefill, activations);
     if (!passes.ok()) {
-      // Release every pin and free the prefix copies before anyone retries.
+      // Release every pin before anyone retries.
       for (const size_t i : live) {
         PublishKv(acqs[i], nullptr);
-        acqs[i].prefix = KvCacheData();
       }
       if (alone) {
         results[live.front()] = passes.status();
@@ -750,7 +713,6 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
         const size_t i = live[j];
         PrefillResult& pass = passes.value()[j];
         PublishKv(acqs[i], &pass);
-        acqs[i].prefix = KvCacheData();  // dead after publication
 
         auto probabilities = ConstrainedProbabilities(
             pass.last_logits, pendings[i].request.allowed_tokens);
@@ -764,7 +726,7 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
         response.probabilities = probabilities.take();
         response.score = response.probabilities[0].probability;
         response.n_input = static_cast<int64_t>(pendings[i].request.tokens.size());
-        response.n_cached = acqs[i].n_cached;
+        response.n_cached = acqs[i].prefix.n_tokens;
         response.n_cached_offload =
             (acqs[i].prefix_blocks - acqs[i].gpu_prefix_blocks) * options_.block_size;
         response.batch_size = static_cast<int64_t>(live.size());
@@ -1064,11 +1026,28 @@ Status Engine::CheckInvariants() const {
         " != terminal " + std::to_string(terminal) + " + queued " +
         std::to_string(queued) + " + running " + std::to_string(running));
   }
+  if (queued > 0 || running > 0) {
+    return Status::Ok();
+  }
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  if (queued == 0 && running == 0 && !in_flight_blocks_.empty()) {
-    return Status::Internal("in-flight prefix registry holds " +
-                            std::to_string(in_flight_blocks_.size()) +
-                            " hashes with nothing queued or running");
+  const auto idle_error = [](const std::string& what, size_t n, int64_t want) {
+    return Status::Internal(what + " " + std::to_string(n) + " with nothing queued or " +
+                            "running, want " + std::to_string(want));
+  };
+  const int64_t cached = cache_->cached_blocks();
+  if (!in_flight_blocks_.empty()) {
+    return idle_error("in-flight prefix hashes:", in_flight_blocks_.size(), 0);
+  }
+  if (static_cast<int64_t>(store_->block_count()) != cached) {
+    return idle_error("block store payloads:", store_->block_count(), cached);
+  }
+  if (cache_->free_blocks() + cached != cache_->capacity_blocks()) {
+    return idle_error("free + cached pool blocks:",
+                      static_cast<size_t>(cache_->free_blocks() + cached),
+                      cache_->capacity_blocks());
+  }
+  if (static_cast<int64_t>(offload_payloads_.size()) != offload_dir_->size()) {
+    return idle_error("offload payloads:", offload_payloads_.size(), offload_dir_->size());
   }
   return Status::Ok();
 }

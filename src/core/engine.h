@@ -404,8 +404,9 @@ class Engine {
   // comes back as kInternal naming it:
   //  * the ledger balances: submitted == the six terminal buckets + queued
   //    + running;
-  //  * the in-flight prefix registry is empty when nothing is queued or
-  //    running.
+  //  * when nothing is queued or running: the in-flight prefix registry is
+  //    empty, the store holds one payload per cached block, every pool block
+  //    is free or cached, and each offload directory entry has a payload.
   Status CheckInvariants() const;
   // Seconds since engine construction (the queueing-time clock).
   double NowSeconds() const;
@@ -448,7 +449,7 @@ class Engine {
 
   // Immutable view of one waiting request, taken under mu_; the scheduling
   // decision itself (cache consultation) then runs WITHOUT mu_, so request
-  // submission never convoys behind an in-flight prefix copy holding
+  // submission never convoys behind a lane's acquire or publication holding
   // cache_mu_.
   struct Candidate {
     int64_t id = 0;
@@ -460,15 +461,17 @@ class Engine {
   };
 
   // Everything one request's prefill needs from the cache tiers, produced
-  // atomically under cache_mu_ by AcquirePrefix and consumed lock-free by
-  // the prefill, then released/published by PublishKv.
+  // atomically under cache_mu_ by AcquirePrefix and read lock-free by the
+  // prefill, then released/published by PublishKv.
   struct PrefixAcq {
     Acquisition acq;
     int64_t budget_blocks = 0;      // suffix-discarding budget, in blocks
     int64_t prefix_blocks = 0;      // reused prefix length, in blocks
     int64_t gpu_prefix_blocks = 0;  // subset resident in the primary tier
-    int64_t n_cached = 0;           // prefix_blocks * block_size
-    KvCacheData prefix;             // assembled contiguous prefix copy
+    // The pass's prefix, prefix_blocks * block_size tokens: a view of the
+    // store rows of acq.blocks[0, prefix_blocks), the pinned GPU-tier
+    // blocks then the promoted ones. Valid until PublishKv.
+    KvView prefix;
     // Hash chain truncated to budget_blocks; backed by Pending::chain, so
     // the Pending must outlive this struct.
     std::span<const uint64_t> chain;
@@ -487,17 +490,18 @@ class Engine {
   // Removes every waiting request whose deadline has lapsed; requires mu_.
   // The caller fulfills their promises (kDeadlineExceeded) WITHOUT mu_.
   std::vector<Pending> TakeExpiredLocked(double now);
-  // Cache acquire + prefix assembly, atomic under cache_mu_.
-  Status AcquirePrefix(const Pending& pending, TrackingAllocator& activations,
-                       PrefixAcq& out);
-  // Cache release + KV publication, atomic under cache_mu_. `pass` may be
+  // Cache acquire in one cache_mu_ hold: pins the GPU-tier match, promotes
+  // the offloaded continuation into the store under the acquisition's fresh
+  // block ids, and builds the prefix view (no copy into the lane's arena).
+  Status AcquirePrefix(const Pending& pending, PrefixAcq& out);
+  // Cache release + KV publication, atomic under cache_mu_; promoted blocks
+  // that Release does not insert are dropped from the store. `pass` may be
   // null: releases the acquisition retaining nothing (the failure path).
   void PublishKv(PrefixAcq& pa, const PrefillResult* pass);
   // AcquirePrefix behind the backoff ladder: up to `retry_max` retries of
   // a kResourceExhausted acquisition, each after an exponential backoff
   // that must not land past the deadline.
-  Status AcquirePrefixWithBackoff(const Pending& pending,
-                                  TrackingAllocator& activations, int retry_max,
+  Status AcquirePrefixWithBackoff(const Pending& pending, int retry_max,
                                   PrefixAcq& out);
   // Runs every member of one lane on the calling thread and the lane's
   // arena, for any size n >= 1: per member, an abort poll and a cache

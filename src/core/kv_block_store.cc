@@ -1,14 +1,12 @@
 #include "src/core/kv_block_store.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace prefillonly {
 
 KvBlockStore::KvBlockStore(const ModelConfig& model, int block_size,
                            TrackingAllocator& alloc)
     : n_layers_(model.n_layers),
-      kv_width_(model.kv_size()),
       block_size_(block_size),
       alloc_(alloc) {}
 
@@ -33,6 +31,11 @@ KvBlock KvBlockStore::Take(BlockId block) {
   return payload;
 }
 
+const KvBlock* KvBlockStore::Find(BlockId block) const {
+  auto it = blocks_.find(block);
+  return it != blocks_.end() ? &it->second : nullptr;
+}
+
 void KvBlockStore::Drop(BlockId block) { blocks_.erase(block); }
 
 size_t KvBlockStore::bytes() const {
@@ -41,25 +44,6 @@ size_t KvBlockStore::bytes() const {
     total += data.bytes();
   }
   return total;
-}
-
-KvCacheData KvBlockStore::AssemblePrefix(const std::vector<BlockId>& blocks,
-                                         int64_t n_blocks) const {
-  assert(n_blocks <= static_cast<int64_t>(blocks.size()));
-  KvCacheData out;
-  out.n_tokens = n_blocks * block_size_;
-  out.layers.resize(static_cast<size_t>(n_layers_));
-  for (int64_t l = 0; l < n_layers_; ++l) {
-    auto& layer = out.layers[static_cast<size_t>(l)];
-    layer.k = Tensor::Uninit(alloc_, {out.n_tokens, kv_width_}, "kvstore.prefix.k");
-    layer.v = Tensor::Uninit(alloc_, {out.n_tokens, kv_width_}, "kvstore.prefix.v");
-  }
-  for (int64_t b = 0; b < n_blocks; ++b) {
-    auto it = blocks_.find(blocks[static_cast<size_t>(b)]);
-    assert(it != blocks_.end());
-    CopyBlockInto(it->second, out, b, block_size_);
-  }
-  return out;
 }
 
 }  // namespace prefillonly

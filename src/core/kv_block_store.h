@@ -3,15 +3,15 @@
 // PrefixCache (src/kvcache) tracks WHICH prefixes are cached as block
 // metadata; this store holds the actual per-layer K/V tensors for each
 // cached block on the real CPU engine. It subscribes to the cache's
-// eviction listener so payloads die with their metadata, and it can
-// assemble the contiguous prefix KvCacheData that LlamaModel::Prefill
-// consumes from a run of matched blocks.
+// eviction listener so payloads die with their metadata. A prefix hit is
+// read in place: the engine looks each pinned block up (Find) and hands the
+// pass a KvView of their rows, with no copy; a pinned block is never
+// dropped or taken, so its rows stay put while the pass reads them.
 #ifndef SRC_CORE_KV_BLOCK_STORE_H_
 #define SRC_CORE_KV_BLOCK_STORE_H_
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "src/kvcache/block_allocator.h"
 #include "src/model/config.h"
@@ -33,6 +33,10 @@ class KvBlockStore {
   // Stores an already-materialized block payload (offload-tier promotion).
   void PutBlock(BlockId block, KvBlock payload);
 
+  // The payload of `block`, or null when absent. The pointer stays valid
+  // until the block is dropped or taken.
+  const KvBlock* Find(BlockId block) const;
+
   // Removes and returns the payload (empty KvBlock if absent) — used when a
   // block is demoted to the offload tier instead of dropped.
   KvBlock Take(BlockId block);
@@ -42,14 +46,8 @@ class KvBlockStore {
   size_t block_count() const { return blocks_.size(); }
   size_t bytes() const;
 
-  // Concatenates `blocks` (in order) into a contiguous prefix KvCacheData of
-  // blocks.size() * block_size tokens. Every id must be present.
-  KvCacheData AssemblePrefix(const std::vector<BlockId>& blocks,
-                             int64_t n_blocks) const;
-
  private:
   int64_t n_layers_;
-  int64_t kv_width_;
   int block_size_;
   TrackingAllocator& alloc_;
   std::unordered_map<BlockId, KvBlock> blocks_;

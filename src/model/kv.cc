@@ -19,34 +19,6 @@ void CopyRows(const Tensor& src, Tensor& dst, int64_t rows, int64_t dst_row) {
 
 }  // namespace
 
-KvCacheData ConcatKv(const KvCacheData* prefix, const KvCacheData& fresh,
-                     int64_t take_new, TrackingAllocator& alloc) {
-  assert(take_new >= 0 && take_new <= fresh.n_tokens);
-  const int64_t n_prefix = (prefix != nullptr) ? prefix->n_tokens : 0;
-  const int64_t n_total = n_prefix + take_new;
-
-  KvCacheData out;
-  out.n_tokens = n_total;
-  out.layers.resize(fresh.layers.size());
-  for (size_t l = 0; l < fresh.layers.size(); ++l) {
-    const int64_t width = fresh.layers[l].k.cols();
-    out.layers[l].k = Tensor::Uninit(alloc, {n_total, width}, "kvcache.k");
-    out.layers[l].v = Tensor::Uninit(alloc, {n_total, width}, "kvcache.v");
-    if (n_prefix > 0) {
-      CopyRows(prefix->layers[l].k, out.layers[l].k, n_prefix, 0);
-      CopyRows(prefix->layers[l].v, out.layers[l].v, n_prefix, 0);
-    }
-    if (take_new > 0) {
-      assert(fresh.layers[l].k.cols() == width);
-      std::memcpy(out.layers[l].k.row(n_prefix), fresh.layers[l].k.data(),
-                  static_cast<size_t>(take_new) * width * sizeof(float));
-      std::memcpy(out.layers[l].v.row(n_prefix), fresh.layers[l].v.data(),
-                  static_cast<size_t>(take_new) * width * sizeof(float));
-    }
-  }
-  return out;
-}
-
 KvBlock CopyBlockFrom(const KvCacheData& source, int64_t source_start,
                       int64_t block_index, int64_t block_size,
                       TrackingAllocator& alloc) {
@@ -85,16 +57,24 @@ KvBlock CloneBlock(const KvBlock& block, TrackingAllocator& alloc) {
   return out;
 }
 
-void CopyBlockInto(const KvBlock& block, KvCacheData& dst, int64_t dst_block_index,
-                   int64_t block_size) {
-  assert(block.layers.size() == dst.layers.size());
-  const int64_t dst_row = dst_block_index * block_size;
-  for (size_t l = 0; l < block.layers.size(); ++l) {
-    assert(dst_row + block_size <= dst.n_tokens);
-    const size_t bytes = block.layers[l].k.bytes();
-    std::memcpy(dst.layers[l].k.row(dst_row), block.layers[l].k.data(), bytes);
-    std::memcpy(dst.layers[l].v.row(dst_row), block.layers[l].v.data(), bytes);
+KvView::KvView(const KvCacheData* data) {
+  if (data != nullptr && !data->empty()) {
+    Append(data->layers);
   }
+}
+
+void KvView::Append(std::span<const LayerKv> segment) {
+  const int64_t rows = segment.front().k.rows();
+  if (empty()) {
+    layers.resize(segment.size());
+    segment_rows = rows;
+  }
+  assert(layers.size() == segment.size() && rows == segment_rows);
+  for (size_t l = 0; l < layers.size(); ++l) {
+    layers[l].k.push_back(segment[l].k.data());
+    layers[l].v.push_back(segment[l].v.data());
+  }
+  n_tokens += rows;
 }
 
 KvCacheData SliceKv(const KvCacheData& source, int64_t n_tokens, TrackingAllocator& alloc) {

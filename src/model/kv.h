@@ -9,6 +9,7 @@
 #define SRC_MODEL_KV_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/tensor/tensor.h"
@@ -33,13 +34,6 @@ struct KvCacheData {
     return total;
   }
 };
-
-// Concatenates `prefix` (may be null/empty) with the first `take_new` token
-// rows of `fresh` into a new KvCacheData covering
-// [0, prefix.n_tokens + take_new). Both inputs must have the same layer
-// count and kv width. Used by the engine to extend cache entries.
-KvCacheData ConcatKv(const KvCacheData* prefix, const KvCacheData& fresh,
-                     int64_t take_new, TrackingAllocator& alloc);
 
 // Deep copy of the first `n_tokens` rows of every layer.
 KvCacheData SliceKv(const KvCacheData& source, int64_t n_tokens,
@@ -71,9 +65,29 @@ KvBlock CopyBlockFrom(const KvCacheData& source, int64_t source_start,
 // GPU<->CPU transfer of KV offloading.
 KvBlock CloneBlock(const KvBlock& block, TrackingAllocator& alloc);
 
-// Writes `block` into `dst` at block position `dst_block_index`.
-void CopyBlockInto(const KvBlock& block, KvCacheData& dst, int64_t dst_block_index,
-                   int64_t block_size);
+// A read-only view of the KV of tokens [0, n_tokens), a cached prefix,
+// where it sits: per layer, the K and V pointers of each segment_rows-row
+// segment, in token order. The engine's view of a hit has one segment per
+// pinned cache block. The view owns nothing: the rows must outlive it.
+struct KvView {
+  struct Layer {
+    std::vector<const float*> k;  // segment s: [segment_rows, kv_width] rows
+    std::vector<const float*> v;
+  };
+  std::vector<Layer> layers;
+  int64_t n_tokens = 0;
+  int64_t segment_rows = 0;
+
+  KvView() = default;
+  // Implicit, so a `const KvCacheData*` is a view: one segment of all its
+  // rows, or the empty view for null.
+  KvView(const KvCacheData* data);  // NOLINT(google-explicit-constructor)
+
+  bool empty() const { return n_tokens == 0; }
+  // Appends the next segment, one LayerKv per layer (a KvBlock's layers);
+  // every segment has segment_rows rows.
+  void Append(std::span<const LayerKv> segment);
+};
 
 }  // namespace prefillonly
 

@@ -28,13 +28,6 @@ Status CheckAbort(const PrefillOptions& options) {
   return options.abort_check();
 }
 
-// Normalized prefix pointer: null when absent or empty.
-const KvCacheData* SeqPrefix(const PrefillSequence& seq) {
-  return (seq.cached_prefix != nullptr && !seq.cached_prefix->empty())
-             ? seq.cached_prefix
-             : nullptr;
-}
-
 // How many of a sequence's `n_new` freshly computed tokens (starting at
 // absolute position n_cached) its retention policy keeps.
 int64_t RetainedNewTokens(const PrefillSequence& seq, int64_t n_cached,
@@ -266,13 +259,13 @@ Status LlamaModel::Validate(const PrefillSequence& seq,
       return Status::InvalidArgument("token id out of vocabulary range");
     }
   }
-  if (const KvCacheData* prefix = SeqPrefix(seq); prefix != nullptr) {
-    if (prefix->n_tokens >= static_cast<int64_t>(seq.tokens.size())) {
+  if (const KvView& prefix = seq.cached_prefix; !prefix.empty()) {
+    if (prefix.n_tokens >= static_cast<int64_t>(seq.tokens.size())) {
       return Status::InvalidArgument(
           "cached prefix must be shorter than the request: the last token's "
           "logits are always recomputed");
     }
-    if (prefix->layers.size() != layers_.size()) {
+    if (prefix.layers.size() != layers_.size()) {
       return Status::InvalidArgument("cached prefix layer count mismatch");
     }
   }
@@ -302,20 +295,22 @@ int64_t LlamaModel::workers() const {
 }
 
 void LlamaModel::Attention(const float* q, int64_t q_rows, int64_t q_pos0,
-                           const LayerKv* prefix, const float* k_new,
+                           const KvView& prefix, size_t layer, const float* k_new,
                            const float* v_new, int64_t new_rows, float* out,
                            float* scores, float* extra_scores,
                            int64_t scores_stride) const {
   const int64_t n_heads = config_.n_heads;
   const int64_t group = n_heads / config_.n_kv_heads;
-  const int64_t n_prefix = (prefix != nullptr) ? prefix->k.rows() : 0;
+  const int64_t n_prefix = prefix.n_tokens;
   assert(q_pos0 + q_rows <= scores_stride);
   assert(q_pos0 + q_rows - n_prefix <= new_rows);
+  const KvView::Layer* layer_prefix = prefix.empty() ? nullptr : &prefix.layers[layer];
   const AttentionArgs args{
       q,
       out,
-      prefix != nullptr ? prefix->k.data() : nullptr,
-      prefix != nullptr ? prefix->v.data() : nullptr,
+      layer_prefix != nullptr ? layer_prefix->k.data() : nullptr,
+      layer_prefix != nullptr ? layer_prefix->v.data() : nullptr,
+      prefix.segment_rows,
       k_new,
       v_new,
       n_prefix,
@@ -471,9 +466,8 @@ struct BatchStack {
 BatchStack StackNewRows(std::span<const PrefillSequence> sequences) {
   BatchStack stack;
   for (const PrefillSequence& seq : sequences) {
-    const KvCacheData* prefix = SeqPrefix(seq);
     const auto n_total = static_cast<int64_t>(seq.tokens.size());
-    const int64_t n_cached = (prefix != nullptr) ? prefix->n_tokens : 0;
+    const int64_t n_cached = seq.cached_prefix.n_tokens;
     stack.max_total = std::max(stack.max_total, n_total);
     for (int64_t i = n_cached; i < n_total; ++i) {
       stack.tokens.push_back(seq.tokens[static_cast<size_t>(i)]);
@@ -541,10 +535,9 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatch(
     if (Status s = Validate(seq, options); !s.ok()) {
       return s;
     }
-    const KvCacheData* prefix = SeqPrefix(seq);
     SeqLayout layout;
     layout.n_total = static_cast<int64_t>(seq.tokens.size());
-    layout.n_cached = (prefix != nullptr) ? prefix->n_tokens : 0;
+    layout.n_cached = seq.cached_prefix.n_tokens;
     layout.n_new = layout.n_total - layout.n_cached;
     layout.row0 = row0;
     row0 += layout.n_new;
@@ -641,13 +634,11 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchStandard(
     PO_TRY_ALLOC(attn_out, act, "act.attn_out", {m_rows, qs});
     for (size_t s = 0; s < n_seqs; ++s) {
       const SeqLayout& lo = layouts[s];
-      const KvCacheData* prefix = SeqPrefix(sequences[s]);
-      const LayerKv* layer_prefix = (prefix != nullptr) ? &prefix->layers[l] : nullptr;
       const int64_t f0 = lo.live_row0(last);
-      Attention(q.row(f0), lo.row_end() - f0, lo.n_cached + (f0 - lo.row0), layer_prefix,
-                kv.k.row(lo.row0), kv.v.row(lo.row0), lo.n_new, attn_out.row(f0),
-                scores.data(), extra_scores.empty() ? nullptr : extra_scores.data(),
-                max_total);
+      Attention(q.row(f0), lo.row_end() - f0, lo.n_cached + (f0 - lo.row0),
+                sequences[s].cached_prefix, l, kv.k.row(lo.row0), kv.v.row(lo.row0),
+                lo.n_new, attn_out.row(f0), scores.data(),
+                extra_scores.empty() ? nullptr : extra_scores.data(), max_total);
     }
     q = Tensor();
 
@@ -786,15 +777,13 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchChunked(
         if (f0 >= f1) {
           continue;  // no live row of the sequence in this chunk
         }
-        const KvCacheData* prefix = SeqPrefix(sequences[s]);
-        const LayerKv* layer_prefix =
-            (prefix != nullptr) ? &prefix->layers[l] : nullptr;
         // This fragment's queries attend the sequence's prefix plus its own
         // keys computed so far: rows [lo.row0, f1) of the stacked KV.
         Attention(q.data() + (f0 - r0) * qs, f1 - f0, lo.n_cached + (f0 - lo.row0),
-                  layer_prefix, pass_kv[l].k.row(lo.row0), pass_kv[l].v.row(lo.row0),
-                  f1 - lo.row0, attn_out.data() + (f0 - r0) * qs, scores.data(),
-                  extra_scores.empty() ? nullptr : extra_scores.data(), max_total);
+                  sequences[s].cached_prefix, l, pass_kv[l].k.row(lo.row0),
+                  pass_kv[l].v.row(lo.row0), f1 - lo.row0, attn_out.data() + (f0 - r0) * qs,
+                  scores.data(), extra_scores.empty() ? nullptr : extra_scores.data(),
+                  max_total);
       }
       q = Tensor();
 
@@ -983,12 +972,10 @@ Result<std::vector<PrefillResult>> LlamaModel::PrefillBatchHybrid(
     // sequence is one fork-join of its own (Attention).
     for (size_t s = 0; s < n_seqs; ++s) {
       const SeqLayout& lo = layouts[s];
-      const KvCacheData* prefix = SeqPrefix(sequences[s]);
-      const LayerKv* layer_prefix = (prefix != nullptr) ? &prefix->layers[l] : nullptr;
       const int64_t f0 = lo.live_row0(last);
       Attention(q_buf.row(f0), lo.row_end() - f0, lo.n_cached + (f0 - lo.row0),
-                layer_prefix, k_buf.row(lo.row0), v_buf.row(lo.row0), lo.n_new,
-                attn_out.row(f0), scores.data(),
+                sequences[s].cached_prefix, l, k_buf.row(lo.row0), v_buf.row(lo.row0),
+                lo.n_new, attn_out.row(f0), scores.data(),
                 extra_scores.empty() ? nullptr : extra_scores.data(), max_total);
     }
 

@@ -117,8 +117,10 @@ struct PrefillResult {
 // PrefillOptions, whose own retention fields are ignored by PrefillBatch.
 struct PrefillSequence {
   std::span<const int32_t> tokens;
-  // KV of tokens [0, cached_prefix->n_tokens); may be null.
-  const KvCacheData* cached_prefix = nullptr;
+  // KV of tokens [0, cached_prefix.n_tokens), read where it sits (the
+  // engine's view pages through its pinned cache blocks); empty when
+  // nothing is cached. A `const KvCacheData*` converts, null to empty.
+  KvView cached_prefix;
   KvRetention retention = KvRetention::kNone;
   // Absolute token position up to which KV is retained under kPrefixBudget.
   int64_t prefix_budget_tokens = 0;
@@ -286,8 +288,9 @@ class LlamaModel {
       const PrefillOptions& options, TrackingAllocator& act) const;
 
   // Causal attention for query rows at absolute positions
-  // [q_pos0, q_pos0 + q_rows) over prefix KV (may be null) plus the first
-  // `new_rows` rows of k_new/v_new (absolute positions n_prefix..). Raw
+  // [q_pos0, q_pos0 + q_rows) over layer `layer` of the prefix view (may be
+  // empty; its segments are read in place) plus the first `new_rows` rows
+  // of k_new/v_new (absolute positions prefix.n_tokens..). Raw
   // row pointers (strides implied by the config: q/out q_size, k/v
   // kv_size) so batched callers can pass row slices of stacked buffers.
   // The work runs in the backend's KernelOps::attention_rows, one call per
@@ -304,9 +307,10 @@ class LlamaModel {
   // all of that out of the tracked budget keeps activation accounting and
   // MIL predictions machine- and backend-independent. Writes
   // [q_rows, q_size] into `out`.
-  void Attention(const float* q, int64_t q_rows, int64_t q_pos0, const LayerKv* prefix,
-                 const float* k_new, const float* v_new, int64_t new_rows, float* out,
-                 float* scores, float* extra_scores, int64_t scores_stride) const;
+  void Attention(const float* q, int64_t q_rows, int64_t q_pos0, const KvView& prefix,
+                 size_t layer, const float* k_new, const float* v_new, int64_t new_rows,
+                 float* out, float* scores, float* extra_scores,
+                 int64_t scores_stride) const;
 
   // Number of score-scratch rows Attention may use (= pool threads).
   int64_t workers() const;

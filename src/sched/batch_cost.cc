@@ -47,12 +47,13 @@ BatchBudget MakeBatchBudget(const ModelConfig& model, PrefillMode mode,
   }
   BatchBudget budget;
   budget.budget_bytes = activation_budget_bytes;
-  // +sizeof(float) on both token rates covers the attention score row,
-  // which spans the full (cached + new) context of the longest sequence.
+  // +sizeof(float) on the miss rate covers the attention score row, which
+  // spans the full (cached + new) context of the longest sequence. That
+  // slot is all a cached token costs the lane: the pass reads the prefix
+  // in place from the pinned cache blocks, outside the arena.
   budget.bytes_per_miss_token =
       static_cast<size_t>(miss_floats) * sizeof(float) + sizeof(float);
-  budget.bytes_per_cached_token =
-      static_cast<size_t>(retained_kv) * sizeof(float) + sizeof(float);
+  budget.bytes_per_cached_token = sizeof(float);
   // Per-sequence constant: the last-logits staging row (vocab floats) plus
   // slack for the allocator's minimum-charge granularity on tiny tensors.
   budget.bytes_per_sequence =

@@ -27,7 +27,8 @@ namespace prefillonly {
 // Cost model for one executor lane running `mode` prefills of `model`.
 // `activation_budget_bytes` is the lane's hard TrackingAllocator cap (0 =
 // unlimited); `block_tokens` is the prefix-cache block size used to round
-// projected reuse down to what AcquirePrefix can really assemble.
+// projected reuse down to the block-aligned prefix AcquirePrefix can really
+// reuse.
 BatchBudget MakeBatchBudget(const ModelConfig& model, PrefillMode mode,
                             size_t activation_budget_bytes,
                             int64_t block_tokens);

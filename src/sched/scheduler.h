@@ -96,7 +96,7 @@ int64_t LengthBucket(int64_t n_miss_tokens);
 // and admit riders only while the projection fits `budget_bytes`.
 //
 // The projection must never be optimistic: every byte the stacked prefill
-// pass allocates per miss token, per assembled-prefix token, and per
+// pass allocates per miss token, per reused-prefix token, and per
 // sequence must be covered, or admission silently converts packed batches
 // into batch-OOM solo-fallback retries. The randomized sweep in
 // tests/batching_test.cc asserts projected >= actual peak per composition.
@@ -105,19 +105,21 @@ struct BatchBudget {
   size_t budget_bytes = 0;
   // Bytes charged per remaining (cache-miss) token of a sequence.
   size_t bytes_per_miss_token = 0;
-  // Bytes charged per reused-prefix token (the assembled KV copy).
+  // Bytes charged per reused-prefix token: its slot in the attention score
+  // row. The prefix KV itself is read in place from the cache blocks and
+  // costs the lane's arena nothing.
   size_t bytes_per_cached_token = 0;
   // Fixed bytes charged per admitted sequence (logit staging, slack for
   // allocator minimums).
   size_t bytes_per_sequence = 0;
   // Cache block size in tokens. The engine refreshes n_cached_now as
-  // min(match, n_input - 1), but the prefix it can actually assemble is
+  // min(match, n_input - 1), but the prefix it can actually reuse is
   // block-aligned — rounding down here keeps the projected miss count
   // conservative (never below what the model will really stack).
   int64_t block_tokens = 0;
 
   // Reusable prefix tokens after block alignment (what the engine's
-  // AcquirePrefix will really assemble), and the resulting stacked rows.
+  // AcquirePrefix will really reuse), and the resulting stacked rows.
   int64_t CachedTokens(int64_t n_input, int64_t n_cached_now) const;
   int64_t MissTokens(int64_t n_input, int64_t n_cached_now) const;
   // Projected lane bytes for one sequence.

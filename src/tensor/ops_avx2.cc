@@ -609,19 +609,20 @@ void AttentionRowsImpl(const AttentionArgs& args, int64_t r0, int64_t r1, int64_
   float* vp = AtLeast(scratch.v, n_keys_max * v_stride);
   float* scores = AtLeast(scratch.scores, n_heads * score_stride);
   std::fill(kp + (n_blocks - 1) * 8 * head_dim, kp + n_blocks * 8 * head_dim, 0.0f);
-  for (int64_t j = 0; j < n_keys_max; ++j) {
-    const bool in_prefix = j < args.n_prefix;
-    const int64_t row = in_prefix ? j : j - args.n_prefix;
-    const float* k = (in_prefix ? args.k_prefix : args.k_new) + row * kvw + kv_col;
-    const float* v = (in_prefix ? args.v_prefix : args.v_new) + row * kvw + kv_col;
-    float* kb = kp + (j / 8) * 8 * head_dim + j % 8;
-    for (int64_t d = 0; d < head_dim; ++d) {
-      kb[d * 8] = k[d];
+  ForEachKvRun(args, n_keys_max, [&](int64_t j0, int64_t j1, const float* k_run,
+                                      const float* v_run) {
+    for (int64_t j = j0; j < j1; ++j) {
+      const float* k = k_run + (j - j0) * kvw + kv_col;
+      const float* v = v_run + (j - j0) * kvw + kv_col;
+      float* kb = kp + (j / 8) * 8 * head_dim + j % 8;
+      for (int64_t d = 0; d < head_dim; ++d) {
+        kb[d * 8] = k[d];
+      }
+      float* vj = vp + j * v_stride;
+      std::memcpy(vj, v, static_cast<size_t>(head_dim) * sizeof(float));
+      std::fill(vj + head_dim, vj + v_stride, 0.0f);
     }
-    float* vj = vp + j * v_stride;
-    std::memcpy(vj, v, static_cast<size_t>(head_dim) * sizeof(float));
-    std::fill(vj + head_dim, vj + v_stride, 0.0f);
-  }
+  });
 
   const __m256 scale = _mm256_set1_ps(args.scale);
   for (int64_t i = r0; i < r1; ++i) {

@@ -426,17 +426,18 @@ PO_AVX512 void Avx512AttentionRows16(const AttentionArgs& args, int64_t r0, int6
   float* vp = AlignedAtLeast(scratch.v, n_keys_max * kD);
   float* scores = AlignedAtLeast(scratch.scores, 2 * n_heads * score_stride);
   std::memset(kp + (n_blocks - 1) * 16 * kD, 0, 16 * kD * sizeof(float));
-  for (int64_t j = 0; j < n_keys_max; ++j) {
-    const bool in_prefix = j < args.n_prefix;
-    const int64_t row = in_prefix ? j : j - args.n_prefix;
-    const float* k = (in_prefix ? args.k_prefix : args.k_new) + row * kvw + kv_col;
-    const float* v = (in_prefix ? args.v_prefix : args.v_new) + row * kvw + kv_col;
-    float* kb = kp + (j / 16) * 16 * kD + j % 16;
-    for (int64_t d = 0; d < kD; ++d) {
-      kb[d * 16] = k[d];
+  ForEachKvRun(args, n_keys_max, [&](int64_t j0, int64_t j1, const float* k_run,
+                                      const float* v_run) {
+    for (int64_t j = j0; j < j1; ++j) {
+      const float* k = k_run + (j - j0) * kvw + kv_col;
+      const float* v = v_run + (j - j0) * kvw + kv_col;
+      float* kb = kp + (j / 16) * 16 * kD + j % 16;
+      for (int64_t d = 0; d < kD; ++d) {
+        kb[d * 16] = k[d];
+      }
+      std::memcpy(vp + j * kD, v, kD * sizeof(float));
     }
-    std::memcpy(vp + j * kD, v, kD * sizeof(float));
-  }
+  });
 
   const __m512 scale = _mm512_set1_ps(args.scale);
   const int64_t row_stride = n_heads * score_stride;

@@ -187,25 +187,21 @@ void ScalarAttentionRows(const AttentionArgs& args, int64_t r0, int64_t r1,
                          int64_t h0, int64_t h1, float* scores) {
   const int64_t head_dim = args.head_dim;
   const int64_t qs = args.n_heads * head_dim;
-  const int64_t kvw = args.n_kv_heads * head_dim;
   const int64_t kv_col = h0 / (args.n_heads / args.n_kv_heads) * head_dim;
-  const auto kv_row = [&](const float* prefix, const float* fresh, int64_t j) {
-    return (j < args.n_prefix ? prefix + j * kvw : fresh + (j - args.n_prefix) * kvw) +
-           kv_col;
-  };
   for (int64_t i = r0; i < r1; ++i) {
     const int64_t n_keys = args.q_pos0 + i + 1;
     for (int64_t head = h0; head < h1; ++head) {
       const float* q_vec = args.q + i * qs + head * head_dim;
       for (int64_t j = 0; j < n_keys; ++j) {
-        scores[j] = ScalarDot(q_vec, kv_row(args.k_prefix, args.k_new, j), head_dim) *
-                    args.scale;
+        const float* k_row = AttentionKvRow(args, /*values=*/false, j) + kv_col;
+        scores[j] = ScalarDot(q_vec, k_row, head_dim) * args.scale;
       }
       ScalarSoftmaxRow(scores, n_keys);
       float* o_vec = args.out + i * qs + head * head_dim;
       std::memset(o_vec, 0, static_cast<size_t>(head_dim) * sizeof(float));
       for (int64_t j = 0; j < n_keys; ++j) {
-        ScalarAxpy(o_vec, kv_row(args.v_prefix, args.v_new, j), scores[j], head_dim);
+        const float* v_row = AttentionKvRow(args, /*values=*/true, j) + kv_col;
+        ScalarAxpy(o_vec, v_row, scores[j], head_dim);
       }
     }
   }

@@ -37,6 +37,7 @@
 #ifndef SRC_TENSOR_OPS_DISPATCH_H_
 #define SRC_TENSOR_OPS_DISPATCH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -66,16 +67,18 @@ enum class GemmLayout {
 
 // Operands of one causal grouped-query attention pass (KernelOps::
 // attention_rows). Query row i sits at absolute position q_pos0 + i and
-// attends keys [0, q_pos0 + i]; key/value position p < n_prefix is row p of
-// k_prefix/v_prefix, position p >= n_prefix is row p - n_prefix of
-// k_new/v_new. q and out rows are n_heads * head_dim wide, K/V rows
-// n_kv_heads * head_dim; query head h reads KV head h / (n_heads /
-// n_kv_heads).
+// attends keys [0, q_pos0 + i]. Key/value position p < n_prefix is row
+// p % segment_rows of the prefix segment p / segment_rows (a paged prefix,
+// read where it sits; only the last segment may be short); position p >=
+// n_prefix is row p - n_prefix of k_new/v_new. q and out rows are n_heads *
+// head_dim wide, K/V rows n_kv_heads * head_dim; query head h reads KV head
+// h / (n_heads / n_kv_heads).
 struct AttentionArgs {
   const float* q;
   float* out;
-  const float* k_prefix;  // null when n_prefix == 0
-  const float* v_prefix;
+  const float* const* k_segments;  // null when n_prefix == 0
+  const float* const* v_segments;
+  int64_t segment_rows;
   const float* k_new;
   const float* v_new;
   int64_t n_prefix;
@@ -85,6 +88,31 @@ struct AttentionArgs {
   int64_t head_dim;
   float scale;  // multiplies every q.k score (1 / sqrt(head_dim))
 };
+
+// Full-width key row j (`values`: value row j) of an attention pass.
+inline const float* AttentionKvRow(const AttentionArgs& args, bool values, int64_t j) {
+  const int64_t kvw = args.n_kv_heads * args.head_dim;
+  if (j < args.n_prefix) {
+    const float* const* segments = values ? args.v_segments : args.k_segments;
+    return segments[j / args.segment_rows] + j % args.segment_rows * kvw;
+  }
+  return (values ? args.v_new : args.k_new) + (j - args.n_prefix) * kvw;
+}
+
+// Calls fn(j0, j1, k, v) for each run of keys [j0, j1) below n_keys whose
+// rows are contiguous — each prefix segment, then the new rows — in
+// position order; k and v point at the full-width rows of key j0.
+template <typename Fn>
+void ForEachKvRun(const AttentionArgs& args, int64_t n_keys, Fn&& fn) {
+  const int64_t n_prefix = std::min(n_keys, args.n_prefix);
+  for (int64_t j0 = 0, s = 0; j0 < n_prefix; j0 += args.segment_rows, ++s) {
+    fn(j0, std::min(j0 + args.segment_rows, n_prefix), args.k_segments[s],
+       args.v_segments[s]);
+  }
+  if (n_keys > args.n_prefix) {
+    fn(args.n_prefix, n_keys, args.k_new, args.v_new);
+  }
+}
 
 // Serial inner kernels of one backend. Range arguments ([r0, r1), [j0, j1),
 // [i0, i1), [p0, p1), [h0, h1)) come from the partitioning wrappers in

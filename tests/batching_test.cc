@@ -301,8 +301,9 @@ TEST(BatchingParityTest, BatchApiChecksMisuse) {
 // the activation walker, the MIL predictions and Fig. 3 replay) and the
 // number of abort_check polls below were recorded from the dedicated
 // single-sequence passes this model used to carry, at 150 tokens with chunk
-// 24. Prefill and a one-sequence PrefillBatch must both still read them, at
-// every thread count, with bitwise-equal logits and retained KV.
+// 24. Prefill must still read them at every thread count. Prefill builds a
+// one-sequence PrefillBatch itself, so each cell runs once; one cell per
+// model also runs PrefillBatch directly, for the same peak, polls and bits.
 
 enum class PinnedPass { kStd, kChunked, kHybrid, kHybridNoInPlace, kHybridNoPrealloc, kStdDrop };
 
@@ -386,15 +387,23 @@ constexpr PinnedCell kPinnedCells[] = {
         {kSmall, kStdDrop, KvRetention::kNone, 32, 725592, 4},
 };
 
-PrefillOptions PinnedOptions(const PinnedCell& cell) {
+constexpr PinnedPass kAllPasses[] = {kStd,           kChunked,         kHybrid,
+                                     kHybridNoInPlace, kHybridNoPrealloc, kStdDrop};
+
+PrefillOptions PassOptions(PinnedPass pass, int64_t chunk_size) {
   PrefillOptions options;
-  options.mode = cell.pass == kStd || cell.pass == kStdDrop ? PrefillMode::kStandard
-                 : cell.pass == kChunked                    ? PrefillMode::kChunked
-                                                            : PrefillMode::kHybrid;
-  options.chunk_size = 24;
-  options.preallocate_outputs = cell.pass != kHybridNoPrealloc;
-  options.in_place = cell.pass != kHybridNoInPlace && cell.pass != kHybridNoPrealloc;
-  options.drop_kv_in_pass = cell.pass == kStdDrop;
+  options.mode = pass == kStd || pass == kStdDrop ? PrefillMode::kStandard
+                 : pass == kChunked               ? PrefillMode::kChunked
+                                                  : PrefillMode::kHybrid;
+  options.chunk_size = chunk_size;
+  options.preallocate_outputs = pass != kHybridNoPrealloc;
+  options.in_place = pass != kHybridNoInPlace && pass != kHybridNoPrealloc;
+  options.drop_kv_in_pass = pass == kStdDrop;
+  return options;
+}
+
+PrefillOptions PinnedOptions(const PinnedCell& cell) {
+  PrefillOptions options = PassOptions(cell.pass, /*chunk_size=*/24);
   options.retention = cell.retention;
   options.prefix_budget_tokens = 96;
   return options;
@@ -442,6 +451,10 @@ TEST(BatchingParityTest, SoloPeaksAndPollsArePinned) {
         EXPECT_EQ(solo_arena.peak_bytes(), cell.peak_bytes);
         EXPECT_EQ(polls, cell.polls);
 
+        if (threads != 4 || cell.pass != kHybrid || cell.retention != KvRetention::kAll ||
+            cell.n_cached == 0) {
+          continue;
+        }
         polls = 0;
         const PrefillSequence seq{tokens, cached, cell.retention,
                                   options.prefix_budget_tokens};
@@ -454,6 +467,107 @@ TEST(BatchingParityTest, SoloPeaksAndPollsArePinned) {
         EXPECT_TRUE(SameKvBits(batched.value()[0].kv, solo.value().kv));
       }
     }
+  }
+}
+
+// ------------------------------------------------- paged prefix reads
+//
+// The engine hands a pass its cached prefix as a view of the cache blocks,
+// wherever they sit. The same rows paged into separately allocated blocks
+// must give the bits of one contiguous prefix, for every pass and Fig. 10
+// ablation, solo and batched next to members of other kinds; and the
+// tracked peak must not move, since the prefix is outside the arena either
+// way.
+
+// Every whole block of `prefix`, `block_rows` rows each, as separate
+// allocations made last block first.
+std::vector<KvBlock> PageBlocks(const KvCacheData& prefix, int64_t block_rows,
+                                TrackingAllocator& alloc) {
+  std::vector<KvBlock> blocks(static_cast<size_t>(prefix.n_tokens / block_rows));
+  for (auto b = static_cast<int64_t>(blocks.size()) - 1; b >= 0; --b) {
+    blocks[static_cast<size_t>(b)] = CopyBlockFrom(prefix, 0, b, block_rows, alloc);
+  }
+  return blocks;
+}
+
+TEST(BatchingParityTest, PagedPrefixMatchesContiguousBitwise) {
+  const ModelConfig config = ModelConfig::Tiny();
+  LlamaModel model(config, 42);
+  Rng rng(29);
+  // Member A sits behind a paged prefix; in the batch, B is cold and C sits
+  // behind a contiguous one.
+  const std::vector<int32_t> a_tokens = RandomTokens(rng, 90);
+  const std::vector<int32_t> b_tokens = RandomTokens(rng, 37);
+  const std::vector<int32_t> c_tokens = RandomTokens(rng, 50);
+  TrackingAllocator prefix_alloc;
+  // The KV of tokens [0, n), retained by a pass as the engine retains it.
+  const auto prefix_of = [&](const std::vector<int32_t>& tokens, int64_t n) {
+    PrefillOptions warm;
+    warm.retention = KvRetention::kPrefixBudget;
+    warm.prefix_budget_tokens = n;
+    auto pass = model.Prefill(std::span(tokens).first(static_cast<size_t>(n + 1)), nullptr,
+                              warm, prefix_alloc);
+    EXPECT_TRUE(pass.ok()) << pass.status().ToString();
+    return std::move(pass.value().kv);
+  };
+  const KvCacheData a_rows = prefix_of(a_tokens, 64);
+  const KvCacheData c_prefix = prefix_of(c_tokens, 20);
+
+  for (const int64_t block_rows : {1, 7, 16, 32}) {
+    const std::vector<KvBlock> blocks = PageBlocks(a_rows, block_rows, prefix_alloc);
+    KvView paged;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      paged.Append(blocks[b].layers);
+      if (b > 0) {
+        ASSERT_NE(blocks[b].layers[0].k.data(),
+                  blocks[b - 1].layers[0].k.data() + block_rows * config.kv_size())
+            << "blocks must not be adjacent";
+      }
+    }
+    const KvCacheData a_prefix = SliceKv(a_rows, paged.n_tokens, prefix_alloc);
+    for (const int threads : {1, 4}) {
+      ThreadPool pool(threads);
+      model.SetThreadPool(&pool);
+      for (const PinnedPass pass : kAllPasses) {
+        SCOPED_TRACE("block_rows=" + std::to_string(block_rows) +
+                     " threads=" + std::to_string(threads) +
+                     " pass=" + std::to_string(static_cast<int>(pass)));
+        const PrefillOptions options = PassOptions(pass, /*chunk_size=*/16);
+        const bool drop = pass == kStdDrop;  // retains nothing
+        const KvRetention all = drop ? KvRetention::kNone : KvRetention::kAll;
+        const KvRetention budget = drop ? KvRetention::kNone : KvRetention::kPrefixBudget;
+        const PrefillSequence a_paged{a_tokens, paged, all};
+        PrefillSequence a_whole = a_paged;
+        a_whole.cached_prefix = &a_prefix;
+        const PrefillSequence b_cold{b_tokens, nullptr, budget, 20};
+        const PrefillSequence c_whole{c_tokens, &c_prefix, budget, 40};
+        for (const bool batched : {false, true}) {
+          std::vector<PrefillSequence> want_seqs = {a_whole};
+          std::vector<PrefillSequence> got_seqs = {a_paged};
+          if (batched) {
+            for (const PrefillSequence& other : {b_cold, c_whole}) {
+              want_seqs.push_back(other);
+              got_seqs.push_back(other);
+            }
+          }
+          TrackingAllocator want_arena;
+          TrackingAllocator got_arena;
+          auto want = model.PrefillBatch(want_seqs, options, want_arena);
+          auto got = model.PrefillBatch(got_seqs, options, got_arena);
+          ASSERT_TRUE(want.ok()) << want.status().ToString();
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          SCOPED_TRACE(batched ? "batched" : "solo");
+          EXPECT_EQ(got_arena.peak_bytes(), want_arena.peak_bytes());
+          for (size_t i = 0; i < want_seqs.size(); ++i) {
+            const PrefillResult& w = want.value()[i];
+            const PrefillResult& g = got.value()[i];
+            EXPECT_TRUE(SameFloatBits(g.last_logits, w.last_logits)) << "member " << i;
+            EXPECT_TRUE(SameKvBits(g.kv, w.kv)) << "member " << i;
+          }
+        }
+      }
+    }
+    model.SetThreadPool(nullptr);
   }
 }
 
@@ -1158,10 +1272,10 @@ TEST(BatchingEngineTest, PackedAdmissionProjectionNeverOptimistic) {
 }
 
 TEST(BatchingEngineTest, PackedProjectionCoversWarmedPrefixes) {
-  // Same soundness bound with prefix hits in play: cached tokens are charged
-  // at the (cheaper) retained-KV rate, and the projection's block-aligned
-  // rounding of n_cached must stay conservative against what the engine
-  // actually assembles.
+  // Same soundness bound with prefix hits in play: a cached token is charged
+  // only its score-row slot (the pass reads the prefix in place from the
+  // cache blocks), and the projection's block-aligned rounding of n_cached
+  // must stay conservative against the prefix the engine actually reuses.
   for (PrefillMode mode : kAllModes) {
     const BatchBudget projector = MakeBatchBudget(
         ModelConfig::Tiny(), mode, /*activation_budget_bytes=*/0,

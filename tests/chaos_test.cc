@@ -381,7 +381,8 @@ TEST(ChaosDegradeTest, ShedHysteresisRejectsAboveHighUntilDrainedBelowLow) {
 // Replays one seeded schedule against a concurrent engine under client
 // pressure and checks the invariants that must hold under ANY fault
 // sequence: every future resolves exactly once, terminal accounting
-// balances, and the process neither crashes nor wedges.
+// balances, the cache tiers hold no orphaned payload or leaked block
+// (Engine::CheckInvariants), and the process neither crashes nor wedges.
 void RunSeededSchedule(const std::string& schedule) {
   SCOPED_TRACE(schedule);
   FaultScope scope(schedule);
@@ -442,6 +443,7 @@ void RunSeededSchedule(const std::string& schedule) {
   EXPECT_EQ(Terminal(stats), stats.submitted) << "terminal accounting must balance";
   // The schedule actually did something: this was not a no-fault run.
   EXPECT_GT(stats.faults_injected, 0);
+  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
 }
 
 TEST(ChaosScheduleTest, SeededKvAndCacheFaultsKeepInvariants) {
@@ -519,6 +521,7 @@ TEST(ChaosOffloadTest, EvictReloadRoundTripSurvivesFaultSchedules) {
     const auto stats = engine.stats();
     EXPECT_GT(stats.offload_demotions, 0);
     EXPECT_GT(stats.offload_read_hits, 0);  // the reload, via the new counter
+    EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
   }
 
   // The same traffic under fault schedules covering every trigger type at
@@ -550,6 +553,7 @@ TEST(ChaosOffloadTest, EvictReloadRoundTripSurvivesFaultSchedules) {
     if (stats.offload_hit_tokens > 0) {
       EXPECT_GT(stats.offload_read_hits, 0);
     }
+    EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
   }
 }
 

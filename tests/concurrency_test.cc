@@ -297,6 +297,84 @@ TEST(ConcurrencyTest, BatchedRuntimeKeepsBitsAndAccounting) {
   }
 }
 
+// -------------------------------------- Paged prefix reads under churn
+
+TEST(PagedPrefixConcurrencyTest, HitsReadPinnedBlocksWhileTiersChurn) {
+  // A lane reads its prefix hit in place, without cache_mu_: the GPU-tier
+  // blocks it pinned and the offloaded ones it promoted. Meanwhile the
+  // other lanes evict, demote and promote around it: shared profiles make
+  // hits, and each round's unique inserts push a small cache over its
+  // budget. Every response must match a solo cold run bitwise, and the
+  // tiers must balance after the drain.
+  constexpr int kRounds = 3;
+  constexpr int kPerRound = 12;
+  std::vector<ScoringRequest> requests;
+  for (int i = 0; i < kRounds * kPerRound; ++i) {
+    std::vector<int32_t> tokens;
+    if (i % 3 == 2) {
+      tokens = Tokens(64, 9200 + i);  // unique: evicts, and demotes what it evicts
+    } else {
+      tokens = Tokens(48, 9000 + i % 4);  // one of four shared 3-block profiles
+      for (const int32_t t : Tokens(8 + i % 5, 9100 + i)) {
+        tokens.push_back(t);
+      }
+    }
+    requests.push_back(YesNoRequest(std::move(tokens), i));
+  }
+  std::vector<std::vector<TokenProbability>> cold;
+  {
+    EngineOptions options = TinyEngineOptions();
+    options.cache_budget_tokens = 0;  // every request a solo cold run
+    Engine engine(options);
+    for (const auto& request : requests) {
+      auto response = engine.ScoreSync(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      cold.push_back(response.value().probabilities);
+    }
+  }
+
+  EngineOptions options = TinyEngineOptions();
+  options.max_concurrent_requests = 4;
+  // 24 blocks: room for four lanes' pins (at most 4 blocks each) next to
+  // about three profiles and one unique prefix.
+  options.cache_budget_tokens = 384;
+  options.cpu_offload_budget_tokens = 512;
+  Engine engine(options);
+  ASSERT_TRUE(engine.StartWorker().ok());
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<Engine::ResponseFuture> futures(kPerRound);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+      clients.emplace_back([&engine, &requests, &futures, round, c] {
+        for (int i = c; i < kPerRound; i += 4) {
+          auto submitted = SubmitOne(engine, requests[round * kPerRound + i]);
+          ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+          futures[static_cast<size_t>(i)] = std::move(submitted.value().future);
+        }
+      });
+    }
+    for (auto& t : clients) {
+      t.join();
+    }
+    for (int i = 0; i < kPerRound; ++i) {
+      const int id = round * kPerRound + i;
+      auto response = futures[static_cast<size_t>(i)].get();
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      EXPECT_TRUE(SameBits(response.value().probabilities, cold[static_cast<size_t>(id)]))
+          << "request " << id << " n_cached " << response.value().n_cached << " (offload "
+          << response.value().n_cached_offload << ")";
+    }
+  }
+  engine.StopWorker();
+  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.completed, kRounds * kPerRound);
+  EXPECT_GT(stats.cache.evictions, 0);
+  EXPECT_GT(stats.offload_demotions, 0);
+  EXPECT_GT(stats.offload_hit_tokens, 0);
+  EXPECT_GT(stats.offload_promotions, 0);
+}
+
 // ------------------------------------------------- Accounting under load
 
 TEST(ConcurrencyTest, NoRequestLostOrDoubleCompleted) {

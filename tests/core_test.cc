@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -9,6 +11,7 @@
 #include "src/core/engine.h"
 #include "src/core/kv_block_store.h"
 #include "src/core/request.h"
+#include "src/model/llama.h"
 #include "src/workload/dataset.h"
 #include "tests/engine_backlog.h"
 
@@ -277,6 +280,7 @@ TEST(EngineTest, OffloadRecoversEvictedPrefix) {
   EXPECT_GT(stats.offload_demotions, 0);
   EXPECT_GT(stats.offload_hit_tokens, 0);
   EXPECT_GT(stats.offload_promotions, 0);
+  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
 }
 
 TEST(EngineTest, OffloadHitScoresBitwiseEqualToCold) {
@@ -297,6 +301,7 @@ TEST(EngineTest, OffloadHitScoresBitwiseEqualToCold) {
   ASSERT_TRUE(via_offload.ok());
   EXPECT_GT(via_offload.value().n_cached_offload, 0);
   EXPECT_DOUBLE_EQ(via_offload.value().score, cold_score.value().score);
+  EXPECT_TRUE(warm.CheckInvariants().ok()) << warm.CheckInvariants().ToString();
 }
 
 TEST(EngineTest, OffloadDisabledByDefault) {
@@ -306,6 +311,7 @@ TEST(EngineTest, OffloadDisabledByDefault) {
   const auto stats = engine.stats();
   EXPECT_EQ(stats.offload_bytes, 0u);
   EXPECT_EQ(stats.offload_demotions, 0);
+  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
 }
 
 TEST(EngineTest, OffloadMemoryAccountedSeparately) {
@@ -320,6 +326,52 @@ TEST(EngineTest, OffloadMemoryAccountedSeparately) {
   // Host tier bounded by its own budget.
   EXPECT_LE(static_cast<int64_t>(stats.offload_bytes),
             options.cpu_offload_budget_tokens * options.model.kv_bytes_per_token());
+  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
+}
+
+TEST(EngineTest, WarmHitLanePeakIsThePassPeak) {
+  // A prefix hit is read in place from the pinned cache blocks, so a warm
+  // lane's arena holds exactly what its pass allocates: the lane peak is
+  // the model-level tracked peak of the same pass with its prefix allocated
+  // outside the arena.
+  const EngineOptions options = TinyEngineOptions();
+  Engine engine(options);
+  const auto tokens = Tokens(200, 51);
+  const std::vector<int32_t> head(tokens.begin(), tokens.begin() + 65);
+  ASSERT_TRUE(engine.ScoreSync(YesNoRequest(head)).ok());  // caches 4 blocks
+  auto warm = engine.ScoreSync(YesNoRequest(tokens));
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_EQ(warm.value().n_cached, 64);
+
+  LlamaModel model(options.model, options.weight_seed, options.kernel_backend);
+  PrefillOptions prefill;
+  prefill.mode = options.mode;
+  prefill.chunk_size = options.chunk_size;
+  prefill.preallocate_outputs = options.preallocate_outputs;
+  prefill.in_place = options.in_place;
+  prefill.retention = KvRetention::kPrefixBudget;
+  // The engine retains every whole block that fits the cache budget.
+  const auto peak_of = [&](std::span<const int32_t> request, const KvCacheData* prefix) {
+    prefill.prefix_budget_tokens =
+        std::min<int64_t>(static_cast<int64_t>(request.size()) / options.block_size *
+                              options.block_size,
+                          options.cache_budget_tokens);
+    TrackingAllocator arena;
+    EXPECT_TRUE(model.Prefill(request, prefix, prefill, arena).ok());
+    return arena.peak_bytes();
+  };
+  TrackingAllocator prefix_alloc;
+  KvCacheData prefix;
+  prefix.n_tokens = 64;
+  prefix.layers.resize(static_cast<size_t>(options.model.n_layers));
+  for (auto& layer : prefix.layers) {
+    layer.k = Tensor::Zeros(prefix_alloc, {64, options.model.kv_size()}, "p.k");
+    layer.v = Tensor::Zeros(prefix_alloc, {64, options.model.kv_size()}, "p.v");
+  }
+  const size_t warm_peak = peak_of(tokens, &prefix);
+  ASSERT_GT(warm_peak, peak_of(head, nullptr)) << "the warm pass must set the lane peak";
+  EXPECT_EQ(engine.stats().peak_activation_bytes, warm_peak);
+  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
 }
 
 // ----------------------------------------------------------- Scheduling
@@ -436,7 +488,7 @@ TEST(EngineTest, AsyncWorkerDeliversAllResponses) {
 
 // ----------------------------------------------------------- KvBlockStore
 
-TEST(KvBlockStoreTest, PutAssembleRoundTrip) {
+TEST(KvBlockStoreTest, PutFindRoundTrip) {
   const ModelConfig config = ModelConfig::Tiny();
   TrackingAllocator alloc;
   KvBlockStore store(config, /*block_size=*/8, alloc);
@@ -460,13 +512,27 @@ TEST(KvBlockStoreTest, PutAssembleRoundTrip) {
   store.Put(2, source, /*source_start=*/0, /*block_index=*/1);
   EXPECT_EQ(store.block_count(), 2u);
 
-  const KvCacheData assembled = store.AssemblePrefix({1, 2}, 2);
-  ASSERT_EQ(assembled.n_tokens, 16);
-  for (size_t l = 0; l < assembled.layers.size(); ++l) {
-    EXPECT_EQ(std::memcmp(assembled.layers[l].k.data(), source.layers[l].k.data(),
-                          source.layers[l].k.bytes()),
-              0);
+  // Each block reads back its own 8 rows of the source, K and V, where the
+  // store keeps them.
+  const size_t block_bytes = 8 * static_cast<size_t>(config.kv_size()) * sizeof(float);
+  for (const BlockId id : {1, 2}) {
+    const KvBlock* block = store.Find(id);
+    ASSERT_NE(block, nullptr);
+    ASSERT_EQ(block->layers.size(), source.layers.size());
+    const int64_t row0 = (id - 1) * 8;
+    for (size_t l = 0; l < source.layers.size(); ++l) {
+      ASSERT_EQ(block->layers[l].k.rows(), 8);
+      EXPECT_EQ(std::memcmp(block->layers[l].k.data(), source.layers[l].k.row(row0),
+                            block_bytes),
+                0);
+      EXPECT_EQ(std::memcmp(block->layers[l].v.data(), source.layers[l].v.row(row0),
+                            block_bytes),
+                0);
+    }
   }
+  EXPECT_EQ(store.Find(3), nullptr);
+  store.Drop(1);
+  EXPECT_EQ(store.Find(1), nullptr);
 }
 
 TEST(KvBlockStoreTest, DropReleasesMemory) {

@@ -336,12 +336,21 @@ TEST(KernelParityTest, OpsApplyRopeStillMatchesReference) {
 // backend's dot -> softmax_row -> axpy, for every available backend: the
 // tiling may change, the per-element float operations may not.
 
+// Every available table: scalar, the 8-lane avx2 one, and the 16-lane one
+// that serves kAvx2 on AVX-512F CPUs.
 std::vector<const KernelOps*> AvailableBackends() {
   std::vector<const KernelOps*> backends = {Scalar()};
   if (Avx2Available()) {
-    backends.push_back(GetKernelOps(KernelBackend::kAvx2));
+    backends.push_back(GetAvx2KernelOps());
+  }
+  if (const KernelOps* wide = GetAvx512KernelOps()) {
+    backends.push_back(wide);
   }
   return backends;
+}
+
+std::string TableName(const KernelOps* ops) {
+  return ops == GetAvx512KernelOps() ? std::string(ops->name) + "/16-lane" : ops->name;
 }
 
 struct AttentionCase {
@@ -353,21 +362,36 @@ struct AttentionCase {
 };
 
 // Random q/K/V for one case; keys [0, n_prefix) come from the prefix
-// buffers, the rest from the new-token buffers.
+// segments, the rest from the new-token buffers. The prefix rows are the
+// same for every `segment_rows` (0 = one segment of n_prefix rows); each
+// segment is a separate allocation, so segments are never adjacent.
 struct AttentionData {
-  AttentionData(const AttentionCase& c, int64_t n_prefix, uint64_t seed)
+  AttentionData(const AttentionCase& c, int64_t n_prefix, uint64_t seed,
+                int64_t segment_rows = 0)
       : n_keys(c.q_pos0 + c.q_rows),
         q(RandomVec(c.q_rows * c.n_heads * c.head_dim, seed, 2.0f)),
-        k_prefix(RandomVec(n_prefix * c.n_kv_heads * c.head_dim, seed + 1, 2.0f)),
-        v_prefix(RandomVec(n_prefix * c.n_kv_heads * c.head_dim, seed + 2)),
         k_new(RandomVec((n_keys - n_prefix) * c.n_kv_heads * c.head_dim, seed + 3, 2.0f)),
         v_new(RandomVec((n_keys - n_prefix) * c.n_kv_heads * c.head_dim, seed + 4)),
         scores(static_cast<size_t>(n_keys)) {
+    const int64_t kvw = c.n_kv_heads * c.head_dim;
+    const std::vector<float> k_prefix = RandomVec(n_prefix * kvw, seed + 1, 2.0f);
+    const std::vector<float> v_prefix = RandomVec(n_prefix * kvw, seed + 2);
+    const int64_t seg = segment_rows > 0 ? segment_rows : std::max<int64_t>(n_prefix, 1);
+    for (int64_t j0 = 0; j0 < n_prefix; j0 += seg) {
+      const int64_t j1 = std::min(j0 + seg, n_prefix);
+      k_rows.emplace_back(k_prefix.begin() + j0 * kvw, k_prefix.begin() + j1 * kvw);
+      v_rows.emplace_back(v_prefix.begin() + j0 * kvw, v_prefix.begin() + j1 * kvw);
+    }
+    for (size_t s = 0; s < k_rows.size(); ++s) {
+      k_segments.push_back(k_rows[s].data());
+      v_segments.push_back(v_rows[s].data());
+    }
     args = AttentionArgs{
         .q = q.data(),
         .out = nullptr,
-        .k_prefix = n_prefix > 0 ? k_prefix.data() : nullptr,
-        .v_prefix = n_prefix > 0 ? v_prefix.data() : nullptr,
+        .k_segments = n_prefix > 0 ? k_segments.data() : nullptr,
+        .v_segments = n_prefix > 0 ? v_segments.data() : nullptr,
+        .segment_rows = seg,
         .k_new = k_new.data(),
         .v_new = v_new.data(),
         .n_prefix = n_prefix,
@@ -384,7 +408,9 @@ struct AttentionData {
   }
 
   int64_t n_keys;
-  std::vector<float> q, k_prefix, v_prefix, k_new, v_new, scores;
+  std::vector<float> q, k_new, v_new, scores;
+  std::vector<std::vector<float>> k_rows, v_rows;  // one per prefix segment
+  std::vector<const float*> k_segments, v_segments;
   AttentionArgs args{};
 };
 
@@ -394,27 +420,24 @@ std::vector<float> ComposedAttention(const KernelOps* ops, AttentionData& data,
                                      int64_t q_rows) {
   const AttentionArgs& a = data.args;
   const int64_t qs = a.n_heads * a.head_dim;
-  const int64_t kvw = a.n_kv_heads * a.head_dim;
   const int64_t group = a.n_heads / a.n_kv_heads;
   std::vector<float> out = data.NewOutput();
   for (int64_t i = 0; i < q_rows; ++i) {
     const int64_t n_keys = a.q_pos0 + i + 1;
     for (int64_t head = 0; head < a.n_heads; ++head) {
       const int64_t col = head / group * a.head_dim;
-      const auto row = [&](const float* prefix, const float* fresh, int64_t j) {
-        return (j < a.n_prefix ? prefix + j * kvw : fresh + (j - a.n_prefix) * kvw) + col;
-      };
       const float* q_vec = a.q + i * qs + head * a.head_dim;
       for (int64_t j = 0; j < n_keys; ++j) {
         data.scores[static_cast<size_t>(j)] =
-            ops->dot(q_vec, row(a.k_prefix, a.k_new, j), a.head_dim) * a.scale;
+            ops->dot(q_vec, AttentionKvRow(a, /*values=*/false, j) + col, a.head_dim) *
+            a.scale;
       }
       ops->softmax_row(data.scores.data(), n_keys);
       float* o = out.data() + i * qs + head * a.head_dim;
       std::fill(o, o + a.head_dim, 0.0f);
       for (int64_t j = 0; j < n_keys; ++j) {
-        ops->axpy(o, row(a.v_prefix, a.v_new, j), data.scores[static_cast<size_t>(j)],
-                  a.head_dim);
+        ops->axpy(o, AttentionKvRow(a, /*values=*/true, j) + col,
+                  data.scores[static_cast<size_t>(j)], a.head_dim);
       }
     }
   }
@@ -441,11 +464,35 @@ bool BitsEqual(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+// Checks the call shapes one composition must survive against `want`: one
+// call per KV group, a row range split into two calls, and one head per
+// call.
+void ExpectAttentionRowsSplitsMatch(const KernelOps* ops, AttentionData& data,
+                                    const std::vector<float>& want,
+                                    const AttentionCase& c, const std::string& label) {
+  std::vector<float> got = data.NewOutput();
+  RunAttentionRows(ops, data, got, 0, c.q_rows, c.n_heads);
+  EXPECT_TRUE(BitsEqual(want, got)) << label << " (one call per group)";
+
+  got = data.NewOutput();
+  const int64_t mid = c.q_rows / 2;
+  RunAttentionRows(ops, data, got, 0, mid, c.n_heads);
+  RunAttentionRows(ops, data, got, mid, c.q_rows, c.n_heads);
+  EXPECT_TRUE(BitsEqual(want, got)) << label << " (rows split at " << mid << ")";
+
+  got = data.NewOutput();
+  RunAttentionRows(ops, data, got, 0, c.q_rows, 1);
+  EXPECT_TRUE(BitsEqual(want, got)) << label << " (one head per call)";
+}
+
 TEST(KernelParityTest, AttentionRowsMatchesPerKeyCompositionBitwise) {
   // head_dim 16 is the tiny/small models, 32 medium; 24 and 10 reach
   // Avx2Dot's 8-wide step and scalar tail. q_pos0 = 0 with 67 rows covers
   // every key count 1..67; q_pos0 > 0 starts mid-sequence. Groups of 4, 3
   // and 5 query heads per KV head exercise every head-blocking remainder.
+  // A prefix is one segment or paged into separately allocated segments of
+  // 1, 3 or 8 rows (a short last one included): the same rows in other
+  // places, so the bits must be those of the one-segment prefix.
   const AttentionCase cases[] = {
       {16, 8, 2, 0, 67},  {32, 8, 2, 0, 67},  {24, 8, 2, 0, 67}, {10, 8, 2, 0, 67},
       {16, 8, 2, 29, 38}, {32, 6, 2, 13, 21}, {24, 10, 2, 5, 9}, {10, 6, 2, 40, 3},
@@ -456,31 +503,26 @@ TEST(KernelParityTest, AttentionRowsMatchesPerKeyCompositionBitwise) {
     for (const AttentionCase& c : cases) {
       const int64_t total = c.q_pos0 + c.q_rows;
       for (const int64_t n_prefix : {int64_t{0}, total / 2, total}) {
-        AttentionData data(c, n_prefix, seed += 10);
-        const std::vector<float> want = ComposedAttention(ops, data, c.q_rows);
-        const std::string label = std::string(ops->name) + " head_dim=" +
-                                  std::to_string(c.head_dim) + " heads=" +
-                                  std::to_string(c.n_heads) + "/" +
-                                  std::to_string(c.n_kv_heads) + " q_pos0=" +
-                                  std::to_string(c.q_pos0) + " rows=" +
-                                  std::to_string(c.q_rows) + " n_prefix=" +
-                                  std::to_string(n_prefix);
-
-        std::vector<float> got = data.NewOutput();
-        RunAttentionRows(ops, data, got, 0, c.q_rows, c.n_heads);
-        EXPECT_TRUE(BitsEqual(want, got)) << label << " (one call per group)";
-
-        // A row range split into two calls, and heads split one per call,
-        // must reproduce the single call.
-        got = data.NewOutput();
-        const int64_t mid = c.q_rows / 2;
-        RunAttentionRows(ops, data, got, 0, mid, c.n_heads);
-        RunAttentionRows(ops, data, got, mid, c.q_rows, c.n_heads);
-        EXPECT_TRUE(BitsEqual(want, got)) << label << " (rows split at " << mid << ")";
-
-        got = data.NewOutput();
-        RunAttentionRows(ops, data, got, 0, c.q_rows, 1);
-        EXPECT_TRUE(BitsEqual(want, got)) << label << " (one head per call)";
+        seed += 10;
+        const std::vector<float> want = [&] {
+          AttentionData whole(c, n_prefix, seed);
+          return ComposedAttention(ops, whole, c.q_rows);
+        }();
+        for (const int64_t segment_rows : {n_prefix, int64_t{1}, int64_t{3}, int64_t{8}}) {
+          if (n_prefix == 0 && segment_rows != 0) {
+            continue;
+          }
+          AttentionData data(c, n_prefix, seed, segment_rows);
+          const std::string label =
+              TableName(ops) + " head_dim=" + std::to_string(c.head_dim) + " heads=" +
+              std::to_string(c.n_heads) + "/" + std::to_string(c.n_kv_heads) +
+              " q_pos0=" + std::to_string(c.q_pos0) + " rows=" +
+              std::to_string(c.q_rows) + " n_prefix=" + std::to_string(n_prefix) +
+              " segment_rows=" + std::to_string(segment_rows);
+          EXPECT_TRUE(BitsEqual(want, ComposedAttention(ops, data, c.q_rows)))
+              << label << " (composition)";
+          ExpectAttentionRowsSplitsMatch(ops, data, want, c, label);
+        }
       }
     }
   }

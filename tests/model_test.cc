@@ -570,7 +570,7 @@ TEST(ThreadDeterminismTest, CachedPrefixReuseUnderThreads) {
 
 // -------------------------------------------------------------- KV utils
 
-TEST(KvUtilTest, ConcatThenSliceRoundTrips) {
+TEST(KvUtilTest, SliceThenRecomputeRoundTrips) {
   const auto& model = TinyModel();
   const auto tokens = MakeTokens(32, model.config().vocab_size, 81);
   TrackingAllocator act;
@@ -580,15 +580,19 @@ TEST(KvUtilTest, ConcatThenSliceRoundTrips) {
   const auto full = MustPrefill(model, tokens, nullptr, keep, act);
 
   KvCacheData first_half = SliceKv(full.kv, 16, act);
-  // Recompute the second half against the first as prefix, keeping its KV.
+  // Recompute the second half against the first as prefix, keeping its KV:
+  // the two halves are the full pass's rows.
   PrefillOptions keep2 = keep;
   const auto second = MustPrefill(model, tokens, &first_half, keep2, act);
   ASSERT_EQ(second.kv.n_tokens, 16);
-  KvCacheData rejoined = ConcatKv(&first_half, second.kv, 16, act);
-  ASSERT_EQ(rejoined.n_tokens, 32);
-  for (size_t l = 0; l < rejoined.layers.size(); ++l) {
-    EXPECT_EQ(std::memcmp(rejoined.layers[l].k.data(), full.kv.layers[l].k.data(),
-                          full.kv.layers[l].k.bytes()),
+  const size_t half_bytes = first_half.layers[0].k.bytes();
+  for (size_t l = 0; l < full.kv.layers.size(); ++l) {
+    EXPECT_EQ(std::memcmp(first_half.layers[l].k.data(), full.kv.layers[l].k.data(),
+                          half_bytes),
+              0)
+        << "layer " << l;
+    EXPECT_EQ(std::memcmp(second.kv.layers[l].k.data(), full.kv.layers[l].k.row(16),
+                          half_bytes),
               0)
         << "layer " << l;
   }
