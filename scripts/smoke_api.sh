@@ -149,7 +149,7 @@ echo "== stats expose lifecycle counters =="
 RESP=$(curl -s "${BASE}/v1/stats")
 [[ $(jexpr "${RESP}" 'd["completed"] >= 5') == True ]] || fail "completed counter: ${RESP}"
 [[ $(jexpr "${RESP}" '"cancelled" in d and "deadline_expired" in d') == True ]] || fail "missing lifecycle counters: ${RESP}"
-[[ $(jexpr "${RESP}" '"shed" in d and "watchdog_stalls" in d and "alloc_retries" in d and "faults_injected" in d') == True ]] \
+[[ $(jexpr "${RESP}" '"shed" in d and "watchdog_stalls" in d and "abort_checks" in d and "faults_injected" in d') == True ]] \
   || fail "missing robustness counters: ${RESP}"
 
 # ---------------------------------------------------------------------------

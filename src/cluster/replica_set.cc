@@ -9,6 +9,13 @@
 #include "src/common/logging.h"
 
 namespace prefillonly {
+namespace {
+
+// When a breaker trips, its replica's queued-but-unstarted work moves to
+// another replica; a request moved this many times fails with kUnavailable.
+constexpr int kMaxFailoversPerRequest = 2;
+
+}  // namespace
 
 std::string_view BreakerStateName(BreakerState state) {
   switch (state) {
@@ -159,16 +166,14 @@ void ReplicaSet::TripLocked(int r, std::vector<FailoverItem>& out) {
   st.probe_in_flight = false;
   st.counters.breaker_trips += 1;
   cluster_.breaker_trips += 1;
-  if (options_.failover_queued) {
-    CollectFailoverLocked(r, out);
-  }
+  CollectFailoverLocked(r, out);
 }
 
 void ReplicaSet::CollectFailoverLocked(int r, std::vector<FailoverItem>& out) {
   for (auto& [id, record] : live_) {
     if (record->replica != r || record->failing_over ||
         record->cancelled_by_client || record->engine_id < 0 ||
-        record->failovers >= options_.max_failovers_per_request) {
+        record->failovers >= kMaxFailoversPerRequest) {
       continue;
     }
     record->failing_over = true;
@@ -293,7 +298,7 @@ Status ReplicaSet::RouteRecords(const std::vector<std::shared_ptr<Record>>& reco
         }
         // A trip that landed while we were inside the engine would have
         // missed these just-queued ids; withdraw them like the rest.
-        if (st.breaker == BreakerState::kOpen && options_.failover_queued) {
+        if (st.breaker == BreakerState::kOpen) {
           CollectFailoverLocked(r, planned);
         }
       }
@@ -473,7 +478,7 @@ void ReplicaSet::Complete(const std::shared_ptr<Record>& record,
     }
     if (record->failing_over && !record->cancelled_by_client &&
         result.status().code() == StatusCode::kCancelled &&
-        record->failovers < options_.max_failovers_per_request) {
+        record->failovers < kMaxFailoversPerRequest) {
       // This kCancelled is our own withdrawal, not a client action: the
       // request provably never ran here, so it may run elsewhere.
       record->failing_over = false;

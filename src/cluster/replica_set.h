@@ -79,11 +79,6 @@ struct ReplicaSetOptions {
   // closed breaker.
   int64_t health_poll_ms = 20;
   int health_trip_failures = 3;
-
-  // Failover of queued-but-unstarted work when a breaker trips, and how many
-  // times one request may be moved before it is failed with kUnavailable.
-  bool failover_queued = true;
-  int max_failovers_per_request = 2;
 };
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };

@@ -5,8 +5,6 @@
 
 namespace prefillonly {
 
-thread_local ThreadPool::Lease* ThreadPool::tls_lease_ = nullptr;
-
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
     num_threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -37,30 +35,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-ThreadPool::Lease::Lease(ThreadPool& pool, int want) : pool_(pool) {
-  want = std::clamp(want, 0, pool_.num_threads_ - 1);
-  {
-    std::lock_guard<std::mutex> lock(pool_.mu_);
-    while (want > 0 && !pool_.free_workers_.empty()) {
-      workers_.push_back(pool_.free_workers_.back());
-      pool_.free_workers_.pop_back();
-      --want;
-    }
-  }
-  prev_ = tls_lease_;
-  tls_lease_ = this;
-}
-
-ThreadPool::Lease::~Lease() {
-  assert(tls_lease_ == this && "Lease must be destroyed on its binding thread");
-  tls_lease_ = prev_;
-  if (!workers_.empty()) {
-    std::lock_guard<std::mutex> lock(pool_.mu_);
-    pool_.free_workers_.insert(pool_.free_workers_.end(), workers_.begin(),
-                               workers_.end());
-  }
-}
-
 std::pair<int64_t, int64_t> ThreadPool::ShardRange(int64_t n, int shards, int shard) {
   assert(shards > 0 && shard >= 0 && shard < shards);
   const int64_t base = n / shards;
@@ -81,30 +55,18 @@ void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
     fn(0, n, 0);
     return;
   }
-  // Workers for this call: the calling thread's reserved lease (if any) plus
-  // whatever is idle right now, up to max_shards - 1. The actual shard count
-  // never changes results — kernels are element-owned — only wall time.
-  Lease* lease =
-      (tls_lease_ != nullptr && &tls_lease_->pool_ == this) ? tls_lease_ : nullptr;
+  // Workers for this call: whatever is idle right now, up to
+  // max_shards - 1. The actual shard count never changes results — kernels
+  // are element-owned — only wall time.
   Latch latch;
   const int max_helpers = max_shards - 1;
   std::vector<int> helpers;
   helpers.reserve(static_cast<size_t>(max_helpers));
-  int n_borrowed = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (lease != nullptr) {
-      for (int w : lease->workers_) {
-        if (static_cast<int>(helpers.size()) >= max_helpers) {
-          break;
-        }
-        helpers.push_back(w);
-      }
-    }
     while (static_cast<int>(helpers.size()) < max_helpers && !free_workers_.empty()) {
       helpers.push_back(free_workers_.back());
       free_workers_.pop_back();
-      ++n_borrowed;
     }
     const int n_helpers = static_cast<int>(helpers.size());
     if (n_helpers > 0) {
@@ -137,11 +99,7 @@ void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
   fn(begin, end, 0);
   std::unique_lock<std::mutex> lock(mu_);
   cv_done_.wait(lock, [&latch] { return latch.pending == 0; });
-  // Borrowed workers (the last n_borrowed in helpers) rejoin the free set;
-  // reserved ones stay with the lease.
-  for (int i = n_helpers - n_borrowed; i < n_helpers; ++i) {
-    free_workers_.push_back(helpers[static_cast<size_t>(i)]);
-  }
+  free_workers_.insert(free_workers_.end(), helpers.begin(), helpers.end());
 }
 
 void ThreadPool::WorkerLoop(int worker) {

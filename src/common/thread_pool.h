@@ -1,5 +1,5 @@
 // Persistent worker pool with deterministic range partitioning and elastic
-// worker-subset views (ISSUE 2).
+// per-call worker borrowing (ISSUE 2).
 //
 // The engine's intra-op parallelism contract: ParallelFor splits [0, n) into
 // CONTIGUOUS ranges with a fixed arithmetic rule, and each range is executed
@@ -13,13 +13,10 @@
 //
 // Concurrency model (docs/CONCURRENCY.md): each spawned worker has its own
 // task mailbox, so SEVERAL client threads may issue ParallelFor calls at the
-// same time as long as they use disjoint workers. Disjointness is arranged
-// by Lease: a client thread reserves a set of workers for itself (its
-// guaranteed floor share); every ParallelFor call it issues uses those
-// reserved workers plus however many currently-idle workers it can borrow.
-// Borrowed workers return to the shared free set when the call completes, so
-// a lone request elastically expands to the whole machine while N concurrent
-// requests settle at ~num_threads/N workers each.
+// same time. Each call borrows however many workers are idle when it forks
+// (each worker serves one call at a time) and returns them to the shared
+// free set when it joins, so a lone request expands to the whole machine
+// while concurrent requests split whatever is idle between them.
 //
 // Every ParallelFor that hands work to a spawned worker is one fork-join:
 // waking the helper and joining it costs about 12 us, as much as a small
@@ -60,32 +57,6 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
-  // Reserves up to `want` spawned workers for the calling thread until the
-  // Lease is destroyed. While bound, every ParallelFor the thread issues on
-  // this pool is guaranteed its reserved workers and may additionally borrow
-  // idle ones; other threads can never be handed the reserved workers. The
-  // lease binds the CONSTRUCTING thread only and must be destroyed on it
-  // (stack object in the executor loop). Fewer than `want` workers — possibly
-  // zero — are reserved when the free set is smaller; the request still runs,
-  // just narrower. Reserving never blocks.
-  class Lease {
-   public:
-    Lease(ThreadPool& pool, int want);
-    ~Lease();
-
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    // Workers this lease holds exclusively (not counting the caller).
-    int reserved() const { return static_cast<int>(workers_.size()); }
-
-   private:
-    friend class ThreadPool;
-    ThreadPool& pool_;
-    std::vector<int> workers_;  // spawned-worker indices, exclusively held
-    Lease* prev_ = nullptr;     // restores the previous binding on unwind
-  };
-
   // Runs fn over a deterministic partition of [0, n). `grain` is the minimum
   // number of iterations worth shipping to a thread: fewer than 2*grain total
   // iterations run inline on the caller. The partition rule (ShardRange) does
@@ -111,10 +82,10 @@ class ThreadPool {
   };
   // Per-spawned-worker task mailbox, guarded by mu_. `latch != nullptr`
   // means the worker is running (or about to run) a shard; a worker is never
-  // handed a task while busy — the free set / lease bookkeeping guarantees
-  // each worker has at most one issuer at a time. Each worker sleeps on its
-  // own condition variable so an assignment wakes exactly the assigned
-  // workers, not the whole pool (no thundering herd per kernel launch).
+  // handed a task while busy — the free set guarantees each worker has at
+  // most one issuer at a time. Each worker sleeps on its own condition
+  // variable so an assignment wakes exactly the assigned workers, not the
+  // whole pool (no thundering herd per kernel launch).
   struct Slot {
     std::condition_variable cv;
     const RangeFn* fn = nullptr;
@@ -133,11 +104,9 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_done_;
   std::unique_ptr<Slot[]> slots_;  // one per spawned worker
-  std::vector<int> free_workers_;  // spawned workers not held by any lease
+  std::vector<int> free_workers_;  // spawned workers not serving a call
   bool stop_ = false;
   std::atomic<uint64_t> fork_joins_{0};
-
-  static thread_local Lease* tls_lease_;
 };
 
 }  // namespace prefillonly

@@ -17,8 +17,6 @@ Engine::Engine(EngineOptions options)
   assert(options_.model.Valid());
   options_.max_concurrent_requests = std::max(options_.max_concurrent_requests, 1);
   options_.max_batch_size = std::max(options_.max_batch_size, 1);
-  options_.alloc_retry_max = std::max(options_.alloc_retry_max, 0);
-  options_.alloc_retry_backoff_ms = std::max<int64_t>(options_.alloc_retry_backoff_ms, 1);
   if (options_.shed_high_watermark > 0 && options_.shed_low_watermark <= 0) {
     options_.shed_low_watermark = options_.shed_high_watermark / 2;
   }
@@ -519,7 +517,7 @@ Engine::PrefillBatchPending Engine::DispatchStep(std::unique_lock<std::mutex>& l
   return TakeBatchLocked(decision);
 }
 
-Status Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
+void Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
   const auto n_tokens = static_cast<int64_t>(pending.request.tokens.size());
 
   // Suffix KV cache discarding, decided up front: only the prefix that fits
@@ -541,7 +539,12 @@ Status Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
   auto acquired = cache_->Acquire(out.chain, out.budget_blocks, lookup_tokens);
   if (!acquired.ok()) {
-    return acquired.status();
+    // The blocks cannot be reserved: other lanes pin the pool, or an
+    // allocation fault was injected. The member runs cold — `out` goes back
+    // to empty, so it reads no prefix, retains nothing and publishes
+    // nothing. Recomputing a prefix gives the same bits as reusing it.
+    out = PrefixAcq();
+    return;
   }
   out.acq = acquired.take();
 
@@ -569,7 +572,6 @@ Status Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
     assert(rows != nullptr);
     out.prefix.Append(rows->layers);
   }
-  return Status::Ok();
 }
 
 void Engine::PublishKv(PrefixAcq& pa, const PrefillResult* pass) {
@@ -577,6 +579,10 @@ void Engine::PublishKv(PrefixAcq& pa, const PrefillResult* pass) {
   // Hand the retained fresh prefix blocks to the cache + payload store. A
   // promoted block stays if Release inserts it (its offload copy goes), and
   // is dropped if not: the failure path, or a sibling cached the hash first.
+  // A member that ran cold holds no acquisition and releases nothing.
+  if (!pa.acq.active) {
+    return;
+  }
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
   std::vector<BlockId> freed(pa.acq.blocks.begin() + pa.gpu_prefix_blocks,
                              pa.acq.blocks.begin() + pa.prefix_blocks);
@@ -597,45 +603,14 @@ void Engine::PublishKv(PrefixAcq& pa, const PrefillResult* pass) {
   }
 }
 
-Status Engine::AcquirePrefixWithBackoff(const Pending& pending, int retry_max,
-                                        PrefixAcq& out) {
-  // First rung of the degradation ladder (ISSUE 6): transient acquisition
-  // failures — the block pool momentarily pinned by other lanes, an
-  // injected allocation fault — retry with exponential backoff before the
-  // request fails, unless the backoff would land past the deadline.
-  Status acquired = AcquirePrefix(pending, out);
-  for (int attempt = 1;
-       acquired.code() == StatusCode::kResourceExhausted && attempt <= retry_max;
-       ++attempt) {
-    const int64_t backoff_ms = options_.alloc_retry_backoff_ms << (attempt - 1);
-    if (pending.deadline_s >= 0.0 &&
-        NowSeconds() + static_cast<double>(backoff_ms) / 1e3 >= pending.deadline_s) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.alloc_retries;
-    }
-    out = PrefixAcq();
-    acquired = AcquirePrefix(pending, out);
-    if (acquired.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.alloc_retry_successes;
-    }
-  }
-  return acquired;
-}
-
 std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
     TrackingAllocator& activations, std::span<Pending> pendings) {
   const size_t n_requests = pendings.size();
   // Every rule below keys on whether this call has a single member. A lone
-  // member acquires through the backoff ladder, polls inside its pass and
-  // returns its own failures. A member of a multi-member call tries once,
-  // and on any failure re-enters this routine alone once the stacked pass
-  // has released its pins and arena bytes — so co-batching never fails a
-  // request that would have succeeded alone.
+  // member polls inside its pass and returns its own failures. When the
+  // stacked pass of a multi-member call fails, every member re-enters this
+  // routine alone once the pass has released its pins and arena bytes — so
+  // co-batching never fails a request that would have succeeded alone.
   const bool alone = n_requests == 1;
   const double start_s = NowSeconds();
   std::vector<Result<ScoringResponse>> results(
@@ -644,7 +619,6 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
 
   std::vector<PrefixAcq> acqs(n_requests);
   std::vector<size_t> live;
-  std::vector<size_t> retry_alone;
   live.reserve(n_requests);
   for (size_t i = 0; i < n_requests; ++i) {
     // Member-boundary abort poll (ISSUE 6): a member whose deadline lapsed
@@ -654,94 +628,83 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
       results[i] = abort;
       continue;
     }
-    const int retry_max = alone ? options_.alloc_retry_max : 0;
-    if (Status s = AcquirePrefixWithBackoff(pendings[i], retry_max, acqs[i]); s.ok()) {
-      live.push_back(i);
-    } else if (alone) {
-      results[i] = s;
-    } else {
-      retry_alone.push_back(i);
-    }
+    AcquirePrefix(pendings[i], acqs[i]);
+    live.push_back(i);
   }
 
-  if (!live.empty()) {
-    PrefillOptions prefill;
-    prefill.mode = options_.mode;
-    prefill.chunk_size = options_.chunk_size;
-    prefill.preallocate_outputs = options_.preallocate_outputs;
-    prefill.in_place = options_.in_place;
-    if (alone) {
-      // Cooperative in-flight abort (ISSUE 6): the model polls this between
-      // chunks; an expired or cancelled request stops at the next boundary
-      // instead of burning its remaining compute. Only a lone member's pass
-      // polls, since a non-OK poll would abort every sequence of the pass.
-      prefill.abort_check = [this, &pending = pendings[0]] {
-        return AbortStatus(pending);
-      };
-    }
+  if (live.empty()) {
+    return results;
+  }
+  PrefillOptions prefill;
+  prefill.mode = options_.mode;
+  prefill.chunk_size = options_.chunk_size;
+  if (alone) {
+    // Cooperative in-flight abort (ISSUE 6): the model polls this between
+    // chunks; an expired or cancelled request stops at the next boundary
+    // instead of burning its remaining compute. Only a lone member's pass
+    // polls, since a non-OK poll would abort every sequence of the pass.
+    prefill.abort_check = [this, &pending = pendings[0]] {
+      return AbortStatus(pending);
+    };
+  }
 
-    std::vector<PrefillSequence> sequences;
-    sequences.reserve(live.size());
+  std::vector<PrefillSequence> sequences;
+  sequences.reserve(live.size());
+  for (const size_t i : live) {
+    PrefillSequence seq;
+    seq.tokens = pendings[i].request.tokens;
+    seq.cached_prefix = acqs[i].prefix;
+    seq.retention = KvRetention::kPrefixBudget;
+    seq.prefix_budget_tokens = acqs[i].budget_blocks * options_.block_size;
+    sequences.push_back(seq);
+  }
+
+  // One stacked prefill for every live member. It runs without any engine
+  // lock: the model is immutable, the prefixes are views of blocks this
+  // lane has pinned or promoted (no other lane writes or frees them before
+  // PublishKv), and each fork-join borrows whichever pool workers are idle.
+  auto passes = model_->PrefillBatch(sequences, prefill, activations);
+  if (!passes.ok()) {
+    // Release every pin before anyone retries.
     for (const size_t i : live) {
-      PrefillSequence seq;
-      seq.tokens = pendings[i].request.tokens;
-      seq.cached_prefix = acqs[i].prefix;
-      seq.retention = KvRetention::kPrefixBudget;
-      seq.prefix_budget_tokens = acqs[i].budget_blocks * options_.block_size;
-      sequences.push_back(seq);
+      PublishKv(acqs[i], nullptr);
     }
-
-    // One stacked prefill for every live member. It runs without any engine
-    // lock: the model is immutable, the prefixes are views of blocks this
-    // lane has pinned or promoted (no other lane writes or frees them before
-    // PublishKv), and intra-op workers come from this thread's elastic
-    // ThreadPool partition.
-    auto passes = model_->PrefillBatch(sequences, prefill, activations);
-    if (!passes.ok()) {
-      // Release every pin before anyone retries.
-      for (const size_t i : live) {
-        PublishKv(acqs[i], nullptr);
-      }
-      if (alone) {
-        results[live.front()] = passes.status();
-      } else {
-        retry_alone.insert(retry_alone.end(), live.begin(), live.end());
-        std::sort(retry_alone.begin(), retry_alone.end());
-      }
-    } else {
-      for (size_t j = 0; j < live.size(); ++j) {
-        const size_t i = live[j];
-        PrefillResult& pass = passes.value()[j];
-        PublishKv(acqs[i], &pass);
-
-        auto probabilities = ConstrainedProbabilities(
-            pass.last_logits, pendings[i].request.allowed_tokens);
-        if (!probabilities.ok()) {
-          results[i] = probabilities.status();
-          continue;
-        }
-        ScoringResponse response;
-        response.request_id = pendings[i].id;
-        response.user_id = pendings[i].request.user_id;
-        response.probabilities = probabilities.take();
-        response.score = response.probabilities[0].probability;
-        response.n_input = static_cast<int64_t>(pendings[i].request.tokens.size());
-        response.n_cached = acqs[i].prefix.n_tokens;
-        response.n_cached_offload =
-            (acqs[i].prefix_blocks - acqs[i].gpu_prefix_blocks) * options_.block_size;
-        response.batch_size = static_cast<int64_t>(live.size());
-        response.queue_time_s = start_s - pendings[i].arrival_s;
-        response.execute_time_s = NowSeconds() - start_s;
-        results[i] = std::move(response);
-      }
+    if (alone) {
+      results[live.front()] = passes.status();
+      return results;
     }
+    // Each member re-enters alone, one at a time, with the lane to itself.
+    // Each passes its own member-boundary poll again, so a deadline that
+    // lapsed during the stacked pass skips the retry.
+    for (const size_t i : live) {
+      results[i] = std::move(ExecuteOnArena(activations, pendings.subspan(i, 1)).front());
+    }
+    return results;
   }
+  for (size_t j = 0; j < live.size(); ++j) {
+    const size_t i = live[j];
+    PrefillResult& pass = passes.value()[j];
+    PublishKv(acqs[i], &pass);
 
-  // Members that could not run stacked re-enter alone, one at a time, with
-  // the lane to themselves. Each passes its own member-boundary poll again,
-  // so a deadline that lapsed during the stacked pass skips the retry.
-  for (const size_t i : retry_alone) {
-    results[i] = std::move(ExecuteOnArena(activations, pendings.subspan(i, 1)).front());
+    auto probabilities = ConstrainedProbabilities(
+        pass.last_logits, pendings[i].request.allowed_tokens);
+    if (!probabilities.ok()) {
+      results[i] = probabilities.status();
+      continue;
+    }
+    ScoringResponse response;
+    response.request_id = pendings[i].id;
+    response.user_id = pendings[i].request.user_id;
+    response.probabilities = probabilities.take();
+    response.score = response.probabilities[0].probability;
+    response.n_input = static_cast<int64_t>(pendings[i].request.tokens.size());
+    response.n_cached = acqs[i].prefix.n_tokens;
+    response.n_cached_offload =
+        (acqs[i].prefix_blocks - acqs[i].gpu_prefix_blocks) * options_.block_size;
+    response.batch_size = static_cast<int64_t>(live.size());
+    response.queue_time_s = start_s - pendings[i].arrival_s;
+    response.execute_time_s = NowSeconds() - start_s;
+    results[i] = std::move(response);
   }
   return results;
 }
@@ -905,9 +868,6 @@ void Engine::StopWorker() {
 
 void Engine::DispatcherLoop() {
   const int max_slots = options_.max_concurrent_requests;
-  // Guaranteed floor share per in-flight request; elastic growth beyond it
-  // comes from ParallelFor borrowing idle workers (ThreadPool::Lease).
-  const int reserve_workers = std::max(1, pool_->num_threads() / max_slots) - 1;
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     dispatch_cv_.wait(lock, [&] {
@@ -925,7 +885,6 @@ void Engine::DispatcherLoop() {
       continue;
     }
     ++in_flight_;
-    batch.reserve_workers = reserve_workers;
     lock.unlock();
     exec_queue_->Push(std::move(batch));
     lock.lock();
@@ -937,22 +896,13 @@ void Engine::DispatcherLoop() {
 void Engine::ExecutorLoop() {
   while (auto item = exec_queue_->Pop()) {
     PrefillBatchPending batch = std::move(*item);
-    const int reserve = batch.reserve_workers;
     // Injected lane stall (exec.stall): the dispatched work sits wedged on
     // this executor for stall_ms — what the watchdog exists to detect.
     if (FaultInjector::Global().Fire(fault::kExecStall)) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(FaultInjector::Global().stall_ms()));
     }
-    {
-      // The lease is this lane's worker partition: `reserve` workers held
-      // exclusively for the whole execution (one stacked pass for the whole
-      // batch), plus per-kernel borrowing of whatever is idle. Destroyed
-      // (workers returned) before completion is announced, so a waiting
-      // dispatchee can inherit them immediately.
-      ThreadPool::Lease lease(*pool_, reserve);
-      ExecuteLaneAndFinalize(std::move(batch.requests), batch.in_flight_hashes);
-    }
+    ExecuteLaneAndFinalize(std::move(batch.requests), batch.in_flight_hashes);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --in_flight_;
@@ -1049,7 +999,7 @@ Status Engine::CheckInvariants() const {
   if (static_cast<int64_t>(offload_payloads_.size()) != offload_dir_->size()) {
     return idle_error("offload payloads:", offload_payloads_.size(), offload_dir_->size());
   }
-  return Status::Ok();
+  return cache_->CheckIdle();
 }
 
 EngineStats Engine::stats() const {

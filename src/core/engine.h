@@ -30,8 +30,8 @@
 // a group of one) and the concurrent runtime executes. StartWorker() spawns
 // a dispatcher plus EngineOptions::max_concurrent_requests executor threads;
 // the scheduler picks the next batch under the dispatch lock whenever an
-// executor slot frees, and each batch runs on an elastic partition of the
-// ThreadPool workers (ThreadPool::Lease). Requests admitted while the
+// executor slot frees, and every fork-join of a batch's pass borrows
+// whichever ThreadPool workers are idle. Requests admitted while the
 // runtime is stopped wait; StartWorker() then StopWorker() drains such a
 // backlog in scheduler order. Results are delivered through each request's
 // std::future and the per-item group hook. ScoreSync is the inline lane: it
@@ -81,9 +81,9 @@ struct EngineOptions {
   // Execution strategy. kHybrid is the paper's engine; kStandard/kChunked
   // turn the same engine into the baselines for A/B comparisons.
   PrefillMode mode = PrefillMode::kHybrid;
+  // The hybrid pass always preallocates its outputs and reuses them in
+  // place (§4.3); the Fig. 10 ablations of both are PrefillOptions knobs.
   int64_t chunk_size = 64;
-  bool preallocate_outputs = true;
-  bool in_place = true;
 
   // Intra-op parallelism: CPU threads used by every kernel of the forward
   // pass (ISSUE 1). 0 = hardware_concurrency; 1 = exact legacy serial
@@ -107,8 +107,8 @@ struct EngineOptions {
 
   // Cross-request parallelism (ISSUE 2): how many requests the concurrent
   // runtime (StartWorker) executes simultaneously. 1 reproduces the legacy
-  // single-executor behavior; N > 1 gives each in-flight request a reserved
-  // ~num_threads/N worker share plus elastic borrowing of idle workers.
+  // single-executor behavior; with N > 1 the lanes share the pool, each
+  // fork-join borrowing whichever workers are idle at that moment.
   // Logits do not depend on this value.
   int max_concurrent_requests = 1;
 
@@ -157,15 +157,6 @@ struct EngineOptions {
   double lambda = 500.0;
 
   // --- Robustness (ISSUE 6; docs/ROBUSTNESS.md) ------------------------
-  // Bounded retry of TRANSIENT prefix/KV acquisition failures: when the
-  // cache acquire fails with kResourceExhausted (block pool pinned by
-  // batchmates, injected allocation failure), the request retries up to
-  // this many times with exponential backoff (alloc_retry_backoff_ms << n)
-  // before the failure is surfaced. A retry that would land past the
-  // request deadline is not attempted. 0 disables (legacy behavior).
-  int alloc_retry_max = 0;
-  int64_t alloc_retry_backoff_ms = 1;
-
   // Watermark overload shedding with hysteresis: once the waiting queue
   // reaches shed_high_watermark, NEW submissions are rejected with
   // kResourceExhausted — the HTTP 429 + Retry-After path — until the queue
@@ -214,9 +205,7 @@ struct EngineStats {
   // chaos tests compare this across runs to prove aborted requests actually
   // skipped work.
   int64_t abort_checks = 0;
-  // Degradation ladder counters (docs/ROBUSTNESS.md).
-  int64_t alloc_retries = 0;          // backoff retries of failed acquisitions
-  int64_t alloc_retry_successes = 0;  // acquisitions that succeeded on retry
+  // Degradation counters (docs/ROBUSTNESS.md).
   int64_t shed = 0;                   // submissions rejected by overload shedding
   int64_t watchdog_stalls = 0;        // promises failed by the executor watchdog
   // Process-global fault-injector fires (0 unless a schedule is installed).
@@ -283,8 +272,6 @@ void ForEachEngineCounter(Fn&& fn, Stats&... stats) {
   fn("deadline_expired", StatMerge::kSum, stats.deadline_expired...);
   fn("deadline_expired_in_flight", StatMerge::kSum, stats.deadline_expired_in_flight...);
   fn("abort_checks", StatMerge::kSum, stats.abort_checks...);
-  fn("alloc_retries", StatMerge::kSum, stats.alloc_retries...);
-  fn("alloc_retry_successes", StatMerge::kSum, stats.alloc_retry_successes...);
   fn("shed", StatMerge::kSum, stats.shed...);
   fn("watchdog_stalls", StatMerge::kSum, stats.watchdog_stalls...);
   fn("faults_injected", StatMerge::kOnce, stats.faults_injected...);
@@ -406,7 +393,8 @@ class Engine {
   //    + running;
   //  * when nothing is queued or running: the in-flight prefix registry is
   //    empty, the store holds one payload per cached block, every pool block
-  //    is free or cached, and each offload directory entry has a payload.
+  //    is free or cached, each offload directory entry has a payload, and
+  //    the prefix tree holds no pin (PrefixCache::CheckIdle).
   Status CheckInvariants() const;
   // Seconds since engine construction (the queueing-time clock).
   double NowSeconds() const;
@@ -439,9 +427,6 @@ class Engine {
   // one stacked prefill (size 1 included: a batch of one).
   struct PrefillBatchPending {
     std::vector<Pending> requests;
-    // Reserved worker count for the executor's ThreadPool::Lease; set by the
-    // dispatcher at admission time.
-    int reserve_workers = 0;
     // Chain hashes this batch added to in_flight_blocks_ at dispatch; the
     // lane removes exactly these once its KV is published.
     std::vector<uint64_t> in_flight_hashes;
@@ -462,7 +447,8 @@ class Engine {
 
   // Everything one request's prefill needs from the cache tiers, produced
   // atomically under cache_mu_ by AcquirePrefix and read lock-free by the
-  // prefill, then released/published by PublishKv.
+  // prefill, then released/published by PublishKv. A member that runs cold
+  // keeps it default: no active acquisition, budget 0, an empty prefix.
   struct PrefixAcq {
     Acquisition acq;
     int64_t budget_blocks = 0;      // suffix-discarding budget, in blocks
@@ -493,27 +479,25 @@ class Engine {
   // Cache acquire in one cache_mu_ hold: pins the GPU-tier match, promotes
   // the offloaded continuation into the store under the acquisition's fresh
   // block ids, and builds the prefix view (no copy into the lane's arena).
-  Status AcquirePrefix(const Pending& pending, PrefixAcq& out);
+  // When PrefixCache::Acquire cannot reserve the blocks, `out` stays empty
+  // and the member runs cold: no prefix, no retained KV, nothing to publish.
+  void AcquirePrefix(const Pending& pending, PrefixAcq& out);
   // Cache release + KV publication, atomic under cache_mu_; promoted blocks
   // that Release does not insert are dropped from the store. `pass` may be
   // null: releases the acquisition retaining nothing (the failure path).
+  // A cold member (no acquisition) releases nothing.
   void PublishKv(PrefixAcq& pa, const PrefillResult* pass);
-  // AcquirePrefix behind the backoff ladder: up to `retry_max` retries of
-  // a kResourceExhausted acquisition, each after an exponential backoff
-  // that must not land past the deadline.
-  Status AcquirePrefixWithBackoff(const Pending& pending, int retry_max,
-                                  PrefixAcq& out);
   // Runs every member of one lane on the calling thread and the lane's
   // arena, for any size n >= 1: per member, an abort poll and a cache
   // acquire under cache_mu_; then one LlamaModel::PrefillBatch over the
   // live members; then per member, cache release / KV publication under
   // cache_mu_ and the response. Never holds mu_ and never fulfills.
-  // A one-member call acquires through the backoff ladder and its pass
-  // polls PrefillOptions::abort_check; its failures are its results. In a
-  // multi-member call, a member whose acquisition fails, or every member
-  // when the stacked pass fails (e.g. exceeding the lane's activation
-  // budget), re-enters this routine as a one-member call after the pass —
-  // so co-batching never fails a request that would have succeeded alone.
+  // A member whose acquisition fails joins the pass cold. A one-member
+  // call's pass polls PrefillOptions::abort_check; its failures are its
+  // results. In a multi-member call, when the stacked pass fails (e.g.
+  // exceeding the lane's activation budget), every member re-enters this
+  // routine as a one-member call after the pass — so co-batching never
+  // fails a request that would have succeeded alone.
   // Results are index-aligned with `pendings`.
   std::vector<Result<ScoringResponse>> ExecuteOnArena(TrackingAllocator& activations,
                                                       std::span<Pending> pendings);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
 #include "src/common/fault.h"
 #include "src/common/logging.h"
@@ -171,7 +172,6 @@ Result<Acquisition> PrefixCache::Acquire(std::span<const uint64_t> chain,
     }
     acq.matched_blocks = walk.matched;
   }
-  stats_.hit_tokens += std::min(acq.matched_blocks * block_size_, looked_up);
 
   const int64_t fresh_needed = need_blocks - acq.matched_blocks;
   if (!EvictUntilFree(fresh_needed)) {
@@ -200,6 +200,9 @@ Result<Acquisition> PrefixCache::Acquire(std::span<const uint64_t> chain,
     }
     acq.blocks.push_back(block.value());
   }
+  // Only a granted acquisition is served from the cache: a refused one
+  // counts its lookup but no hit.
+  stats_.hit_tokens += std::min(acq.matched_blocks * block_size_, looked_up);
   acq.active = true;
   return acq;
 }
@@ -309,6 +312,38 @@ void PrefixCache::Clear() {
       node = next;
     }
   }
+}
+
+Status PrefixCache::CheckIdle() const {
+  int64_t blocks = 0;
+  int64_t nodes = 0;
+  std::vector<const Node*> stack = {&root_};
+  while (!stack.empty()) {
+    const Node* node = stack.back();
+    stack.pop_back();
+    for (const BlockId block : node->blocks) {
+      if (const int32_t refs = allocator_.RefCount(block); refs != 1) {
+        return Status::Internal("cached block " + std::to_string(block) + " has " +
+                                std::to_string(refs) +
+                                " references with no acquisition live, want 1");
+      }
+    }
+    blocks += static_cast<int64_t>(node->blocks.size());
+    for (const auto& [key, child] : node->children) {
+      ++nodes;
+      stack.push_back(child.get());
+    }
+  }
+  if (blocks != cached_blocks_) {
+    return Status::Internal("tree reaches " + std::to_string(blocks) +
+                            " blocks, cached_blocks() is " +
+                            std::to_string(cached_blocks_));
+  }
+  if (nodes != num_nodes_) {
+    return Status::Internal("tree reaches " + std::to_string(nodes) +
+                            " nodes, num_nodes() is " + std::to_string(num_nodes_));
+  }
+  return Status::Ok();
 }
 
 }  // namespace prefillonly

@@ -127,6 +127,12 @@ class PrefixCache {
   // Drops every unpinned cached block (used by failure-injection tests).
   void Clear();
 
+  // Checks the tree while no acquisition is live: the walk from the root
+  // reaches cached_blocks() blocks in num_nodes() nodes, and every cached
+  // block holds the cache's own reference only (no pin leaked). The first
+  // violation comes back as kInternal naming it.
+  Status CheckIdle() const;
+
   // Advances the logical clock used for LRU stamping. The simulator calls
   // this with event timestamps so recency follows simulated time.
   void SetClock(uint64_t now) { clock_ = now; }

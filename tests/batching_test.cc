@@ -1042,8 +1042,8 @@ TEST(BatchingEngineTest, PoolContentionFallsBackToSoloNotFailure) {
   // A block pool of 4 blocks and two 80-token batchmates that each want all
   // of it: the second member's acquisition fails while the first holds its
   // pins. Co-batching must never fail a request that succeeds alone — the
-  // contended member retries solo on the same lane after the batch
-  // releases, and both complete with reference bits.
+  // contended member runs cold in the same stacked pass (no prefix, no
+  // retained KV), and both complete with reference bits.
   Rng rng(31);
   std::vector<ScoringRequest> requests{YesNoRequest(RandomTokens(rng, 80), 0),
                                        YesNoRequest(RandomTokens(rng, 80), 1)};
@@ -1073,6 +1073,7 @@ TEST(BatchingEngineTest, PoolContentionFallsBackToSoloNotFailure) {
   ASSERT_EQ(responses.value().size(), 2u);
   for (const ScoringResponse& response : responses.value()) {
     const auto user = static_cast<size_t>(response.user_id);
+    EXPECT_EQ(response.batch_size, 2) << "user " << user;
     for (size_t p = 0; p < expected[user].size(); ++p) {
       EXPECT_EQ(std::memcmp(&response.probabilities[p].probability,
                             &expected[user][p].probability, sizeof(double)),
@@ -1083,10 +1084,10 @@ TEST(BatchingEngineTest, PoolContentionFallsBackToSoloNotFailure) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.completed, 2);
   EXPECT_EQ(stats.failed, 0);
-  // One dispatch decision carried both requests even though they executed
-  // solo-after-contention.
+  // One dispatch decision carried both requests, and one of them ran cold.
   EXPECT_EQ(stats.batches_dispatched, 1);
   EXPECT_EQ(stats.batched_requests, 2);
+  EXPECT_EQ(stats.cache.failed_acquires, 1);
 }
 
 // ------------------------------------- length-aware packing (ISSUE 9)

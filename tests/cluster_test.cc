@@ -282,8 +282,6 @@ EngineStats DistinctStats(int64_t unit, int* n_fields) {
   s.deadline_expired = next();
   s.deadline_expired_in_flight = next();
   s.abort_checks = next();
-  s.alloc_retries = next();
-  s.alloc_retry_successes = next();
   s.shed = next();
   s.watchdog_stalls = next();
   s.faults_injected = next();

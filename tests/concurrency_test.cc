@@ -6,8 +6,8 @@
 //     alongside other requests, at in-flight counts {1, 2, 4};
 //  2. ACCOUNTING — under N client threads hammering SubmitGroupAsync, no
 //     request is lost or double-completed and the stats counters sum.
-// Plus the elastic worker-partition behavior of ThreadPool::Lease and the
-// checked-misuse errors of the runtime lifecycle.
+// Plus the ThreadPool's per-call worker borrowing under concurrent callers
+// and the checked-misuse errors of the runtime lifecycle.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -76,30 +76,10 @@ ScoringRequest YesNoRequest(std::vector<int32_t> tokens, int64_t user = 0) {
 
 // --------------------------------------------------- ThreadPool partitions
 
-TEST(ThreadPoolLeaseTest, ReservationsAreDisjointAndBounded) {
-  ThreadPool pool(4);  // 3 spawned workers
-  ThreadPool::Lease a(pool, 2);
-  EXPECT_EQ(a.reserved(), 2);
-  // Only one spawned worker left; an over-ask is satisfied partially.
-  ThreadPool::Lease b(pool, 2);
-  EXPECT_EQ(b.reserved(), 1);
-  ThreadPool::Lease c(pool, 2);
-  EXPECT_EQ(c.reserved(), 0);
-}
-
-TEST(ThreadPoolLeaseTest, WorkersReturnWhenLeaseDies) {
-  ThreadPool pool(4);
-  {
-    ThreadPool::Lease a(pool, 3);
-    EXPECT_EQ(a.reserved(), 3);
-  }
-  ThreadPool::Lease b(pool, 3);
-  EXPECT_EQ(b.reserved(), 3);
-}
-
-TEST(ThreadPoolLeaseTest, ConcurrentLeasedParallelForsVisitEveryIndexOnce) {
-  // Two client threads, each with its own lease, issue ParallelFor calls at
-  // the same time; every call must cover its range exactly once.
+TEST(ThreadPoolTest, ConcurrentCallersVisitEveryIndexOnce) {
+  // Two client threads issue ParallelFor calls at the same time, each
+  // borrowing whatever workers the other left idle; every call must cover
+  // its range exactly once.
   ThreadPool pool(8);
   constexpr int kClients = 2;
   constexpr int kRounds = 50;
@@ -108,7 +88,6 @@ TEST(ThreadPoolLeaseTest, ConcurrentLeasedParallelForsVisitEveryIndexOnce) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&pool, &failures] {
-      ThreadPool::Lease lease(pool, 3);
       for (int round = 0; round < kRounds; ++round) {
         std::vector<std::atomic<int>> visits(kN);
         pool.ParallelFor(kN, /*grain=*/64, [&](int64_t b, int64_t e, int worker) {
@@ -133,9 +112,8 @@ TEST(ThreadPoolLeaseTest, ConcurrentLeasedParallelForsVisitEveryIndexOnce) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(ThreadPoolLeaseTest, UnleasedCallerBorrowsTheWholePool) {
-  // Legacy behavior: with no lease and an idle pool, a ParallelFor spreads
-  // across all workers.
+TEST(ThreadPoolTest, IdlePoolLendsEveryWorker) {
+  // With the pool idle, a ParallelFor spreads across all workers.
   ThreadPool pool(4);
   std::set<int> seen;
   std::mutex mu;
@@ -373,6 +351,57 @@ TEST(PagedPrefixConcurrencyTest, HitsReadPinnedBlocksWhileTiersChurn) {
   EXPECT_GT(stats.offload_demotions, 0);
   EXPECT_GT(stats.offload_hit_tokens, 0);
   EXPECT_GT(stats.offload_promotions, 0);
+}
+
+TEST(PagedPrefixConcurrencyTest, PinnedPoolRunsMembersColdInsteadOfFailing) {
+  // Four lanes of up to two members each would pin 32-48 blocks of a
+  // 10-block pool at once, so most acquisitions cannot reserve their
+  // blocks. Such a member runs cold instead of failing: every response is
+  // OK and bitwise equal to a solo cold run, and no pin outlives the drain.
+  constexpr int kRequests = 24;
+  std::vector<ScoringRequest> requests;
+  for (int i = 0; i < kRequests; ++i) {
+    // 4, 5 or 6 whole blocks plus a partial one, all unique.
+    requests.push_back(YesNoRequest(Tokens(64 + 16 * (i % 3) + 1 + i % 7, 9500 + i), i));
+  }
+  std::vector<std::vector<TokenProbability>> cold;
+  {
+    EngineOptions options = TinyEngineOptions();
+    options.cache_budget_tokens = 0;  // every request a solo cold run
+    Engine engine(options);
+    for (const auto& request : requests) {
+      auto response = engine.ScoreSync(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      cold.push_back(response.value().probabilities);
+    }
+  }
+
+  EngineOptions options = TinyEngineOptions();
+  options.max_concurrent_requests = 4;
+  options.max_batch_size = 2;
+  options.cache_budget_tokens = 160;  // 10 blocks
+  Engine engine(options);
+  // Backlog first, so the first decisions fill every lane with a batch.
+  Backlog backlog(engine);
+  std::vector<Engine::ResponseFuture> futures;
+  for (const auto& request : requests) {
+    auto submitted = backlog.SubmitHandle(request);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted.value().future));
+  }
+  ASSERT_TRUE(engine.StartWorker().ok());
+  for (int i = 0; i < kRequests; ++i) {
+    auto response = futures[static_cast<size_t>(i)].get();
+    ASSERT_TRUE(response.ok()) << "request " << i << ": " << response.status().ToString();
+    EXPECT_TRUE(SameBits(response.value().probabilities, cold[static_cast<size_t>(i)]))
+        << "request " << i << " n_cached " << response.value().n_cached;
+  }
+  engine.StopWorker();
+  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.completed, kRequests);
+  EXPECT_EQ(stats.failed, 0);
+  EXPECT_GT(stats.cache.failed_acquires, 0) << "no member ran cold";
 }
 
 // ------------------------------------------------- Accounting under load

@@ -347,8 +347,6 @@ TEST(EngineTest, WarmHitLanePeakIsThePassPeak) {
   PrefillOptions prefill;
   prefill.mode = options.mode;
   prefill.chunk_size = options.chunk_size;
-  prefill.preallocate_outputs = options.preallocate_outputs;
-  prefill.in_place = options.in_place;
   prefill.retention = KvRetention::kPrefixBudget;
   // The engine retains every whole block that fits the cache budget.
   const auto peak_of = [&](std::span<const int32_t> request, const KvCacheData* prefix) {

@@ -151,6 +151,8 @@ TEST(PrefixCacheTest, PinnedBlocksAreNotEvicted) {
   auto held = cache.Acquire(a, 2);
   ASSERT_TRUE(held.ok());
   EXPECT_EQ(held.value().matched_blocks, 2);
+  // The idle check sees the live pin.
+  EXPECT_EQ(cache.CheckIdle().code(), StatusCode::kInternal);
 
   const auto b = Chain(21, 3);  // needs 3 fresh; only 2 free
   auto acq_b = cache.Acquire(b, 3);
@@ -160,6 +162,7 @@ TEST(PrefixCacheTest, PinnedBlocksAreNotEvicted) {
   // Cached `a` must have survived the eviction pressure.
   cache.Release(held.value(), 2);
   EXPECT_EQ(cache.MatchTokens(a), 2 * 16);
+  EXPECT_TRUE(cache.CheckIdle().ok()) << cache.CheckIdle().ToString();
 }
 
 TEST(PrefixCacheTest, FailedAcquireRollsBackPins) {
@@ -174,7 +177,10 @@ TEST(PrefixCacheTest, FailedAcquireRollsBackPins) {
   extended.push_back(888);
   auto fail = cache.Acquire(extended, 4);
   EXPECT_FALSE(fail.ok());
+  // A refused acquisition serves nothing, though it matched two blocks.
+  EXPECT_EQ(cache.stats().hit_tokens, 0);
   // The matched pins must have been rolled back: `a` remains evictable.
+  EXPECT_TRUE(cache.CheckIdle().ok()) << cache.CheckIdle().ToString();
   const auto b = Chain(31, 3);
   auto acq_b = cache.Acquire(b, 3);
   EXPECT_TRUE(acq_b.ok());
@@ -601,6 +607,10 @@ TEST(PrefixTreeTest, RandomizedInterleavingsKeepInvariants) {
     EXPECT_EQ(cache.cached_blocks() + held_fresh + cache.free_blocks(), kCapacity);
     EXPECT_EQ(listener_evictions, cache.stats().evictions);
     EXPECT_LE(cache.stats().HitRate(), 1.0);
+    if (in_flight.empty()) {
+      EXPECT_TRUE(cache.CheckIdle().ok()) << "step " << step << ": "
+                                          << cache.CheckIdle().ToString();
+    }
   }
 
   for (auto& acq : in_flight) {

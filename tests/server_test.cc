@@ -724,8 +724,8 @@ TEST(HealthRouteTest, StatsExposeRobustnessCounters) {
   auto body = Json::Parse(response.body);
   ASSERT_TRUE(body.ok());
   for (const char* key :
-       {"deadline_expired_in_flight", "abort_checks", "alloc_retries",
-        "alloc_retry_successes", "shed", "watchdog_stalls", "faults_injected"}) {
+       {"deadline_expired_in_flight", "abort_checks", "shed", "watchdog_stalls",
+        "faults_injected"}) {
     ASSERT_NE(body.value().Find(key), nullptr) << key;
     EXPECT_EQ(body.value().Find(key)->AsInt(), 0) << key;
   }
@@ -976,11 +976,11 @@ TEST(ReplicaAdminTest, StatsPayloadKeysArePinned) {
   const std::vector<std::string> fractional = {"batch_occupancy", "cache_hit_rate",
                                                "miss_tokens_per_batch", "total_execute_s"};
   const std::vector<std::string> top = {
-      "abort_checks", "alloc_retries", "alloc_retry_successes", "batch_occupancy",
-      "batched_miss_tokens", "batched_requests", "batches_dispatched", "cache_bytes",
-      "cache_evictions", "cache_failed_acquires", "cache_hit_rate", "cache_hit_tokens",
-      "cache_insertions", "cache_lookup_tokens", "cache_lookups", "cancelled",
-      "cancelled_in_flight", "cluster", "completed", "deadline_expired",
+      "abort_checks", "batch_occupancy", "batched_miss_tokens", "batched_requests",
+      "batches_dispatched", "cache_bytes", "cache_evictions", "cache_failed_acquires",
+      "cache_hit_rate", "cache_hit_tokens", "cache_insertions", "cache_lookup_tokens",
+      "cache_lookups", "cancelled", "cancelled_in_flight", "cluster", "completed",
+      "deadline_expired",
       "deadline_expired_in_flight", "failed", "faults_injected", "miss_tokens_per_batch",
       "n_replicas", "offload_bytes", "offload_demotions", "offload_evictions",
       "offload_hit_tokens", "offload_promotions", "offload_read_hits",
