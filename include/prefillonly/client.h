@@ -90,7 +90,9 @@ struct ClientOptions {
   // or "chunked".
   std::string prefill_mode = "hybrid";
   int64_t chunk_size = 64;
-  // 0 = hardware concurrency; 1 = serial.
+  // 0 = hardware concurrency; 1 = serial. This is each replica's share of
+  // one process-wide pool: n_replicas replicas share
+  // n_replicas * (num_threads - 1) + 1 threads (0 = the machine, once).
   int num_threads = 0;
   // Concurrent executor lanes (requests in flight at once).
   int max_concurrent_requests = 1;

@@ -104,26 +104,28 @@ ScoringRequest ToScoringRequest(std::vector<int32_t> tokens,
 // --- Remote-mode JSON plumbing ------------------------------------------
 
 Json ScoringRequestJson(const ScoringRequest& request) {
+  // Every value is built in place: moving a Json temporary moves its
+  // std::variant, which GCC 12 flags -Wmaybe-uninitialized once inlined.
   Json::Array tokens;
   tokens.reserve(request.tokens.size());
   for (int32_t t : request.tokens) {
-    tokens.push_back(Json(static_cast<int64_t>(t)));
+    tokens.emplace_back(static_cast<int64_t>(t));
   }
   Json::Array allowed;
   allowed.reserve(request.allowed_tokens.size());
   for (int32_t t : request.allowed_tokens) {
-    allowed.push_back(Json(static_cast<int64_t>(t)));
+    allowed.emplace_back(static_cast<int64_t>(t));
   }
   Json::Object item;
-  item.emplace("tokens", Json(std::move(tokens)));
-  item.emplace("allowed_tokens", Json(std::move(allowed)));
-  item.emplace("user_id", Json(request.user_id));
+  item.emplace("tokens", std::move(tokens));
+  item.emplace("allowed_tokens", std::move(allowed));
+  item.emplace("user_id", request.user_id);
   Json::Object options;
-  options.emplace("priority", Json(static_cast<int64_t>(request.priority)));
+  options.emplace("priority", static_cast<int64_t>(request.priority));
   if (request.deadline_ms >= 0) {
-    options.emplace("deadline_ms", Json(request.deadline_ms));
+    options.emplace("deadline_ms", request.deadline_ms);
   }
-  item.emplace("options", Json(std::move(options)));
+  item.emplace("options", std::move(options));
   return Json(std::move(item));
 }
 

@@ -15,6 +15,17 @@ namespace {
 // another replica; a request moved this many times fails with kUnavailable.
 constexpr int kMaxFailoversPerRequest = 2;
 
+// Width of the one compute pool the replicas share: each replica brings
+// the num_threads - 1 workers a standalone engine would spawn, and a call's
+// own thread is shard 0, so the process spawns exactly as many workers as
+// N private pools. num_threads <= 0 means the whole machine, once.
+int SharedPoolWidth(int n_replicas, int num_threads) {
+  if (num_threads <= 0) {
+    return 0;  // ThreadPool resolves 0 to hardware_concurrency
+  }
+  return n_replicas * (num_threads - 1) + 1;
+}
+
 }  // namespace
 
 std::string_view BreakerStateName(BreakerState state) {
@@ -35,8 +46,14 @@ ReplicaSet::ReplicaSet(ReplicaSetOptions options)
   options_.n_replicas = std::max(1, options_.n_replicas);
   states_.resize(static_cast<size_t>(options_.n_replicas));
   engines_.reserve(static_cast<size_t>(options_.n_replicas));
+  // One pool for every replica's lanes: a lone prefill borrows the idle
+  // workers of all replicas, concurrent ones split them. Bits do not depend
+  // on how many workers a fork gets. The engines share ownership, so the
+  // pool is destroyed after the last of them.
+  const auto pool = std::make_shared<ThreadPool>(
+      SharedPoolWidth(options_.n_replicas, options_.engine.num_threads));
   for (int i = 0; i < options_.n_replicas; ++i) {
-    engines_.push_back(std::make_unique<Engine>(options_.engine));
+    engines_.push_back(std::make_unique<Engine>(options_.engine, pool));
     // Every replica runs its own concurrent runtime; results come back
     // through the per-item completion hook.
     Status started = engines_.back()->StartWorker();

@@ -25,7 +25,12 @@
 //     queued or in flight there finishes; Rejoin(i) restores it (and resets
 //     its breaker);
 //   * AGGREGATION: Health() and Stats() answer for the whole set with
-//     per-replica breakdowns, the /v1/health and /v1/stats payloads.
+//     per-replica breakdowns, the /v1/health and /v1/stats payloads;
+//   * ONE COMPUTE POOL: every replica's model runs its fork-joins on one
+//     shared ThreadPool of N * (num_threads - 1) + 1 threads (the whole
+//     machine for num_threads = 0), so a lone request borrows the idle
+//     workers of every replica and the process spawns as many workers as
+//     N private pools would.
 //
 // Failure is a reproducible input here like everywhere else: the hand-off
 // path fires the `replica.submit` / `replica.stall` fault sites and the

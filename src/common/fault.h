@@ -39,6 +39,7 @@
 //   socket.recv        HttpServer read() observes a transient EINTR
 //   socket.send        HttpServer send() fails mid-response (connection lost)
 //   socket.short_write HttpServer send() accepts only a few bytes per call
+//   net.accept         HttpServer accept() fails as if the process were out of fds
 //   exec.stall         an executor lane sleeps stall_ms before prefilling
 //   replica.submit     ReplicaSet hand-off to a replica fails (transport lost)
 //   replica.health     a replica's health probe fails (monitor strike)
@@ -66,6 +67,7 @@ inline constexpr char kOffloadWrite[] = "offload.write";
 inline constexpr char kSocketRecv[] = "socket.recv";
 inline constexpr char kSocketSend[] = "socket.send";
 inline constexpr char kSocketShortWrite[] = "socket.short_write";
+inline constexpr char kNetAccept[] = "net.accept";
 inline constexpr char kExecStall[] = "exec.stall";
 inline constexpr char kReplicaSubmit[] = "replica.submit";
 inline constexpr char kReplicaHealth[] = "replica.health";

@@ -55,13 +55,21 @@ void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
     fn(0, n, 0);
     return;
   }
-  // Workers for this call: whatever is idle right now, up to
-  // max_shards - 1. The actual shard count never changes results — kernels
-  // are element-owned — only wall time.
+  // The actual shard count never changes results — kernels are
+  // element-owned — only wall time.
+  Fork(max_shards, [&](int shard, int shards) {
+    const auto [begin, end] = ShardRange(n, shards, shard);
+    fn(begin, end, shard);
+  });
+}
+
+void ThreadPool::Fork(int max_shards, const ShardFn& fn) {
+  // Helpers for this call: whatever is idle right now, up to
+  // max_shards - 1.
   Latch latch;
-  const int max_helpers = max_shards - 1;
+  const int max_helpers = std::min(max_shards, num_threads_) - 1;
   std::vector<int> helpers;
-  helpers.reserve(static_cast<size_t>(max_helpers));
+  helpers.reserve(static_cast<size_t>(std::max(max_helpers, 0)));
   {
     std::lock_guard<std::mutex> lock(mu_);
     while (static_cast<int>(helpers.size()) < max_helpers && !free_workers_.empty()) {
@@ -69,24 +77,20 @@ void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
       free_workers_.pop_back();
     }
     const int n_helpers = static_cast<int>(helpers.size());
-    if (n_helpers > 0) {
-      const int shards = n_helpers + 1;
-      latch.pending = n_helpers;
-      for (int i = 0; i < n_helpers; ++i) {
-        Slot& slot = slots_[helpers[static_cast<size_t>(i)]];
-        assert(slot.latch == nullptr && "worker handed a task while busy");
-        slot.fn = &fn;
-        slot.n = n;
-        slot.shards = shards;
-        slot.shard = i + 1;
-        slot.latch = &latch;
-        ++slot.epoch;
-      }
+    latch.pending = n_helpers;
+    for (int i = 0; i < n_helpers; ++i) {
+      Slot& slot = slots_[helpers[static_cast<size_t>(i)]];
+      assert(slot.latch == nullptr && "worker handed a task while busy");
+      slot.fn = &fn;
+      slot.shards = n_helpers + 1;
+      slot.shard = i + 1;
+      slot.latch = &latch;
+      ++slot.epoch;
     }
   }
   const int n_helpers = static_cast<int>(helpers.size());
   if (n_helpers == 0) {
-    fn(0, n, 0);
+    fn(0, 1);
     return;
   }
   fork_joins_.fetch_add(1, std::memory_order_relaxed);
@@ -95,8 +99,7 @@ void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
     slots_[helpers[static_cast<size_t>(i)]].cv.notify_one();
   }
   // The caller is always shard 0 of its own call.
-  const auto [begin, end] = ShardRange(n, n_helpers + 1, 0);
-  fn(begin, end, 0);
+  fn(0, n_helpers + 1);
   std::unique_lock<std::mutex> lock(mu_);
   cv_done_.wait(lock, [&latch] { return latch.pending == 0; });
   free_workers_.insert(free_workers_.end(), helpers.begin(), helpers.end());
@@ -112,16 +115,12 @@ void ThreadPool::WorkerLoop(int worker) {
       return;
     }
     seen = slot.epoch;
-    const RangeFn* fn = slot.fn;
-    const int64_t n = slot.n;
+    const ShardFn* fn = slot.fn;
     const int shards = slot.shards;
     const int shard = slot.shard;
     Latch* latch = slot.latch;
     lock.unlock();
-    const auto [begin, end] = ShardRange(n, shards, shard);
-    if (begin < end) {
-      (*fn)(begin, end, shard);
-    }
+    (*fn)(shard, shards);
     lock.lock();
     slot.fn = nullptr;
     slot.latch = nullptr;

@@ -12,13 +12,14 @@
 // tests/concurrency_test.cc assert this property.
 //
 // Concurrency model (docs/CONCURRENCY.md): each spawned worker has its own
-// task mailbox, so SEVERAL client threads may issue ParallelFor calls at the
-// same time. Each call borrows however many workers are idle when it forks
-// (each worker serves one call at a time) and returns them to the shared
-// free set when it joins, so a lone request expands to the whole machine
-// while concurrent requests split whatever is idle between them.
+// task mailbox, so SEVERAL client threads may issue ParallelFor and Fork
+// calls at the same time. Each call borrows however many workers are idle
+// when it forks (each worker serves one call at a time) and returns them to
+// the shared free set when it joins, so a lone request expands to the whole
+// machine while concurrent requests split whatever is idle between them.
+// One pool may serve several engines (a ReplicaSet shares one).
 //
-// Every ParallelFor that hands work to a spawned worker is one fork-join:
+// Every call that hands work to a spawned worker is one fork-join:
 // waking the helper and joining it costs about 12 us, as much as a small
 // GEMM. Callers on a hot path therefore fork over coarse regions, not per
 // kernel call: a prefill pass runs each layer's row-local chain of kernels
@@ -45,6 +46,9 @@ class ThreadPool {
   // 0 <= worker < num_threads(); worker 0 is always the calling thread.
   // Distinct calls receive disjoint [begin, end) ranges.
   using RangeFn = std::function<void(int64_t begin, int64_t end, int worker)>;
+  // The body of a fork: called as fn(shard, shards) once for each shard in
+  // [0, shards); shard 0 is the calling thread.
+  using ShardFn = std::function<void(int shard, int shards)>;
 
   // num_threads <= 0 resolves to std::thread::hardware_concurrency().
   // num_threads == 1 spawns no workers: every ParallelFor runs inline,
@@ -65,10 +69,18 @@ class ThreadPool {
   // performance knob.
   void ParallelFor(int64_t n, int64_t grain, const RangeFn& fn);
 
-  // Fork-joins dispatched so far: ParallelFor calls that handed a shard to
-  // at least one spawned worker. Calls that ran inline on the caller do not
-  // count. Relaxed and monotonic; tests read it to pin how often a prefill
-  // pass forks (tests/batching_test.cc).
+  // The primitive under ParallelFor: runs fn on the calling thread plus
+  // however many workers are idle, up to max_shards - 1 of them. Every
+  // shard of one fork sees the same `shards`, the number of threads the
+  // call actually got, so a caller that splits its work by `shards` stays
+  // balanced however many workers the pool could lend (a caller that split
+  // by num_threads() would leave its caller thread the remainder).
+  void Fork(int max_shards, const ShardFn& fn);
+
+  // Fork-joins dispatched so far: ParallelFor and Fork calls that handed a
+  // shard to at least one spawned worker. Calls that ran inline on the
+  // caller do not count. Relaxed and monotonic; tests read it to pin how
+  // often a prefill pass forks (tests/batching_test.cc).
   uint64_t fork_joins() const { return fork_joins_.load(std::memory_order_relaxed); }
 
   // The range worker `shard` of `shards` owns: floor-balanced contiguous
@@ -88,8 +100,7 @@ class ThreadPool {
   // whole pool (no thundering herd per kernel launch).
   struct Slot {
     std::condition_variable cv;
-    const RangeFn* fn = nullptr;
-    int64_t n = 0;
+    const ShardFn* fn = nullptr;
     int shards = 0;
     int shard = 0;
     Latch* latch = nullptr;

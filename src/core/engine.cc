@@ -10,8 +10,9 @@
 
 namespace prefillonly {
 
-Engine::Engine(EngineOptions options)
+Engine::Engine(EngineOptions options, std::shared_ptr<ThreadPool> pool)
     : options_(std::move(options)),
+      pool_(std::move(pool)),
       scheduler_(options_.policy, options_.lambda, &estimator_, options_.batch_packing),
       epoch_(std::chrono::steady_clock::now()) {
   assert(options_.model.Valid());
@@ -30,7 +31,9 @@ Engine::Engine(EngineOptions options)
       PO_LOG_WARNING << "fault_schedule ignored: " << s.message();
     }
   }
-  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  if (pool_ == nullptr) {
+    pool_ = std::make_shared<ThreadPool>(options_.num_threads);
+  }
   model_ = std::make_unique<LlamaModel>(options_.model, options_.weight_seed,
                                         options_.kernel_backend);
   model_->SetThreadPool(pool_.get());

@@ -93,6 +93,9 @@ struct EngineOptions {
   // budget is thread-count-independent: attention's extra per-thread score
   // rows are untracked host scratch, so the tracked footprint (and the
   // activation walker's predictions) match the serial seed exactly.
+  // Under a ReplicaSet this is each replica's share of one process-wide
+  // pool (docs/CLUSTER.md): N replicas share N * (num_threads - 1) + 1
+  // threads, so a lone request borrows every replica's idle workers.
   int num_threads = 0;
 
   // Kernel backend for the tensor layer (ISSUE 3), plumbed to the model
@@ -303,7 +306,10 @@ void ForEachEngineCounter(Fn&& fn, Stats&... stats) {
 
 class Engine {
  public:
-  explicit Engine(EngineOptions options);
+  // `pool` runs the model's fork-joins; null builds a private
+  // ThreadPool(options.num_threads). A shared pool (ReplicaSet) must be
+  // sized by the caller and outlives the engine through shared ownership.
+  explicit Engine(EngineOptions options, std::shared_ptr<ThreadPool> pool = nullptr);
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -569,7 +575,7 @@ class Engine {
   void WatchdogLoop();
 
   EngineOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // intra-op workers, shared by the model
+  std::shared_ptr<ThreadPool> pool_;  // intra-op workers, shared by the model
   std::unique_ptr<LlamaModel> model_;
   TrackingAllocator cache_memory_;
   TrackingAllocator offload_memory_;  // the "CPU side" of the offload tier

@@ -45,9 +45,9 @@ int64_t RetainedNewTokens(const PrefillSequence& seq, int64_t n_cached,
 
 // ------------------------------------------------------------------------
 // Row-parallel regions. A pass forks once per row-local chain of kernels,
-// not once per kernel call: RunRowRegion issues ONE ParallelFor in which
-// each thread walks its fixed slice of every chunk of the region's rows and
-// calls the chain's kernels serially (pool = nullptr) on those rows. The
+// not once per kernel call: RunRowRegion issues ONE ThreadPool::Fork in
+// which each thread walks its fixed slice of every chunk of the region's
+// rows and calls the chain's kernels serially (pool = nullptr) on them. The
 // chains are row-local, so no thread reads a row another one writes, and
 // every element goes through the same kernel code as a serial pass: the
 // bits do not depend on the slicing.
@@ -62,7 +62,6 @@ struct RowRegionState {
   int64_t row_begin = 0;
   int64_t row_end = 0;
   int64_t chunk = 0;
-  int slices = 1;
   // Polled regions: the slice holding each chunk's first row polls
   // abort_check before the chunk, on the calling thread.
   const PrefillOptions* polled = nullptr;
@@ -70,12 +69,13 @@ struct RowRegionState {
   Status status;                  // that poll's status
 };
 
-// One thread's share of a region: slices [s0, s1) of every chunk, which
-// ThreadPool::ShardRange makes one contiguous run of each chunk's rows.
+// One thread's share of a region: slice `slice` of `slices` of every
+// chunk, the contiguous run of the chunk's rows ThreadPool::ShardRange
+// gives it.
 class RowSlice {
  public:
-  RowSlice(RowRegionState& region, int64_t s0, int64_t s1)
-      : region_(region), s0_(static_cast<int>(s0)), s1_(static_cast<int>(s1)) {}
+  RowSlice(RowRegionState& region, int slice, int slices)
+      : region_(region), slice_(slice), slices_(slices) {}
 
   // Calls fn(b, e, t) for this slice's rows [b, e) of each chunk, in
   // order, skipping chunks where the slice is empty. Rows [t, t + e - b)
@@ -85,8 +85,8 @@ class RowSlice {
   // did none of the chunks left.
   template <typename Fn>
   bool ForEachChunk(Fn&& fn) const {
-    const bool polls = s0_ == 0 && region_.polled != nullptr;
-    const int64_t t = ThreadPool::ShardRange(region_.chunk, region_.slices, s0_).first;
+    const bool polls = slice_ == 0 && region_.polled != nullptr;
+    const int64_t t = ThreadPool::ShardRange(region_.chunk, slices_, slice_).first;
     for (int64_t r0 = region_.row_begin; r0 < region_.row_end; r0 += region_.chunk) {
       if (polls) {
         if (Status abort = CheckAbort(*region_.polled); !abort.ok()) {
@@ -98,10 +98,9 @@ class RowSlice {
         return false;
       }
       const int64_t cs = std::min(region_.chunk, region_.row_end - r0);
-      const int64_t b = r0 + ThreadPool::ShardRange(cs, region_.slices, s0_).first;
-      const int64_t e = r0 + ThreadPool::ShardRange(cs, region_.slices, s1_ - 1).second;
+      const auto [b, e] = ThreadPool::ShardRange(cs, slices_, slice_);
       if (b < e) {
-        fn(b, e, t);
+        fn(r0 + b, r0 + e, t);
       }
     }
     return true;
@@ -109,15 +108,16 @@ class RowSlice {
 
  private:
   RowRegionState& region_;
-  int s0_;
-  int s1_;
+  int slice_;
+  int slices_;
 };
 
 // Runs body(const RowSlice&) once per thread over rows [row_begin,
 // row_end) cut into chunks of `chunk` rows (the last may be short), as one
-// fork-join on `pool` (null = serial). With `polled`, abort_check is polled
-// before every chunk of every ForEachChunk walk, by the calling thread
-// only, and the first non-OK status stops the region and is returned.
+// fork-join on `pool` (null = serial) with one slice per thread the fork
+// got. With `polled`, abort_check is polled before every chunk of every
+// ForEachChunk walk, by the calling thread only, and the first non-OK
+// status stops the region and is returned.
 template <typename Body>
 Status RunRowRegion(ThreadPool* pool, int64_t row_begin, int64_t row_end, int64_t chunk,
                     const PrefillOptions* polled, Body&& body) {
@@ -126,18 +126,17 @@ Status RunRowRegion(ThreadPool* pool, int64_t row_begin, int64_t row_end, int64_
   region.row_end = row_end;
   region.chunk = chunk;
   region.polled = polled;
+  int max_slices = 1;
   if (pool != nullptr) {
     const int64_t rows = std::min(chunk, row_end - row_begin);
-    region.slices = static_cast<int>(std::clamp<int64_t>(
+    max_slices = static_cast<int>(std::clamp<int64_t>(
         rows / kMinSliceRows, 1, static_cast<int64_t>(pool->num_threads())));
   }
-  if (region.slices == 1) {
+  if (max_slices == 1) {
     body(RowSlice(region, 0, 1));
   } else {
-    pool->ParallelFor(region.slices, /*grain=*/1,
-                      [&](int64_t s0, int64_t s1, int /*worker*/) {
-                        body(RowSlice(region, s0, s1));
-                      });
+    pool->Fork(max_slices,
+               [&](int slice, int slices) { body(RowSlice(region, slice, slices)); });
   }
   return std::move(region.status);
 }
@@ -345,8 +344,8 @@ void LlamaModel::Attention(const float* q, int64_t q_rows, int64_t q_pos0,
     }
   };
   const int64_t work = q_rows * n_heads;
-  const int shards = pool_ != nullptr ? pool_->num_threads() : 1;
-  if (shards == 1 || work < 2) {
+  const int max_shards = pool_ != nullptr ? pool_->num_threads() : 1;
+  if (max_shards == 1 || work < 2) {
     body(0, work, 0);
     return;
   }
@@ -366,13 +365,17 @@ void LlamaModel::Attention(const float* q, int64_t q_rows, int64_t q_pos0,
     return weight_before(i) * n_heads + h * (q_pos0 + i + 1);
   };
   const int64_t total = weight_before(q_rows) * n_heads;
-  std::vector<int64_t> bounds(static_cast<size_t>(shards) + 1, 0);
-  bounds[static_cast<size_t>(shards)] = work;
-  for (int s = 1; s < shards; ++s) {
+  // Shard s of `shards` starts at the smallest idx with cum_cost(idx) >=
+  // total * s / shards; each thread finds its own two bounds, for however
+  // many threads the fork got.
+  const auto bound = [&](int s, int shards) {
+    if (s == shards) {
+      return work;
+    }
     const int64_t target = total * s / shards;
-    int64_t lo = bounds[static_cast<size_t>(s) - 1];  // monotone bounds
+    int64_t lo = 0;
     int64_t hi = work;
-    while (lo < hi) {  // smallest idx with cum_cost(idx) >= target
+    while (lo < hi) {
       const int64_t mid = lo + (hi - lo) / 2;
       if (cum_cost(mid) < target) {
         lo = mid + 1;
@@ -380,12 +383,10 @@ void LlamaModel::Attention(const float* q, int64_t q_rows, int64_t q_pos0,
         hi = mid;
       }
     }
-    bounds[static_cast<size_t>(s)] = lo;
-  }
-  pool_->ParallelFor(shards, /*grain=*/1, [&](int64_t s0, int64_t s1, int worker) {
-    for (int64_t s = s0; s < s1; ++s) {
-      body(bounds[static_cast<size_t>(s)], bounds[static_cast<size_t>(s) + 1], worker);
-    }
+    return lo;
+  };
+  pool_->Fork(max_shards, [&](int shard, int shards) {
+    body(bound(shard, shards), bound(shard + 1, shards), shard);
   });
 }
 

@@ -150,13 +150,14 @@ class LlamaModel {
 
   // Intra-op parallelism. The pool (not owned; may be null = serial) runs
   // the forward pass as row-parallel regions, not one fork-join per kernel
-  // call. A region is one ParallelFor over a row-local chain of kernels:
-  // each thread takes a fixed slice of every chunk of the stacked rows and
-  // calls the chain's kernels serially on it, so a slice uses the same rows
-  // of the [chunk, ...] MLP temporaries in every chunk and no two threads
-  // write one row. The hybrid pass forks three times per layer: (1) the
-  // attention norm, Q/K/V and RoPE, (2) attention, one fork per sequence
-  // over its (row, head) pairs, (3) o-proj, residual, MLP norm, gate_up,
+  // call. A region is one ThreadPool::Fork over a row-local chain of
+  // kernels: each thread the fork got takes a fixed slice of every chunk of
+  // the stacked rows and calls the chain's kernels serially on it, so a
+  // slice uses the same rows of the [chunk, ...] MLP temporaries in every
+  // chunk and no two threads write one row. The hybrid pass forks three
+  // times per layer: (1) the attention norm, Q/K/V and RoPE, (2)
+  // attention, one fork per sequence over its (row, head) pairs, (3)
+  // o-proj, residual, MLP norm, gate_up,
   // SwiGLU, down, residual. The standard and chunked passes fork once per
   // stage between two tracked allocations (whole stack, or per chunk), so
   // every pass keeps its allocation order and tracked peak. abort_check is

@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <optional>
+#include <string_view>
+#include <thread>
 
 #include "src/common/fault.h"
 #include "src/common/logging.h"
@@ -41,6 +44,8 @@ std::string StatusText(int status) {
       return "Conflict";
     case 429:
       return "Too Many Requests";
+    case 431:
+      return "Request Header Fields Too Large";
     case 500:
       return "Internal Server Error";
     case 501:
@@ -100,6 +105,21 @@ bool SendAll(int fd, const char* data, size_t size) {
   }
   return true;
 }
+
+// accept() errors after which the listener itself is unusable: Stop()
+// closed it, or it never listened. Every other error concerns one pending
+// connection (a client that reset first, a signal) or a momentary shortage.
+bool ListenerGone(int err) { return err == EBADF || err == EINVAL || err == ENOTSOCK; }
+
+// Shortages that only finishing connections relieve: the loop pauses
+// before retrying instead of spinning on accept().
+bool OutOfResources(int err) {
+  return err == EMFILE || err == ENFILE || err == ENOBUFS || err == ENOMEM;
+}
+
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(10);
+
+constexpr std::string_view kHeaderEnd = "\r\n\r\n";
 
 }  // namespace
 
@@ -214,14 +234,32 @@ void HttpServer::ReapFinishedLocked() {
 }
 
 void HttpServer::AcceptLoop() {
+  bool warned = false;  // one warning per streak of failed accepts
   while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (running_.load()) {
-        PO_LOG_WARNING << "accept() failed";
-      }
-      break;
+    int fd = -1;
+    int err = EMFILE;
+    if (!FaultInjector::Global().Fire(fault::kNetAccept)) {
+      fd = ::accept(listen_fd_, nullptr, nullptr);
+      err = errno;
     }
+    if (fd < 0) {
+      if (!running_.load() || ListenerGone(err)) {
+        break;
+      }
+      if (!warned) {
+        PO_LOG_WARNING << "accept() failed, retrying: " << std::strerror(err);
+        warned = true;
+      }
+      if (OutOfResources(err)) {
+        {
+          std::lock_guard<std::mutex> lock(conn_mu_);
+          ReapFinishedLocked();
+        }
+        std::this_thread::sleep_for(kAcceptBackoff);
+      }
+      continue;
+    }
+    warned = false;
     // One thread per connection: parsing, handling and writing happen off
     // the accept path, so concurrent clients overlap inside the engine.
     auto connection = std::make_unique<Connection>();
@@ -271,13 +309,24 @@ void HttpServer::ServeConnection(int fd) {
   // so the client can find the next response boundary without an EOF.
   while (true) {
     // Frame exactly one request: headers, then the declared body length.
+    // Each read is searched for the header's end from where the previous
+    // read ended, less the 3 bytes a split "\r\n\r\n" can leave behind.
     size_t content_length = 0;
-    size_t header_end = raw.find("\r\n\r\n");
+    size_t header_end = raw.find(kHeaderEnd);
+    bool header_parsed = false;
     bool eof = false;
     bool framing_error = false;
+    bool header_too_large = false;
     while (true) {
-      if (header_end != std::string::npos) {
-        auto parsed = ParseRequest(raw.substr(0, header_end + 4));
+      header_too_large = header_end == std::string::npos
+                             ? raw.size() >= kMaxHeaderBytes
+                             : header_end + kHeaderEnd.size() > kMaxHeaderBytes;
+      if (header_too_large) {
+        break;
+      }
+      if (header_end != std::string::npos && !header_parsed) {
+        header_parsed = true;
+        auto parsed = ParseRequest(raw.substr(0, header_end + kHeaderEnd.size()));
         if (parsed.ok()) {
           auto it = parsed.value().headers.find("content-length");
           if (it != parsed.value().headers.end()) {
@@ -285,17 +334,16 @@ void HttpServer::ServeConnection(int fd) {
               content_length = *length;
             } else {
               framing_error = true;
+              break;
             }
           }
         }
       }
-      if (framing_error) {
-        break;
-      }
       if (header_end != std::string::npos &&
-          raw.size() >= header_end + 4 + content_length) {
+          raw.size() >= header_end + kHeaderEnd.size() + content_length) {
         break;
       }
+      const size_t scanned = raw.size();
       const ssize_t n = RecvSome(fd, buffer, sizeof(buffer));
       if (n <= 0) {
         eof = true;
@@ -303,7 +351,7 @@ void HttpServer::ServeConnection(int fd) {
       }
       raw.append(buffer, static_cast<size_t>(n));
       if (header_end == std::string::npos) {
-        header_end = raw.find("\r\n\r\n");
+        header_end = raw.find(kHeaderEnd, scanned < 3 ? 0 : scanned - 3);
       }
     }
     if (eof) {
@@ -322,7 +370,14 @@ void HttpServer::ServeConnection(int fd) {
     HttpResponse response;
     bool keep_alive = false;
     auto request = ParseRequest(one);
-    if (framing_error) {
+    if (header_too_large) {
+      // Nothing past the cap was read, so the request cannot be framed:
+      // answer and close.
+      response.status = 431;
+      response.body =
+          R"({"error":{"code":"invalid_argument","type":"invalid_request_error","message":"request header section exceeds )" +
+          std::to_string(kMaxHeaderBytes) + R"( bytes"}})";
+    } else if (framing_error) {
       // The body boundary is unknowable — answer 400 and drop the
       // connection (no keep-alive) since resynchronization is impossible.
       response.status = 400;

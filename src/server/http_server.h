@@ -17,6 +17,11 @@
 // (GET /v1/requests/{id}) stop paying a TCP connect per poll. Without that
 // header the connection stays one-shot and close-delimited, exactly as
 // before, so legacy read-until-EOF clients keep working.
+//
+// Bounds: a header section longer than kMaxHeaderBytes is answered 431 and
+// the connection closed; a body beyond 64 MiB is a 400. The accept loop
+// survives every accept() error except a closed listener, pausing briefly
+// when the process is out of fds or memory (the `net.accept` fault site).
 #ifndef SRC_SERVER_HTTP_SERVER_H_
 #define SRC_SERVER_HTTP_SERVER_H_
 
@@ -52,6 +57,9 @@ struct HttpResponse {
 class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
+
+  // Longest header section served, its closing blank line included.
+  static constexpr size_t kMaxHeaderBytes = 16u << 10;
 
   explicit HttpServer(Handler handler) : handler_(std::move(handler)) {}
   ~HttpServer() { Stop(); }

@@ -44,22 +44,24 @@ bool IsIntegralInRange(const Json& value, double lo, double hi) {
 constexpr double kMaxDeadlineMs = 1e12;
 
 Json ScoringResponseJson(const ScoringResponse& response) {
+  // Built in place, like ScoringRequestJson (src/client/client.cc).
   Json::Array probabilities;
+  probabilities.reserve(response.probabilities.size());
   for (const auto& p : response.probabilities) {
     Json::Object entry;
-    entry.emplace("token", Json(static_cast<int64_t>(p.token)));
-    entry.emplace("probability", Json(p.probability));
-    probabilities.push_back(Json(std::move(entry)));
+    entry.emplace("token", static_cast<int64_t>(p.token));
+    entry.emplace("probability", p.probability);
+    probabilities.emplace_back(std::move(entry));
   }
   Json::Object out;
-  out.emplace("score", Json(response.score));
-  out.emplace("probabilities", Json(std::move(probabilities)));
-  out.emplace("n_input", Json(response.n_input));
-  out.emplace("n_cached", Json(response.n_cached));
-  out.emplace("n_cached_offload", Json(response.n_cached_offload));
-  out.emplace("batch_size", Json(response.batch_size));
-  out.emplace("queue_time_s", Json(response.queue_time_s));
-  out.emplace("execute_time_s", Json(response.execute_time_s));
+  out.emplace("score", response.score);
+  out.emplace("probabilities", std::move(probabilities));
+  out.emplace("n_input", response.n_input);
+  out.emplace("n_cached", response.n_cached);
+  out.emplace("n_cached_offload", response.n_cached_offload);
+  out.emplace("batch_size", response.batch_size);
+  out.emplace("queue_time_s", response.queue_time_s);
+  out.emplace("execute_time_s", response.execute_time_s);
   return Json(std::move(out));
 }
 

@@ -267,6 +267,71 @@ TEST(ReplicaSetTest, ClusterIdsResolveAcrossTheWholeLifecycle) {
   EXPECT_EQ(set.Cancel(999999).code(), StatusCode::kNotFound);
 }
 
+TEST(ReplicaSetTest, ReplicasShareOneComputePool) {
+  // Every replica's model forks on ONE pool, as wide as the replicas'
+  // private pools would be together: N * (num_threads - 1) spawned workers
+  // plus the calling thread. num_threads = 1 stays serial.
+  for (const int threads : {1, 2}) {
+    ReplicaSetOptions options = TinyClusterOptions(3);
+    options.engine.num_threads = threads;
+    ReplicaSet set(options);
+    const ThreadPool* pool = set.engine(0).model().thread_pool();
+    ASSERT_NE(pool, nullptr);
+    for (int r = 1; r < set.n_replicas(); ++r) {
+      EXPECT_EQ(set.engine(r).model().thread_pool(), pool) << "replica " << r;
+    }
+    EXPECT_EQ(pool->num_threads(), 3 * (threads - 1) + 1) << "num_threads " << threads;
+  }
+}
+
+TEST(ReplicaSetTest, SharedPoolKeepsBitsAcrossConcurrentReplicas) {
+  // Requests on both replicas of a 2 x 2-lane set run at once, each fork
+  // taking whatever of the shared pool is idle; every result must equal a
+  // serial standalone engine's, bit for bit.
+  ReplicaSetOptions options = TinyClusterOptions(2);
+  options.engine.max_concurrent_requests = 2;
+  const AffinityRouter ref(2, options.vnodes_per_replica);
+  constexpr int kPerReplica = 4;
+  std::vector<ScoringRequest> requests;
+  std::vector<int> per_replica(2, 0);
+  for (uint64_t seed = 1; requests.size() < 2 * kPerReplica; ++seed) {
+    std::vector<int32_t> tokens = Tokens(64 + static_cast<int64_t>(seed % 5) * 16, seed);
+    const int primary = ref.Primary(AffinityKey(tokens, options.engine.block_size));
+    if (per_replica[static_cast<size_t>(primary)] < kPerReplica) {
+      ++per_replica[static_cast<size_t>(primary)];
+      requests.push_back(YesNoRequest(std::move(tokens)));
+    }
+  }
+
+  EngineOptions serial = TinyClusterEngineOptions();
+  serial.num_threads = 1;
+  Engine reference(serial);
+  std::vector<Result<ScoringResponse>> expected;
+  for (const ScoringRequest& request : requests) {
+    expected.push_back(reference.ScoreSync(request));
+    ASSERT_TRUE(expected.back().ok()) << expected.back().status().ToString();
+  }
+
+  ReplicaSet set(options);
+  std::vector<ReplicaSet::Submission> submissions;
+  for (const ScoringRequest& request : requests) {
+    auto submission = set.Submit(request);
+    ASSERT_TRUE(submission.ok()) << submission.status().ToString();
+    submissions.push_back(submission.take());
+  }
+  for (size_t i = 0; i < submissions.size(); ++i) {
+    const auto result = submissions[i].future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(SameBits(result.value().probabilities, expected[i].value().probabilities))
+        << "request " << i;
+  }
+  const ClusterStats stats = set.Stats();
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_GT(stats.replicas[static_cast<size_t>(r)].engine.completed, 0)
+        << "replica " << r;
+  }
+}
+
 // Every EngineStats field set by hand to `unit` times its own power of two
 // (bit 0, 1, 2, ... in declaration order); `*n_fields` receives the count.
 // A new field belongs here too.

@@ -10,12 +10,14 @@
 // and the checked-misuse errors of the runtime lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <future>
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -122,6 +124,31 @@ TEST(ThreadPoolTest, IdlePoolLendsEveryWorker) {
     seen.insert(worker);
   });
   EXPECT_EQ(seen.size(), 4u);
+}
+
+TEST(ThreadPoolTest, ForkSplitsByTheThreadsItGot) {
+  // Every shard of one fork sees the same shard count: the caller plus the
+  // workers idle when it forked. A fork inside a fork finds fewer of them.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::vector<std::pair<int, int>> outer;
+  std::vector<std::pair<int, int>> inner;
+  pool.Fork(2, [&](int shard, int shards) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      outer.emplace_back(shard, shards);
+    }
+    if (shard == 0) {
+      pool.Fork(4, [&](int s, int n) {
+        std::lock_guard<std::mutex> lock(mu);
+        inner.emplace_back(s, n);
+      });
+    }
+  });
+  std::sort(outer.begin(), outer.end());
+  std::sort(inner.begin(), inner.end());
+  EXPECT_EQ(outer, (std::vector<std::pair<int, int>>{{0, 2}, {1, 2}}));
+  EXPECT_EQ(inner, (std::vector<std::pair<int, int>>{{0, 3}, {1, 3}, {2, 3}}));
 }
 
 // ----------------------------------------------- Determinism under load

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "prefillonly/client.h"
+#include "src/common/fault.h"
 #include "src/server/http_server.h"
 #include "src/server/json.h"
 #include "src/server/scoring_service.h"
@@ -190,6 +191,9 @@ std::string HttpRoundTrip(uint16_t port, const std::string& request) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  // A server that stops answering fails the test instead of hanging it.
+  const timeval timeout{30, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   size_t sent = 0;
   while (sent < request.size()) {
     const ssize_t n = ::write(fd, request.data() + sent, request.size() - sent);
@@ -826,6 +830,59 @@ TEST(KeepAliveTest, WithoutTheHeaderConnectionsStayOneShot) {
       service.port(), PostRequest("/v1/score", ScoreRequestBody(1)));
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
+  service.Stop();
+}
+
+// --------------------------------------------- Bounded connection input
+
+TEST(ChaosAcceptTest, KeepsAcceptingAfterAcceptErrors) {
+  // The 2nd and 3rd accept attempts fail as if the process were out of
+  // fds; the loop must pause, retry and keep serving on the same listener.
+  FaultScope scope("seed=1;net.accept=@2,3");
+  ScoringService service(SmallEngineOptions());
+  ASSERT_TRUE(service.Start(0).ok());
+  const std::string health = "GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n";
+  EXPECT_NE(HttpRoundTrip(service.port(), health).find("HTTP/1.1 200 OK"),
+            std::string::npos);
+  const std::string after = HttpRoundTrip(service.port(), health);
+  EXPECT_NE(after.find("HTTP/1.1 200 OK"), std::string::npos) << after;
+  EXPECT_EQ(FaultInjector::Global().SiteStats().at("net.accept").fires, 2);
+  service.Stop();
+}
+
+// A GET /v1/health whose header section is exactly `bytes` long, padded
+// with one filler header; with `terminated` false it never ends.
+std::string PaddedHealthRequest(size_t bytes, bool terminated) {
+  const std::string head = "GET /v1/health HTTP/1.1\r\nX-Pad: ";
+  const std::string tail = terminated ? "\r\n\r\n" : "";
+  return head + std::string(bytes - head.size() - tail.size(), 'a') + tail;
+}
+
+TEST(HttpHeaderCapTest, HeaderOverTheCapGets431) {
+  ScoringService service(SmallEngineOptions());
+  ASSERT_TRUE(service.Start(0).ok());
+  constexpr size_t kCap = HttpServer::kMaxHeaderBytes;
+  // At the cap, the request is served.
+  const std::string at_cap =
+      HttpRoundTrip(service.port(), PaddedHealthRequest(kCap, true));
+  EXPECT_NE(at_cap.find("HTTP/1.1 200 OK"), std::string::npos) << at_cap.substr(0, 200);
+  // A header that has not ended by the cap is refused in the shared error
+  // shape, and the server reads no further.
+  const std::string over =
+      HttpRoundTrip(service.port(), PaddedHealthRequest(kCap, false));
+  EXPECT_NE(over.find("HTTP/1.1 431 Request Header Fields Too Large"), std::string::npos)
+      << over.substr(0, 200);
+  EXPECT_NE(over.find("Connection: close"), std::string::npos);
+  const size_t json_start = over.find("\r\n\r\n");
+  ASSERT_NE(json_start, std::string::npos);
+  auto body = Json::Parse(over.substr(json_start + 4));
+  ASSERT_TRUE(body.ok()) << over;
+  ASSERT_NE(body.value().Find("error"), nullptr);
+  EXPECT_EQ(body.value().Find("error")->Find("code")->AsString(), "invalid_argument");
+  // The server still serves the next client.
+  EXPECT_NE(HttpRoundTrip(service.port(), PostRequest("/v1/score", ScoreRequestBody(2)))
+                .find("HTTP/1.1 200 OK"),
+            std::string::npos);
   service.Stop();
 }
 
