@@ -304,6 +304,11 @@ TEST(BatchingParityTest, BatchApiChecksMisuse) {
 // 24. Prefill must still read them at every thread count. Prefill builds a
 // one-sequence PrefillBatch itself, so each cell runs once; one cell per
 // model also runs PrefillBatch directly, for the same peak, polls and bits.
+//
+// `timeline` pins the order of the pass's tracked allocations and frees:
+// FNV-1a over each event's tag and signed byte delta (TimelineFingerprint),
+// up to the return of Prefill. A peak can hold while the schedule under it
+// moves; this column sees the move. Failures print the new value.
 
 enum class PinnedPass { kStd, kChunked, kHybrid, kHybridNoInPlace, kHybridNoPrealloc, kStdDrop };
 
@@ -314,6 +319,7 @@ struct PinnedCell {
   int64_t n_cached;
   size_t peak_bytes;
   int64_t polls;
+  uint64_t timeline;
 };
 
 constexpr bool kTiny = false;
@@ -321,70 +327,70 @@ constexpr bool kSmall = true;
 using enum PinnedPass;
 
 constexpr PinnedCell kPinnedCells[] = {
-        {kTiny, kStd, KvRetention::kNone, 0, 519000, 2},
-        {kTiny, kStd, KvRetention::kNone, 32, 408408, 2},
-        {kTiny, kStd, KvRetention::kAll, 0, 519000, 2},
-        {kTiny, kStd, KvRetention::kAll, 32, 408408, 2},
-        {kTiny, kStd, KvRetention::kPrefixBudget, 0, 519000, 2},
-        {kTiny, kStd, KvRetention::kPrefixBudget, 32, 408408, 2},
-        {kTiny, kChunked, KvRetention::kNone, 0, 148056, 7},
-        {kTiny, kChunked, KvRetention::kNone, 32, 131672, 5},
-        {kTiny, kChunked, KvRetention::kAll, 0, 148056, 7},
-        {kTiny, kChunked, KvRetention::kAll, 32, 131672, 5},
-        {kTiny, kChunked, KvRetention::kPrefixBudget, 0, 148056, 7},
-        {kTiny, kChunked, KvRetention::kPrefixBudget, 32, 131672, 5},
-        {kTiny, kHybrid, KvRetention::kNone, 0, 257112, 42},
-        {kTiny, kHybrid, KvRetention::kNone, 32, 216152, 30},
-        {kTiny, kHybrid, KvRetention::kAll, 0, 333912, 42},
-        {kTiny, kHybrid, KvRetention::kAll, 32, 276568, 30},
-        {kTiny, kHybrid, KvRetention::kPrefixBudget, 0, 306264, 42},
-        {kTiny, kHybrid, KvRetention::kPrefixBudget, 32, 248920, 30},
-        {kTiny, kHybridNoInPlace, KvRetention::kNone, 0, 295512, 42},
-        {kTiny, kHybridNoInPlace, KvRetention::kNone, 32, 246360, 30},
-        {kTiny, kHybridNoInPlace, KvRetention::kAll, 0, 372312, 42},
-        {kTiny, kHybridNoInPlace, KvRetention::kAll, 32, 306776, 30},
-        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 344664, 42},
-        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 279128, 30},
-        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 0, 333912, 42},
-        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 32, 276568, 30},
-        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 0, 410712, 42},
-        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 32, 336984, 30},
-        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 383064, 42},
-        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 309336, 30},
-        {kTiny, kStdDrop, KvRetention::kNone, 0, 480600, 2},
-        {kTiny, kStdDrop, KvRetention::kNone, 32, 378200, 2},
-        {kSmall, kStd, KvRetention::kNone, 0, 1037400, 4},
-        {kSmall, kStd, KvRetention::kNone, 32, 816216, 4},
-        {kSmall, kStd, KvRetention::kAll, 0, 1037400, 4},
-        {kSmall, kStd, KvRetention::kAll, 32, 816216, 4},
-        {kSmall, kStd, KvRetention::kPrefixBudget, 0, 1037400, 4},
-        {kSmall, kStd, KvRetention::kPrefixBudget, 32, 816216, 4},
-        {kSmall, kChunked, KvRetention::kNone, 0, 295512, 7},
-        {kSmall, kChunked, KvRetention::kNone, 32, 262744, 5},
-        {kSmall, kChunked, KvRetention::kAll, 0, 295512, 7},
-        {kSmall, kChunked, KvRetention::kAll, 32, 262744, 5},
-        {kSmall, kChunked, KvRetention::kPrefixBudget, 0, 295512, 7},
-        {kSmall, kChunked, KvRetention::kPrefixBudget, 32, 262744, 5},
-        {kSmall, kHybrid, KvRetention::kNone, 0, 475224, 84},
-        {kSmall, kHybrid, KvRetention::kNone, 32, 401496, 60},
-        {kSmall, kHybrid, KvRetention::kAll, 0, 628824, 84},
-        {kSmall, kHybrid, KvRetention::kAll, 32, 522328, 60},
-        {kSmall, kHybrid, KvRetention::kPrefixBudget, 0, 573528, 84},
-        {kSmall, kHybrid, KvRetention::kPrefixBudget, 32, 467032, 60},
-        {kSmall, kHybridNoInPlace, KvRetention::kNone, 0, 552024, 84},
-        {kSmall, kHybridNoInPlace, KvRetention::kNone, 32, 461912, 60},
-        {kSmall, kHybridNoInPlace, KvRetention::kAll, 0, 705624, 84},
-        {kSmall, kHybridNoInPlace, KvRetention::kAll, 32, 582744, 60},
-        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 650328, 84},
-        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 527448, 60},
-        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 0, 628824, 84},
-        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 32, 522328, 60},
-        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 0, 782424, 84},
-        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 32, 643160, 60},
-        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 727128, 84},
-        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 587864, 60},
-        {kSmall, kStdDrop, KvRetention::kNone, 0, 922200, 4},
-        {kSmall, kStdDrop, KvRetention::kNone, 32, 725592, 4},
+        {kTiny, kStd, KvRetention::kNone, 0, 519000, 2, 0xc4322ebecd0fca68ull},
+        {kTiny, kStd, KvRetention::kNone, 32, 408408, 2, 0x2c749e8804503af8ull},
+        {kTiny, kStd, KvRetention::kAll, 0, 519000, 2, 0xa64edd12b81326d0ull},
+        {kTiny, kStd, KvRetention::kAll, 32, 408408, 2, 0x29679ad3c2184560ull},
+        {kTiny, kStd, KvRetention::kPrefixBudget, 0, 519000, 2, 0xbfe04d3d80dbf938ull},
+        {kTiny, kStd, KvRetention::kPrefixBudget, 32, 408408, 2, 0xdc1f105019e560c8ull},
+        {kTiny, kChunked, KvRetention::kNone, 0, 148056, 7, 0x28e3caaed9b0492cull},
+        {kTiny, kChunked, KvRetention::kNone, 32, 131672, 5, 0xe7c1771885907ee8ull},
+        {kTiny, kChunked, KvRetention::kAll, 0, 148056, 7, 0x7223c438387abba4ull},
+        {kTiny, kChunked, KvRetention::kAll, 32, 131672, 5, 0xdc432c04bfe881c0ull},
+        {kTiny, kChunked, KvRetention::kPrefixBudget, 0, 148056, 7, 0xaca84e25c8491ec4ull},
+        {kTiny, kChunked, KvRetention::kPrefixBudget, 32, 131672, 5, 0xd1fe9958d8da3310ull},
+        {kTiny, kHybrid, KvRetention::kNone, 0, 257112, 42, 0x98b08659c998485aull},
+        {kTiny, kHybrid, KvRetention::kNone, 32, 216152, 30, 0xd77930f11b9c07baull},
+        {kTiny, kHybrid, KvRetention::kAll, 0, 333912, 42, 0x1127ea18d8d709beull},
+        {kTiny, kHybrid, KvRetention::kAll, 32, 276568, 30, 0x915149a97be457eull},
+        {kTiny, kHybrid, KvRetention::kPrefixBudget, 0, 306264, 42, 0x1f63a28ab128a90aull},
+        {kTiny, kHybrid, KvRetention::kPrefixBudget, 32, 248920, 30, 0xc8a76b5e020b08eaull},
+        {kTiny, kHybridNoInPlace, KvRetention::kNone, 0, 295512, 42, 0x296a473c925e5fbcull},
+        {kTiny, kHybridNoInPlace, KvRetention::kNone, 32, 246360, 30, 0xe8f97e68fa61067cull},
+        {kTiny, kHybridNoInPlace, KvRetention::kAll, 0, 372312, 42, 0xf1902ca8cf570538ull},
+        {kTiny, kHybridNoInPlace, KvRetention::kAll, 32, 306776, 30, 0xffda5a6bf35dd518ull},
+        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 344664, 42, 0xf26c0ec78d591f8cull},
+        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 279128, 30, 0xafa40ece23f8558cull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 0, 333912, 42, 0x2b061baabd60c638ull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 32, 276568, 30, 0x7bdf3b2fbd80f1fcull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 0, 410712, 42, 0xc848459212353eccull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 32, 336984, 30, 0x3a17bc6f3a44ef00ull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 383064, 42, 0x24aec6420a82ff68ull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 309336, 30, 0xe337b172b54752cull},
+        {kTiny, kStdDrop, KvRetention::kNone, 0, 480600, 2, 0x12a6a55dc05aae58ull},
+        {kTiny, kStdDrop, KvRetention::kNone, 32, 378200, 2, 0xb59e2533cc646ee0ull},
+        {kSmall, kStd, KvRetention::kNone, 0, 1037400, 4, 0x34e3a0a45d633c04ull},
+        {kSmall, kStd, KvRetention::kNone, 32, 816216, 4, 0xb5bf5d6420a30a28ull},
+        {kSmall, kStd, KvRetention::kAll, 0, 1037400, 4, 0x8f466c3d9bc21a34ull},
+        {kSmall, kStd, KvRetention::kAll, 32, 816216, 4, 0xa14a1742aa259cd8ull},
+        {kSmall, kStd, KvRetention::kPrefixBudget, 0, 1037400, 4, 0x5c4a677eaaf0b3b4ull},
+        {kSmall, kStd, KvRetention::kPrefixBudget, 32, 816216, 4, 0xce363a6c2f456258ull},
+        {kSmall, kChunked, KvRetention::kNone, 0, 295512, 7, 0x5ad93c50c4aeed68ull},
+        {kSmall, kChunked, KvRetention::kNone, 32, 262744, 5, 0x4cd752452ba52cb4ull},
+        {kSmall, kChunked, KvRetention::kAll, 0, 295512, 7, 0x92665d90ee2f9c78ull},
+        {kSmall, kChunked, KvRetention::kAll, 32, 262744, 5, 0x66919d6062bdc8e4ull},
+        {kSmall, kChunked, KvRetention::kPrefixBudget, 0, 295512, 7, 0x730d1a7369c76478ull},
+        {kSmall, kChunked, KvRetention::kPrefixBudget, 32, 262744, 5, 0xeff32b1c88e7e864ull},
+        {kSmall, kHybrid, KvRetention::kNone, 0, 475224, 84, 0x6b1287aac8416708ull},
+        {kSmall, kHybrid, KvRetention::kNone, 32, 401496, 60, 0xa139ecfc9f477a8eull},
+        {kSmall, kHybrid, KvRetention::kAll, 0, 628824, 84, 0x2267ee5c35726d20ull},
+        {kSmall, kHybrid, KvRetention::kAll, 32, 522328, 60, 0x2f504e3db3bc0e36ull},
+        {kSmall, kHybrid, KvRetention::kPrefixBudget, 0, 573528, 84, 0xbcb29234446bf268ull},
+        {kSmall, kHybrid, KvRetention::kPrefixBudget, 32, 467032, 60, 0xddbed3df0561adbeull},
+        {kSmall, kHybridNoInPlace, KvRetention::kNone, 0, 552024, 84, 0x4e208cea68c37222ull},
+        {kSmall, kHybridNoInPlace, KvRetention::kNone, 32, 461912, 60, 0x8b365ee8d439db8cull},
+        {kSmall, kHybridNoInPlace, KvRetention::kAll, 0, 705624, 84, 0x49fdee0d732a192aull},
+        {kSmall, kHybridNoInPlace, KvRetention::kAll, 32, 582744, 60, 0x9c93791672416244ull},
+        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 650328, 84, 0x14287bbc240ee42ull},
+        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 527448, 60, 0xd8f9939da3756b1cull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 0, 628824, 84, 0x29e04c09d28dad78ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 32, 522328, 60, 0x7c35789f32690db8ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 0, 782424, 84, 0x412a73806c22f130ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 32, 643160, 60, 0x47264d0be1664700ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 727128, 84, 0x8c8aaea427189dd8ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 587864, 60, 0xf930fbbdd4826b28ull},
+        {kSmall, kStdDrop, KvRetention::kNone, 0, 922200, 4, 0x73cb6f2bbcdf601cull},
+        {kSmall, kStdDrop, KvRetention::kNone, 32, 725592, 4, 0x402e641eabe70f70ull},
 };
 
 constexpr PinnedPass kAllPasses[] = {kStd,           kChunked,         kHybrid,
@@ -400,6 +406,15 @@ PrefillOptions PassOptions(PinnedPass pass, int64_t chunk_size) {
   options.in_place = pass != kHybridNoInPlace && pass != kHybridNoPrealloc;
   options.drop_kv_in_pass = pass == kStdDrop;
   return options;
+}
+
+uint64_t TimelineFingerprint(const std::vector<TrackingAllocator::Event>& timeline) {
+  uint64_t h = kFnvOffset;
+  for (const TrackingAllocator::Event& event : timeline) {
+    h = Fnv1a64(event.tag.data(), event.tag.size(), h);
+    h = Fnv1a64(&event.delta_bytes, sizeof(event.delta_bytes), h);
+  }
+  return h;
 }
 
 PrefillOptions PinnedOptions(const PinnedCell& cell) {
@@ -446,10 +461,13 @@ TEST(BatchingParityTest, SoloPeaksAndPollsArePinned) {
         const KvCacheData* cached = cell.n_cached > 0 ? &prefix : nullptr;
 
         TrackingAllocator solo_arena;
+        solo_arena.EnableTimeline(true);
         auto solo = model.Prefill(tokens, cached, options, solo_arena);
         ASSERT_TRUE(solo.ok()) << solo.status().ToString();
         EXPECT_EQ(solo_arena.peak_bytes(), cell.peak_bytes);
         EXPECT_EQ(polls, cell.polls);
+        const uint64_t timeline = TimelineFingerprint(solo_arena.timeline());
+        EXPECT_EQ(timeline, cell.timeline) << "now 0x" << std::hex << timeline << "ull";
 
         if (threads != 4 || cell.pass != kHybrid || cell.retention != KvRetention::kAll ||
             cell.n_cached == 0) {
@@ -459,10 +477,12 @@ TEST(BatchingParityTest, SoloPeaksAndPollsArePinned) {
         const PrefillSequence seq{tokens, cached, cell.retention,
                                   options.prefix_budget_tokens};
         TrackingAllocator batch_arena;
+        batch_arena.EnableTimeline(true);
         auto batched = model.PrefillBatch(std::span(&seq, 1), options, batch_arena);
         ASSERT_TRUE(batched.ok()) << batched.status().ToString();
         EXPECT_EQ(batch_arena.peak_bytes(), cell.peak_bytes);
         EXPECT_EQ(polls, cell.polls);
+        EXPECT_EQ(TimelineFingerprint(batch_arena.timeline()), cell.timeline);
         EXPECT_TRUE(SameFloatBits(batched.value()[0].last_logits, solo.value().last_logits));
         EXPECT_TRUE(SameKvBits(batched.value()[0].kv, solo.value().kv));
       }
@@ -730,9 +750,10 @@ TEST(BatchingParityTest, FinalRowLayoutsHoldPinnedFingerprints) {
 //  - AbortOnTheKthPollStopsAfterExactlyKPolls: only the calling thread
 //    polls abort_check, at the chunk grid of a serial pass, and a non-OK
 //    poll ends the pass with that status and no further poll.
-//  - HybridPassForksAtMostThreePerLayer: a 500-token hybrid pass at two
-//    threads forks at most three times per layer (QKV region, attention,
-//    o-proj + MLP region), plus a small constant.
+//  - ForkJoinsPerPassArePinned: how often a 500-token pass at two threads
+//    forks, per pass, so no schedule change adds a fork-join unseen; the
+//    hybrid pass (the engine's) also stays within three per layer (QKV
+//    region, attention, o-proj + MLP region) plus a small constant.
 
 constexpr PinnedPass kRegionPasses[] = {kStd, kChunked, kHybrid, kHybridNoInPlace,
                                         kHybridNoPrealloc};
@@ -887,22 +908,32 @@ TEST(RowRegionTest, AbortOnTheKthPollStopsAfterExactlyKPolls) {
   }
 }
 
-TEST(RowRegionTest, HybridPassForksAtMostThreePerLayer) {
+// Fork-joins of a 500-token `small` pass at chunk 64 and two threads, per
+// pass in kAllPasses order, recorded when the three passes were separate
+// functions.
+constexpr uint64_t kForkJoinsPerPass[] = {28, 217, 12, 12, 72, 28};
+static_assert(std::size(kForkJoinsPerPass) == std::size(kAllPasses));
+
+TEST(RowRegionTest, ForkJoinsPerPassArePinned) {
   const ModelConfig config = ModelConfig::Small();
   LlamaModel model(config, /*seed=*/42);
   ThreadPool pool(2);
   model.SetThreadPool(&pool);
   Rng rng(500);
   const std::vector<int32_t> tokens = RandomTokens(rng, 500, config.vocab_size);
-  PrefillOptions options;
-  options.mode = PrefillMode::kHybrid;
-  options.chunk_size = 64;
-  TrackingAllocator arena;
-  const uint64_t before = pool.fork_joins();
-  ASSERT_TRUE(model.Prefill(tokens, nullptr, options, arena).ok());
-  const uint64_t forks = pool.fork_joins() - before;
-  EXPECT_GT(forks, 0u) << "the pass never used the second thread";
-  EXPECT_LE(forks, 3u * static_cast<uint64_t>(config.n_layers) + 2u);
+  for (size_t p = 0; p < std::size(kAllPasses); ++p) {
+    SCOPED_TRACE("pass " + std::to_string(static_cast<int>(kAllPasses[p])));
+    TrackingAllocator arena;
+    const uint64_t before = pool.fork_joins();
+    ASSERT_TRUE(
+        model.Prefill(tokens, nullptr, PassOptions(kAllPasses[p], /*chunk_size=*/64), arena)
+            .ok());
+    const uint64_t forks = pool.fork_joins() - before;
+    EXPECT_EQ(forks, kForkJoinsPerPass[p]);
+    if (kAllPasses[p] == kHybrid) {
+      EXPECT_LE(forks, 3u * static_cast<uint64_t>(config.n_layers) + 2u);
+    }
+  }
 }
 
 // ------------------------------------------------- engine-layer parity
