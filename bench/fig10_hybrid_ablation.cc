@@ -20,19 +20,18 @@ int main() {
   std::printf("\n[A] MODELED max input length, %s on 1x %s\n", hw.llm.name.c_str(),
               hw.gpu.name.c_str());
 
-  auto mil_hybrid = [&](bool prealloc, bool in_place) {
+  auto mil_hybrid = [&](PrefillAblation ablation) {
     MemoryModelConfig config;
-    config.hybrid_preallocate = prealloc;
-    config.hybrid_in_place = in_place;
+    config.hybrid_ablation = ablation;
     MemoryModel mem(hw.llm, hw.gpu, config);
     return mem.MaxInputLength(EngineKind::kPrefillOnly);
   };
   MemoryModel base(hw.llm, hw.gpu);
   const long vanilla = base.MaxInputLength(EngineKind::kPagedAttention);
   const long chunked = base.MaxInputLength(EngineKind::kChunkedPrefill);
-  const long h_chunk = mil_hybrid(false, false);
-  const long h_pre = mil_hybrid(true, false);
-  const long h_ip = mil_hybrid(true, true);
+  const long h_chunk = mil_hybrid(PrefillAblation::kNoPreallocate);
+  const long h_pre = mil_hybrid(PrefillAblation::kNoInPlace);
+  const long h_ip = mil_hybrid(PrefillAblation::kNone);
 
   struct Row {
     const char* name;
@@ -59,26 +58,25 @@ int main() {
     t = static_cast<int32_t>(
         rng.NextBounded(static_cast<uint64_t>(model.config().vocab_size)));
   }
-  auto peak = [&](PrefillMode mode, bool prealloc, bool in_place) -> double {
+  auto peak = [&](PrefillMode mode, PrefillAblation ablation) -> double {
     TrackingAllocator alloc;
     PrefillOptions options;
     options.mode = mode;
     options.chunk_size = 32;
-    options.preallocate_outputs = prealloc;
-    options.in_place = in_place;
+    options.ablation = ablation;
     auto result = model.Prefill(tokens, nullptr, options, alloc);
     if (!result.ok()) {
       return 0.0;
     }
     return static_cast<double>(alloc.peak_bytes());
   };
-  const double std_peak = peak(PrefillMode::kStandard, true, true);
+  const double std_peak = peak(PrefillMode::kStandard, PrefillAblation::kNone);
   std::printf("  %-30s %8.2f MB\n", "Standard (vanilla)", std_peak / 1e6);
   std::printf("  %-30s %8.2f MB\n", "Hybrid: chunking",
-              peak(PrefillMode::kHybrid, false, false) / 1e6);
+              peak(PrefillMode::kHybrid, PrefillAblation::kNoPreallocate) / 1e6);
   std::printf("  %-30s %8.2f MB\n", "Hybrid: + preallocation",
-              peak(PrefillMode::kHybrid, true, false) / 1e6);
+              peak(PrefillMode::kHybrid, PrefillAblation::kNoInPlace) / 1e6);
   std::printf("  %-30s %8.2f MB\n", "Hybrid: + in-place",
-              peak(PrefillMode::kHybrid, true, true) / 1e6);
+              peak(PrefillMode::kHybrid, PrefillAblation::kNone) / 1e6);
   return 0;
 }

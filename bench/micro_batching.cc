@@ -14,7 +14,7 @@
 // swept over {1, 2, 4, 8}.
 //
 // Output: a human table plus BENCH_batching.json (reference copy checked
-// into the repo root). Acceptance bar (ISSUE 4): batched throughput at
+// into the repo root, under po_bench's provenance header). Acceptance bar (ISSUE 4): batched throughput at
 // batch size 4 on short prompts >= solo.
 //
 // ISSUE 9 adds a mixed-length scenario: lengths cycling across several
@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "src/common/rng.h"
 #include "src/core/engine.h"
 #include "src/core/request.h"
@@ -324,12 +325,15 @@ int main() {
     }
   }
 
+  const po_bench::HostInfo host = bench::ProbeCheckout();
   FILE* f = std::fopen("BENCH_batching.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_batching.json\n");
     return 1;
   }
-  std::fprintf(f, "{\n  \"batching\": [\n");
+  std::fprintf(f, "{\n  ");
+  bench::WriteHostFields(f, host);
+  std::fprintf(f, "},\n  \"batching\": [\n");
   for (size_t i = 0; i < points.size(); ++i) {
     const auto& p = points[i];
     std::fprintf(f,

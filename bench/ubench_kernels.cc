@@ -35,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/po_bench/host.h"
+#include "bench/provenance.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -158,21 +158,6 @@ struct KernelPoint {
   }
   double Gbps() const { return bytes / seconds.median * 1e-9; }
 };
-
-// The first line `command` prints; empty if it fails or prints nothing.
-std::string CommandOutput(const char* command) {
-  FILE* pipe = popen(command, "r");
-  if (pipe == nullptr) {
-    return "";
-  }
-  char buf[256] = {};
-  std::string out = std::fgets(buf, sizeof(buf), pipe) != nullptr ? buf : "";
-  pclose(pipe);
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out;
-}
 
 // Kernel backends the CPU can run, in fixed sweep order. The avx2
 // entry is the table the engine runs (16-lane where the CPU has AVX-512F).
@@ -581,26 +566,19 @@ void RunJsonSweep(const char* json_path) {
                 p.speedup.q3);
   }
 
+  const po_bench::HostInfo host = bench::ProbeCheckout();
   FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", json_path);
     return;
   }
-  // po_bench's provenance header (host.h). The sha is read from git at run
-  // time, so it names the checkout the binary runs in.
-  const po_bench::HostInfo host =
-      po_bench::ProbeHost(CommandOutput("git rev-parse HEAD 2>/dev/null"),
-                          !CommandOutput("git status --porcelain 2>/dev/null").empty());
+  std::fprintf(f, "{\n  ");
+  bench::WriteHostFields(f, host);
   std::fprintf(f,
-               "{\n  \"host\": {\"git_sha\": \"%s\", \"git_dirty\": %s, \"nproc\": %d, "
-               "\"cpu_model\": \"%s\", \"isa\": \"%s\", \"backend\": \"%s\", "
-               "\"build_type\": \"%s\", \"compiler\": \"%s\", \"avx2_lanes\": %d},\n"
+               ", \"avx2_lanes\": %d},\n"
                "  \"avx2_available\": %s,\n  \"repeats\": %d,\n"
                "  \"single_thread_matmul_speedup\": {\"best\": \"%s\", \"median\": %.4f, "
                "\"q1\": %.4f, \"q3\": %.4f},\n  \"kernels\": [\n",
-               host.git_sha.c_str(), host.git_dirty ? "true" : "false", host.nproc,
-               host.cpu_model.c_str(), host.isa.c_str(), host.backend.c_str(),
-               host.build_type.c_str(), host.compiler.c_str(),
                Avx2Available() ? Lanes(GetKernelOps(KernelBackend::kAvx2)) : 0,
                Avx2Available() ? "true" : "false", kRepeats, st_best_name.c_str(),
                st_speedup.median, st_speedup.q1, st_speedup.q3);

@@ -25,10 +25,10 @@ class Ledger {
   int64_t peak_ = 0;
 };
 
-// One attention + MLP block over `rows` rows, mirroring the allocation
-// order of PrefillBatchStandard / PrefillBatchChunked in src/model/llama.cc.
-// `kv_alloc_per_layer` is nonzero only on the naive drop-KV path, where
-// each layer's KV is transient.
+// One attention + MLP block over `rows` rows with a staged linear tail,
+// mirroring the allocation order of that layer in LlamaModel::PrefillBatch
+// (src/model/llama.cc). `kv_alloc_per_layer` is nonzero only on the naive
+// drop-KV path, where each layer's KV is transient.
 void FullWidthLayer(Ledger& ledger, const ActivationShape& s, int64_t rows,
                     int64_t kv_alloc_per_layer) {
   const int64_t normed = ledger.Alloc(rows * s.hidden * s.act_bytes);
@@ -56,47 +56,34 @@ void FullWidthLayer(Ledger& ledger, const ActivationShape& s, int64_t rows,
   }
 }
 
-PassPeak Standard(const ActivationShape& s, int64_t n_new, int64_t n_total,
-                  const PassOptions& opt) {
+// The standard and chunked passes: resident (or per-layer) KV, the score
+// row, then per span of rows — the whole sequence, or one chunk — its
+// hidden rows and every layer over them. All full spans are identical, so
+// replaying one suffices for the peak.
+PassPeak Staged(const ActivationShape& s, int64_t n_new, int64_t n_total,
+                const PassOptions& opt) {
   Ledger ledger;
-  ledger.Alloc(n_new * s.hidden * s.act_bytes);  // hidden
-  int64_t resident_kv = 0;
+  const int64_t span =
+      opt.strategy == PassStrategy::kChunkedPrefill ? std::min(opt.chunk, n_new) : n_new;
   const int64_t kv_layer_bytes = 2 * n_new * s.kv_width * s.kv_bytes;
-  if (!opt.drop_kv_in_pass) {
-    resident_kv = s.n_layers * kv_layer_bytes;
-    ledger.Alloc(resident_kv);  // pass KV for every layer
-  }
+  const bool drop_kv = opt.ablation == PrefillAblation::kDropKvPerLayer;
+  const int64_t resident_kv = drop_kv ? 0 : s.n_layers * kv_layer_bytes;
+  ledger.Alloc(resident_kv);
   ledger.Alloc(n_total * s.score_bytes);  // attention score scratch
+  const int64_t hidden = ledger.Alloc(span * s.hidden * s.act_bytes);
   // Every layer has an identical schedule; two iterations reach the peak.
   const int64_t reps = std::min<int64_t>(s.n_layers, 2);
   for (int64_t l = 0; l < reps; ++l) {
-    FullWidthLayer(ledger, s, n_new, opt.drop_kv_in_pass ? kv_layer_bytes : 0);
+    FullWidthLayer(ledger, s, span, drop_kv ? kv_layer_bytes : 0);
   }
-  return PassPeak{ledger.peak(), opt.drop_kv_in_pass ? kv_layer_bytes : resident_kv};
-}
-
-PassPeak Chunked(const ActivationShape& s, int64_t n_new, int64_t n_total,
-                 const PassOptions& opt) {
-  Ledger ledger;
-  const int64_t chunk = std::min(opt.chunk, n_new);
-  const int64_t resident_kv = s.n_layers * 2 * n_new * s.kv_width * s.kv_bytes;
-  ledger.Alloc(resident_kv);
-  ledger.Alloc(n_total * s.score_bytes);
-  // All full chunks are identical; replaying one suffices for the peak.
-  const int64_t hidden_c = ledger.Alloc(chunk * s.hidden * s.act_bytes);
-  const int64_t reps = std::min<int64_t>(s.n_layers, 2);
-  for (int64_t l = 0; l < reps; ++l) {
-    FullWidthLayer(ledger, s, chunk, 0);
-  }
-  ledger.Free(hidden_c);
-  return PassPeak{ledger.peak(), resident_kv};
+  ledger.Free(hidden);
+  return PassPeak{ledger.peak(), drop_kv ? kv_layer_bytes : resident_kv};
 }
 
 PassPeak Hybrid(const ActivationShape& s, int64_t n_new, int64_t n_total,
                 const PassOptions& opt) {
   Ledger ledger;
   const int64_t chunk = std::min(opt.chunk, n_new);
-  ledger.Alloc(n_new * s.hidden * s.act_bytes);  // hidden
   if (opt.retained_new_tokens > 0) {
     ledger.Alloc(s.n_layers * 2 * opt.retained_new_tokens * s.kv_width * s.kv_bytes);
   }
@@ -108,18 +95,19 @@ PassPeak Hybrid(const ActivationShape& s, int64_t n_new, int64_t n_total,
   ledger.Alloc(n_new * s.q_size * s.act_bytes);  // attn_out
   ledger.Alloc(n_new * s.hidden * s.act_bytes);  // normed
   ledger.Alloc(n_total * s.score_bytes);         // scores
-  if (opt.preallocate_outputs && !opt.in_place) {
-    ledger.Alloc(n_new * s.hidden * s.act_bytes);  // proj_buf
+  if (opt.ablation == PrefillAblation::kNoInPlace) {
+    ledger.Alloc(n_new * s.hidden * s.act_bytes);  // proj
   }
+  ledger.Alloc(n_new * s.hidden * s.act_bytes);  // hidden, the pass's one span
 
-  // Mirrors chunked_linear in llama.cc. Without preallocation the chunk
+  // Mirrors per_chunk_outputs in llama.cc. Without preallocation the chunk
   // outputs pile up and a full-width concat target is allocated while they
   // are still live (the 2x output footprint the preallocation optimization
   // removes). `prev_full` is the concat buffer reused as the next call's
   // target (and freed at its start).
   int64_t prev_full = 0;
   auto chunked_linear_out = [&](int64_t width_bytes_per_row) {
-    if (opt.preallocate_outputs) {
+    if (opt.ablation != PrefillAblation::kNoPreallocate) {
       return;  // chunks written straight into a standing buffer
     }
     ledger.Free(prev_full);
@@ -158,9 +146,8 @@ PassPeak SimulatePassMemory(const ActivationShape& shape, int64_t n_new,
   const int64_t n_total = n_new + n_cached;
   switch (options.strategy) {
     case PassStrategy::kStandard:
-      return Standard(shape, n_new, n_total, options);
     case PassStrategy::kChunkedPrefill:
-      return Chunked(shape, n_new, n_total, options);
+      return Staged(shape, n_new, n_total, options);
     case PassStrategy::kHybrid:
       return Hybrid(shape, n_new, n_total, options);
   }

@@ -1,7 +1,7 @@
 // Symbolic replay of the prefill pass's allocation schedule.
 //
 // SimulatePassMemory walks the exact sequence of tensor allocations and
-// frees that LlamaModel::Prefill performs (src/model/llama.cc), tracking
+// frees that LlamaModel::PrefillBatch performs (src/model/llama.cc), tracking
 // current and peak bytes — but symbolically, parameterized by arbitrary
 // layer counts and widths. This gives:
 //
@@ -25,6 +25,8 @@
 
 #include <cstdint>
 
+#include "src/model/prefill_ablation.h"
+
 namespace prefillonly {
 
 // Byte-level shape of one transformer pass. Construct from LlmSpec
@@ -45,11 +47,9 @@ enum class PassStrategy { kStandard, kChunkedPrefill, kHybrid };
 struct PassOptions {
   PassStrategy strategy = PassStrategy::kHybrid;
   int64_t chunk = 512;
-  // Hybrid ablation flags (must match model::PrefillOptions semantics).
-  bool preallocate_outputs = true;
-  bool in_place = true;
-  // Standard-only naive KV-drop ablation.
-  bool drop_kv_in_pass = false;
+  // The Fig. 10 ablation, as PrefillOptions::ablation: kDropKvPerLayer
+  // applies to kStandard, kNoInPlace and kNoPreallocate to kHybrid.
+  PrefillAblation ablation = PrefillAblation::kNone;
   // New tokens whose KV survives the pass (hybrid retained prefix).
   int64_t retained_new_tokens = 0;
 };

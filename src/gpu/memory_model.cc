@@ -65,7 +65,7 @@ PassOptions MemoryModel::OptionsFor(EngineKind kind) const {
       break;
     case EngineKind::kKvDropNaive:
       opt.strategy = PassStrategy::kStandard;
-      opt.drop_kv_in_pass = true;
+      opt.ablation = PrefillAblation::kDropKvPerLayer;
       break;
     case EngineKind::kChunkedPrefill:
       opt.strategy = PassStrategy::kChunkedPrefill;
@@ -84,8 +84,7 @@ PassOptions MemoryModel::OptionsFor(EngineKind kind) const {
     case EngineKind::kPrefillOnly:
       opt.strategy = PassStrategy::kHybrid;
       opt.chunk = config_.hybrid_chunk_tokens;
-      opt.preallocate_outputs = config_.hybrid_preallocate;
-      opt.in_place = config_.hybrid_in_place;
+      opt.ablation = config_.hybrid_ablation;
       break;
   }
   return opt;

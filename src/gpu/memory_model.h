@@ -42,8 +42,8 @@ struct MemoryModelConfig {
   double runtime_overhead_bytes = 2.0e9;  // CUDA ctx, NCCL, compile workspaces
   int64_t chunk_tokens = 512;            // chunked-prefill baseline
   int64_t hybrid_chunk_tokens = 2048;    // PrefillOnly's linear-layer chunk
-  bool hybrid_preallocate = true;
-  bool hybrid_in_place = true;
+  // PrefillOnly's Fig. 10 ablation: kNone, kNoInPlace or kNoPreallocate.
+  PrefillAblation hybrid_ablation = PrefillAblation::kNone;
   int parallel_degree = 2;  // TP/PP width
   // Calibrated against Table 2: the TP baseline composes with vLLM's
   // default chunked prefill; the PP baseline does not (full-sequence

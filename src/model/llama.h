@@ -8,8 +8,8 @@
 //  - kStandard: full-sequence forward, one layer at a time. Linear-layer
 //    intermediates are materialized for the whole sequence — the memory
 //    spikes of Fig. 3a. KV for all layers is held for the whole pass (what
-//    vanilla engines do), unless `drop_kv_in_pass` models the naive
-//    "just drop KV" ablation of §4.1.
+//    vanilla engines do), unless PrefillAblation::kDropKvPerLayer models
+//    the naive "just drop KV" ablation of §4.1.
 //  - kChunked: chunked prefill (Sarathi-style baseline). Tokens advance
 //    through all layers chunk-by-chunk, so the KV cache of every layer must
 //    stay resident between chunks — the reason chunked prefill only buys
@@ -17,8 +17,17 @@
 //  - kHybrid: the paper's hybrid prefilling (§4.2). Attention runs over the
 //    full sequence; every linear layer runs chunk-by-chunk. Only the
 //    current layer's KV is alive during the pass, plus whatever prefix the
-//    retention policy keeps. `preallocate_outputs` and `in_place` are the
-//    two optimizations of §4.3.
+//    retention policy keeps. Output preallocation and in-place computation
+//    are the two optimizations of §4.3; kNoInPlace and kNoPreallocate
+//    switch them off.
+//
+// The three are one layer body with different schedules (§4.3: hybrid
+// prefilling is the standard layer with its linears chunked). An outer
+// loop steps over row spans of the stack (the whole stack, or chunk_size
+// rows for kChunked) and runs every layer on each span: the QKV head as
+// one row region, per-sequence attention, the retained-KV copy, then the
+// linear tail — staged, one whole-span tensor per op (standard, chunked),
+// or fused, chunked regions over standing buffers (hybrid).
 //
 // All three strategies produce bitwise identical logits (linear layers are
 // row-independent and the attention summation order is fixed); the test
@@ -49,6 +58,7 @@
 #include "src/common/status.h"
 #include "src/model/config.h"
 #include "src/model/kv.h"
+#include "src/model/prefill_ablation.h"
 #include "src/model/rope_table.h"
 #include "src/tensor/ops_dispatch.h"
 #include "src/tensor/prepack.h"
@@ -71,16 +81,10 @@ struct PrefillOptions {
   PrefillMode mode = PrefillMode::kHybrid;
   int64_t chunk_size = 64;
 
-  // Hybrid-only optimizations (§4.3). Disabling them reproduces the
-  // Fig. 10 ablation bars.
-  bool preallocate_outputs = true;
-  bool in_place = true;
-
-  // Standard-only: allocate each layer's KV inside that layer instead of
-  // keeping all layers resident for the whole pass (the naive §4.1
-  // ablation). Valid in a batch of any size, as long as every sequence
-  // retains nothing (retention kNone).
-  bool drop_kv_in_pass = false;
+  // The Fig. 10 ablation bars: at most one, of this mode (prefill_ablation.h).
+  // kDropKvPerLayer is valid in a batch of any size, as long as every
+  // sequence retains nothing (retention kNone).
+  PrefillAblation ablation = PrefillAblation::kNone;
 
   KvRetention retention = KvRetention::kNone;
   // Absolute token position up to which KV is retained under kPrefixBudget.
@@ -158,9 +162,9 @@ class LlamaModel {
   // times per layer: (1) the attention norm, Q/K/V and RoPE, (2)
   // attention, one fork per sequence over its (row, head) pairs, (3)
   // o-proj, residual, MLP norm, gate_up,
-  // SwiGLU, down, residual. The standard and chunked passes fork once per
-  // stage between two tracked allocations (whole stack, or per chunk), so
-  // every pass keeps its allocation order and tracked peak. abort_check is
+  // SwiGLU, down, residual. A staged tail (the standard and chunked
+  // passes) forks once per op between two tracked allocations of its span,
+  // so every pass keeps its allocation order and tracked peak. abort_check is
   // polled by the calling thread only, at the chunk grid of a serial pass;
   // a non-OK poll stops the other threads at their next chunk. Each output
   // element goes through the same kernel code with a fixed accumulation
@@ -194,7 +198,9 @@ class LlamaModel {
   // while attention stays block-diagonal: each sequence's query rows attend
   // only its own prefix + new keys, via per-sequence row-slice calls into
   // the same dispatched kernels. RoPE positions and KV/logit writeback are
-  // per sequence. Returns one PrefillResult per sequence, in order.
+  // per sequence. Returns one PrefillResult per sequence, in order. Every
+  // mode and ablation runs the one layer body of the header comment; they
+  // choose only its schedule (span, K/V residency, linear tail, polls).
   //
   // Determinism contract: because every kernel computes each output row from
   // that row's inputs alone (fixed ascending-k accumulation, no
@@ -204,7 +210,7 @@ class LlamaModel {
   // kernel backend (tests/batching_test.cc).
   //
   // options.retention / options.prefix_budget_tokens are ignored in favor
-  // of the per-sequence fields. drop_kv_in_pass requires every sequence's
+  // of the per-sequence fields. kDropKvPerLayer requires every sequence's
   // retention to be kNone. options.abort_check polls once per pass
   // boundary, not per sequence; a non-OK poll aborts every sequence.
   Result<std::vector<PrefillResult>> PrefillBatch(
@@ -277,16 +283,6 @@ class LlamaModel {
   void QkvRows(const LayerWeights& w, const float* hidden, float* normed, float* q,
                float* k, float* v, std::span<const int32_t> positions, int64_t b,
                int64_t e, Live&& live) const;
-
-  Result<std::vector<PrefillResult>> PrefillBatchStandard(
-      std::span<const PrefillSequence> sequences, std::span<const SeqLayout> layouts,
-      const PrefillOptions& options, TrackingAllocator& act) const;
-  Result<std::vector<PrefillResult>> PrefillBatchChunked(
-      std::span<const PrefillSequence> sequences, std::span<const SeqLayout> layouts,
-      const PrefillOptions& options, TrackingAllocator& act) const;
-  Result<std::vector<PrefillResult>> PrefillBatchHybrid(
-      std::span<const PrefillSequence> sequences, std::span<const SeqLayout> layouts,
-      const PrefillOptions& options, TrackingAllocator& act) const;
 
   // Causal attention for query rows at absolute positions
   // [q_pos0, q_pos0 + q_rows) over layer `layer` of the prefix view (may be

@@ -6,8 +6,8 @@ namespace prefillonly {
 namespace {
 
 // Worst simultaneous pair of per-row linear-layer transients inside one
-// decoder layer of the standard stacked pass (src/model/llama.cc,
-// PrefillBatchStandard): normed+q, q+attn_out, attn_proj, normed2+gate_up,
+// decoder layer with a staged linear tail (src/model/llama.cc,
+// LlamaModel::PrefillBatch): normed+q, q+attn_out, attn_proj, normed2+gate_up,
 // gate_up+mlp_act, mlp_act+down. Taking the max over the pairs (instead of
 // hard-coding the Llama-ratio winner 3*intermediate) keeps the bound valid
 // for user configs with unusual width ratios.

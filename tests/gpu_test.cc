@@ -81,9 +81,7 @@ ActivationShape ShapeOf(const ModelConfig& config) {
 struct WalkerParam {
   PrefillMode mode;
   int64_t chunk;
-  bool prealloc;
-  bool in_place;
-  bool drop_kv;
+  PrefillAblation ablation;
   int64_t n_tokens;
   int64_t n_cached;
   int64_t budget;  // hybrid retained-prefix budget; <0 = keep all (std/chunked)
@@ -117,13 +115,12 @@ void ExpectWalkerMatchesMeasured(const WalkerParam& p, KernelBackend backend) {
   PrefillOptions options;
   options.mode = p.mode;
   options.chunk_size = p.chunk;
-  options.preallocate_outputs = p.prealloc;
-  options.in_place = p.in_place;
-  options.drop_kv_in_pass = p.drop_kv;
+  options.ablation = p.ablation;
   if (p.mode == PrefillMode::kHybrid && p.budget >= 0) {
     options.retention = KvRetention::kPrefixBudget;
     options.prefix_budget_tokens = p.budget;
-  } else if (p.mode != PrefillMode::kHybrid && !p.drop_kv) {
+  } else if (p.mode != PrefillMode::kHybrid &&
+             p.ablation != PrefillAblation::kDropKvPerLayer) {
     options.retention = KvRetention::kAll;
   }
 
@@ -138,9 +135,7 @@ void ExpectWalkerMatchesMeasured(const WalkerParam& p, KernelBackend backend) {
                         ? PassStrategy::kChunkedPrefill
                         : PassStrategy::kHybrid;
   walker.chunk = p.chunk;
-  walker.preallocate_outputs = p.prealloc;
-  walker.in_place = p.in_place;
-  walker.drop_kv_in_pass = p.drop_kv;
+  walker.ablation = p.ablation;
   const int64_t n_new = p.n_tokens - p.n_cached;
   if (p.mode == PrefillMode::kHybrid && p.budget >= 0) {
     walker.retained_new_tokens =
@@ -170,18 +165,18 @@ TEST_P(WalkerMatchesMeasuredTest, PeakBytesExactlyEqualOnAvx2) {
 INSTANTIATE_TEST_SUITE_P(
     Schedules, WalkerMatchesMeasuredTest,
     ::testing::Values(
-        WalkerParam{PrefillMode::kStandard, 0, true, true, false, 96, 0, -1},
-        WalkerParam{PrefillMode::kStandard, 0, true, true, false, 96, 32, -1},
-        WalkerParam{PrefillMode::kStandard, 0, true, true, true, 96, 0, -1},
-        WalkerParam{PrefillMode::kChunked, 16, true, true, false, 96, 0, -1},
-        WalkerParam{PrefillMode::kChunked, 32, true, true, false, 100, 0, -1},
-        WalkerParam{PrefillMode::kChunked, 16, true, true, false, 96, 32, -1},
-        WalkerParam{PrefillMode::kHybrid, 16, true, true, false, 96, 0, 0},
-        WalkerParam{PrefillMode::kHybrid, 16, true, true, false, 96, 0, 48},
-        WalkerParam{PrefillMode::kHybrid, 16, true, true, false, 96, 32, 64},
-        WalkerParam{PrefillMode::kHybrid, 16, true, false, false, 96, 0, 0},
-        WalkerParam{PrefillMode::kHybrid, 16, false, false, false, 96, 0, 0},
-        WalkerParam{PrefillMode::kHybrid, 128, true, true, false, 96, 0, 0}),
+        WalkerParam{PrefillMode::kStandard, 0, PrefillAblation::kNone, 96, 0, -1},
+        WalkerParam{PrefillMode::kStandard, 0, PrefillAblation::kNone, 96, 32, -1},
+        WalkerParam{PrefillMode::kStandard, 0, PrefillAblation::kDropKvPerLayer, 96, 0, -1},
+        WalkerParam{PrefillMode::kChunked, 16, PrefillAblation::kNone, 96, 0, -1},
+        WalkerParam{PrefillMode::kChunked, 32, PrefillAblation::kNone, 100, 0, -1},
+        WalkerParam{PrefillMode::kChunked, 16, PrefillAblation::kNone, 96, 32, -1},
+        WalkerParam{PrefillMode::kHybrid, 16, PrefillAblation::kNone, 96, 0, 0},
+        WalkerParam{PrefillMode::kHybrid, 16, PrefillAblation::kNone, 96, 0, 48},
+        WalkerParam{PrefillMode::kHybrid, 16, PrefillAblation::kNone, 96, 32, 64},
+        WalkerParam{PrefillMode::kHybrid, 16, PrefillAblation::kNoInPlace, 96, 0, 0},
+        WalkerParam{PrefillMode::kHybrid, 16, PrefillAblation::kNoPreallocate, 96, 0, 0},
+        WalkerParam{PrefillMode::kHybrid, 128, PrefillAblation::kNone, 96, 0, 0}),
     [](const ::testing::TestParamInfo<WalkerParam>& info) {
       const auto& p = info.param;
       std::string name = p.mode == PrefillMode::kStandard  ? "Std"
@@ -193,9 +188,9 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::to_string(p.n_tokens);
       name += 'P';
       name += std::to_string(p.n_cached);
-      if (p.drop_kv) name += "Drop";
-      if (!p.prealloc) name += "NoPre";
-      else if (!p.in_place) name += "NoIp";
+      if (p.ablation == PrefillAblation::kDropKvPerLayer) name += "Drop";
+      if (p.ablation == PrefillAblation::kNoPreallocate) name += "NoPre";
+      if (p.ablation == PrefillAblation::kNoInPlace) name += "NoIp";
       if (p.budget >= 0) {
         name += 'B';
         name += std::to_string(p.budget);
@@ -287,18 +282,17 @@ TEST(MemoryModelTest, ParallelInstancePoolSpansGpus) {
 TEST(MemoryModelTest, Fig10AblationIsMonotonic) {
   // Fig. 10: chunking < +preallocation < +in-place, all >> vanilla.
   const auto hw = HardwareSetup::A100_Qwen32B();
-  auto mil_with = [&](bool prealloc, bool in_place) {
+  auto mil_with = [&](PrefillAblation ablation) {
     MemoryModelConfig config;
-    config.hybrid_preallocate = prealloc;
-    config.hybrid_in_place = in_place;
+    config.hybrid_ablation = ablation;
     MemoryModel mem(hw.llm, hw.gpu, config);
     return mem.MaxInputLength(EngineKind::kPrefillOnly);
   };
   MemoryModel vanilla(hw.llm, hw.gpu);
   const int64_t base = vanilla.MaxInputLength(EngineKind::kPagedAttention);
-  const int64_t chunking = mil_with(false, false);
-  const int64_t prealloc = mil_with(true, false);
-  const int64_t in_place = mil_with(true, true);
+  const int64_t chunking = mil_with(PrefillAblation::kNoPreallocate);
+  const int64_t prealloc = mil_with(PrefillAblation::kNoInPlace);
+  const int64_t in_place = mil_with(PrefillAblation::kNone);
   EXPECT_GT(chunking, 3 * base);
   EXPECT_GT(prealloc, chunking);
   EXPECT_GT(in_place, prealloc);

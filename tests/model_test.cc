@@ -47,8 +47,7 @@ PrefillResult MustPrefill(const LlamaModel& model, std::span<const int32_t> toke
 struct EquivalenceParam {
   PrefillMode mode;
   int64_t chunk;
-  bool prealloc;
-  bool in_place;
+  PrefillAblation ablation;
 };
 
 class PrefillEquivalenceTest : public ::testing::TestWithParam<EquivalenceParam> {};
@@ -67,8 +66,7 @@ TEST_P(PrefillEquivalenceTest, MatchesStandardBitwise) {
   PrefillOptions options;
   options.mode = param.mode;
   options.chunk_size = param.chunk;
-  options.preallocate_outputs = param.prealloc;
-  options.in_place = param.in_place;
+  options.ablation = param.ablation;
   const auto got = MustPrefill(model, tokens, nullptr, options, act);
 
   ASSERT_EQ(expected.last_logits.size(), got.last_logits.size());
@@ -80,25 +78,25 @@ TEST_P(PrefillEquivalenceTest, MatchesStandardBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     ModesAndChunks, PrefillEquivalenceTest,
     ::testing::Values(
-        EquivalenceParam{PrefillMode::kHybrid, 1, true, true},
-        EquivalenceParam{PrefillMode::kHybrid, 7, true, true},
-        EquivalenceParam{PrefillMode::kHybrid, 16, true, true},
-        EquivalenceParam{PrefillMode::kHybrid, 64, true, true},
-        EquivalenceParam{PrefillMode::kHybrid, 97, true, true},
-        EquivalenceParam{PrefillMode::kHybrid, 128, true, true},
-        EquivalenceParam{PrefillMode::kHybrid, 16, true, false},
-        EquivalenceParam{PrefillMode::kHybrid, 16, false, false},
-        EquivalenceParam{PrefillMode::kChunked, 1, true, true},
-        EquivalenceParam{PrefillMode::kChunked, 13, true, true},
-        EquivalenceParam{PrefillMode::kChunked, 64, true, true},
-        EquivalenceParam{PrefillMode::kChunked, 97, true, true}),
+        EquivalenceParam{PrefillMode::kHybrid, 1, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kHybrid, 7, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kHybrid, 16, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kHybrid, 64, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kHybrid, 97, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kHybrid, 128, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kHybrid, 16, PrefillAblation::kNoInPlace},
+        EquivalenceParam{PrefillMode::kHybrid, 16, PrefillAblation::kNoPreallocate},
+        EquivalenceParam{PrefillMode::kChunked, 1, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kChunked, 13, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kChunked, 64, PrefillAblation::kNone},
+        EquivalenceParam{PrefillMode::kChunked, 97, PrefillAblation::kNone}),
     [](const ::testing::TestParamInfo<EquivalenceParam>& info) {
       const auto& p = info.param;
       std::string name = p.mode == PrefillMode::kHybrid ? "Hybrid" : "Chunked";
       name += "Chunk" + std::to_string(p.chunk);
-      if (!p.prealloc) {
+      if (p.ablation == PrefillAblation::kNoPreallocate) {
         name += "NoPrealloc";
-      } else if (!p.in_place) {
+      } else if (p.ablation == PrefillAblation::kNoInPlace) {
         name += "NoInPlace";
       }
       return name;
@@ -269,20 +267,19 @@ TEST(MemoryTest, PreallocationAndInPlaceEachReducePeak) {
   LlamaModel model(ModelConfig::Small(), 5);
   const auto tokens = MakeTokens(512, model.config().vocab_size, 53);
 
-  auto peak_with = [&](bool prealloc, bool in_place) {
+  auto peak_with = [&](PrefillAblation ablation) {
     TrackingAllocator alloc;
     PrefillOptions options;
     options.mode = PrefillMode::kHybrid;
     options.chunk_size = 32;
-    options.preallocate_outputs = prealloc;
-    options.in_place = in_place;
+    options.ablation = ablation;
     MustPrefill(model, tokens, nullptr, options, alloc);
     return alloc.peak_bytes();
   };
 
-  const size_t chunking_only = peak_with(false, false);
-  const size_t with_prealloc = peak_with(true, false);
-  const size_t with_in_place = peak_with(true, true);
+  const size_t chunking_only = peak_with(PrefillAblation::kNoPreallocate);
+  const size_t with_prealloc = peak_with(PrefillAblation::kNoInPlace);
+  const size_t with_in_place = peak_with(PrefillAblation::kNone);
   EXPECT_LT(with_prealloc, chunking_only);
   EXPECT_LT(with_in_place, with_prealloc);
 }
@@ -363,16 +360,20 @@ TEST(ValidationTest, RejectsFullCachedPrefix) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ValidationTest, RejectsInPlaceWithoutPrealloc) {
+TEST(ValidationTest, RejectsAblationOfAnotherMode) {
   const auto& model = TinyModel();
   const auto tokens = MakeTokens(8, model.config().vocab_size, 63);
   TrackingAllocator act;
-  PrefillOptions options;
-  options.mode = PrefillMode::kHybrid;
-  options.preallocate_outputs = false;
-  options.in_place = true;
-  auto result = model.Prefill(tokens, nullptr, options, act);
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  PrefillOptions standard;
+  standard.mode = PrefillMode::kStandard;
+  standard.ablation = PrefillAblation::kNoPreallocate;
+  EXPECT_EQ(model.Prefill(tokens, nullptr, standard, act).status().code(),
+            StatusCode::kInvalidArgument);
+  PrefillOptions hybrid;
+  hybrid.mode = PrefillMode::kHybrid;
+  hybrid.ablation = PrefillAblation::kDropKvPerLayer;
+  EXPECT_EQ(model.Prefill(tokens, nullptr, hybrid, act).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ValidationTest, RejectsDropKvWithRetention) {
@@ -381,7 +382,7 @@ TEST(ValidationTest, RejectsDropKvWithRetention) {
   TrackingAllocator act;
   PrefillOptions options;
   options.mode = PrefillMode::kStandard;
-  options.drop_kv_in_pass = true;
+  options.ablation = PrefillAblation::kDropKvPerLayer;
   options.retention = KvRetention::kAll;
   auto result = model.Prefill(tokens, nullptr, options, act);
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
