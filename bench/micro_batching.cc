@@ -14,8 +14,8 @@
 // swept over {1, 2, 4, 8}.
 //
 // Output: a human table plus BENCH_batching.json (reference copy checked
-// into the repo root, under po_bench's provenance header). Acceptance bar (ISSUE 4): batched throughput at
-// batch size 4 on short prompts >= solo.
+// into the repo root, under po_bench's provenance header). Acceptance
+// bar: batched throughput at batch size 4 on short prompts >= solo.
 //
 // ISSUE 9 adds a mixed-length scenario: lengths cycling across several
 // power-of-two LengthBuckets, drained once under the legacy bucket rule and

@@ -59,7 +59,9 @@ void FullWidthLayer(Ledger& ledger, const ActivationShape& s, int64_t rows,
 // The standard and chunked passes: resident (or per-layer) KV, the score
 // row, then per span of rows — the whole sequence, or one chunk — its
 // hidden rows and every layer over them. All full spans are identical, so
-// replaying one suffices for the peak.
+// replaying one suffices for the peak. (The model allocates a whole-sequence
+// span's hidden rows first; all three live for the whole pass, so the order
+// does not move the peak.)
 PassPeak Staged(const ActivationShape& s, int64_t n_new, int64_t n_total,
                 const PassOptions& opt) {
   Ledger ledger;
@@ -84,6 +86,7 @@ PassPeak Hybrid(const ActivationShape& s, int64_t n_new, int64_t n_total,
                 const PassOptions& opt) {
   Ledger ledger;
   const int64_t chunk = std::min(opt.chunk, n_new);
+  ledger.Alloc(n_new * s.hidden * s.act_bytes);  // hidden
   if (opt.retained_new_tokens > 0) {
     ledger.Alloc(s.n_layers * 2 * opt.retained_new_tokens * s.kv_width * s.kv_bytes);
   }
@@ -98,7 +101,6 @@ PassPeak Hybrid(const ActivationShape& s, int64_t n_new, int64_t n_total,
   if (opt.ablation == PrefillAblation::kNoInPlace) {
     ledger.Alloc(n_new * s.hidden * s.act_bytes);  // proj
   }
-  ledger.Alloc(n_new * s.hidden * s.act_bytes);  // hidden, the pass's one span
 
   // Mirrors per_chunk_outputs in llama.cc. Without preallocation the chunk
   // outputs pile up and a full-width concat target is allocated while they

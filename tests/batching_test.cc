@@ -327,70 +327,70 @@ constexpr bool kSmall = true;
 using enum PinnedPass;
 
 constexpr PinnedCell kPinnedCells[] = {
-        {kTiny, kStd, KvRetention::kNone, 0, 519000, 2, 0xd98218e1d41c5f90ull},
-        {kTiny, kStd, KvRetention::kNone, 32, 408408, 2, 0xf85299a5dd04a6a0ull},
-        {kTiny, kStd, KvRetention::kAll, 0, 519000, 2, 0xcc66a651897cc6e8ull},
-        {kTiny, kStd, KvRetention::kAll, 32, 408408, 2, 0x6a81b07035732538ull},
-        {kTiny, kStd, KvRetention::kPrefixBudget, 0, 519000, 2, 0xf4bf7b3d8a575198ull},
-        {kTiny, kStd, KvRetention::kPrefixBudget, 32, 408408, 2, 0xe0785e037de01a68ull},
+        {kTiny, kStd, KvRetention::kNone, 0, 519000, 2, 0xc4322ebecd0fca68ull},
+        {kTiny, kStd, KvRetention::kNone, 32, 408408, 2, 0x2c749e8804503af8ull},
+        {kTiny, kStd, KvRetention::kAll, 0, 519000, 2, 0xa64edd12b81326d0ull},
+        {kTiny, kStd, KvRetention::kAll, 32, 408408, 2, 0x29679ad3c2184560ull},
+        {kTiny, kStd, KvRetention::kPrefixBudget, 0, 519000, 2, 0xbfe04d3d80dbf938ull},
+        {kTiny, kStd, KvRetention::kPrefixBudget, 32, 408408, 2, 0xdc1f105019e560c8ull},
         {kTiny, kChunked, KvRetention::kNone, 0, 148056, 7, 0x28e3caaed9b0492cull},
         {kTiny, kChunked, KvRetention::kNone, 32, 131672, 5, 0xe7c1771885907ee8ull},
         {kTiny, kChunked, KvRetention::kAll, 0, 148056, 7, 0x7223c438387abba4ull},
         {kTiny, kChunked, KvRetention::kAll, 32, 131672, 5, 0xdc432c04bfe881c0ull},
         {kTiny, kChunked, KvRetention::kPrefixBudget, 0, 148056, 7, 0xaca84e25c8491ec4ull},
         {kTiny, kChunked, KvRetention::kPrefixBudget, 32, 131672, 5, 0xd1fe9958d8da3310ull},
-        {kTiny, kHybrid, KvRetention::kNone, 0, 257112, 42, 0x31f2da3d3f04b58aull},
-        {kTiny, kHybrid, KvRetention::kNone, 32, 216152, 30, 0x9bee66c8d44d410aull},
-        {kTiny, kHybrid, KvRetention::kAll, 0, 333912, 42, 0x8b5cd7f1b07a6416ull},
-        {kTiny, kHybrid, KvRetention::kAll, 32, 276568, 30, 0x8468d4ba7e942916ull},
-        {kTiny, kHybrid, KvRetention::kPrefixBudget, 0, 306264, 42, 0xdb6c581bea2f781aull},
-        {kTiny, kHybrid, KvRetention::kPrefixBudget, 32, 248920, 30, 0x2adae365589fe67aull},
-        {kTiny, kHybridNoInPlace, KvRetention::kNone, 0, 295512, 42, 0xa21b7dcb15e9b2ccull},
-        {kTiny, kHybridNoInPlace, KvRetention::kNone, 32, 246360, 30, 0x5b086290fbb0662cull},
-        {kTiny, kHybridNoInPlace, KvRetention::kAll, 0, 372312, 42, 0x204bc577da9abe40ull},
-        {kTiny, kHybridNoInPlace, KvRetention::kAll, 32, 306776, 30, 0x22292450dfc9f900ull},
-        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 344664, 42, 0xa59b722306d392fcull},
-        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 279128, 30, 0xed51e4375111debcull},
-        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 0, 333912, 42, 0xbbce7303ce36cb74ull},
-        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 32, 276568, 30, 0x2c5a1ea66b352588ull},
-        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 0, 410712, 42, 0xbc19b3c76886fda0ull},
-        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 32, 336984, 30, 0x2242e402792d3c24ull},
-        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 383064, 42, 0x5044eb9f5a9d5384ull},
-        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 309336, 30, 0xb11647b3378fab8ull},
-        {kTiny, kStdDrop, KvRetention::kNone, 0, 480600, 2, 0x5ad522536b946c10ull},
-        {kTiny, kStdDrop, KvRetention::kNone, 32, 378200, 2, 0x60c869e34c7f2b38ull},
-        {kSmall, kStd, KvRetention::kNone, 0, 1037400, 4, 0xeb4b9e78fa928df0ull},
-        {kSmall, kStd, KvRetention::kNone, 32, 816216, 4, 0xa5b1f5a76444344cull},
-        {kSmall, kStd, KvRetention::kAll, 0, 1037400, 4, 0x47225d5d87f04d00ull},
-        {kSmall, kStd, KvRetention::kAll, 32, 816216, 4, 0xcaf822a4a70dd53cull},
-        {kSmall, kStd, KvRetention::kPrefixBudget, 0, 1037400, 4, 0x4d56fd82068cfc80ull},
-        {kSmall, kStd, KvRetention::kPrefixBudget, 32, 816216, 4, 0x283f11acfdd4d57cull},
+        {kTiny, kHybrid, KvRetention::kNone, 0, 257112, 42, 0x98b08659c998485aull},
+        {kTiny, kHybrid, KvRetention::kNone, 32, 216152, 30, 0xd77930f11b9c07baull},
+        {kTiny, kHybrid, KvRetention::kAll, 0, 333912, 42, 0x1127ea18d8d709beull},
+        {kTiny, kHybrid, KvRetention::kAll, 32, 276568, 30, 0x915149a97be457eull},
+        {kTiny, kHybrid, KvRetention::kPrefixBudget, 0, 306264, 42, 0x1f63a28ab128a90aull},
+        {kTiny, kHybrid, KvRetention::kPrefixBudget, 32, 248920, 30, 0xc8a76b5e020b08eaull},
+        {kTiny, kHybridNoInPlace, KvRetention::kNone, 0, 295512, 42, 0x296a473c925e5fbcull},
+        {kTiny, kHybridNoInPlace, KvRetention::kNone, 32, 246360, 30, 0xe8f97e68fa61067cull},
+        {kTiny, kHybridNoInPlace, KvRetention::kAll, 0, 372312, 42, 0xf1902ca8cf570538ull},
+        {kTiny, kHybridNoInPlace, KvRetention::kAll, 32, 306776, 30, 0xffda5a6bf35dd518ull},
+        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 344664, 42, 0xf26c0ec78d591f8cull},
+        {kTiny, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 279128, 30, 0xafa40ece23f8558cull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 0, 333912, 42, 0x2b061baabd60c638ull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kNone, 32, 276568, 30, 0x7bdf3b2fbd80f1fcull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 0, 410712, 42, 0xc848459212353eccull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kAll, 32, 336984, 30, 0x3a17bc6f3a44ef00ull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 383064, 42, 0x24aec6420a82ff68ull},
+        {kTiny, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 309336, 30, 0xe337b172b54752cull},
+        {kTiny, kStdDrop, KvRetention::kNone, 0, 480600, 2, 0x12a6a55dc05aae58ull},
+        {kTiny, kStdDrop, KvRetention::kNone, 32, 378200, 2, 0xb59e2533cc646ee0ull},
+        {kSmall, kStd, KvRetention::kNone, 0, 1037400, 4, 0x34e3a0a45d633c04ull},
+        {kSmall, kStd, KvRetention::kNone, 32, 816216, 4, 0xb5bf5d6420a30a28ull},
+        {kSmall, kStd, KvRetention::kAll, 0, 1037400, 4, 0x8f466c3d9bc21a34ull},
+        {kSmall, kStd, KvRetention::kAll, 32, 816216, 4, 0xa14a1742aa259cd8ull},
+        {kSmall, kStd, KvRetention::kPrefixBudget, 0, 1037400, 4, 0x5c4a677eaaf0b3b4ull},
+        {kSmall, kStd, KvRetention::kPrefixBudget, 32, 816216, 4, 0xce363a6c2f456258ull},
         {kSmall, kChunked, KvRetention::kNone, 0, 295512, 7, 0x5ad93c50c4aeed68ull},
         {kSmall, kChunked, KvRetention::kNone, 32, 262744, 5, 0x4cd752452ba52cb4ull},
         {kSmall, kChunked, KvRetention::kAll, 0, 295512, 7, 0x92665d90ee2f9c78ull},
         {kSmall, kChunked, KvRetention::kAll, 32, 262744, 5, 0x66919d6062bdc8e4ull},
         {kSmall, kChunked, KvRetention::kPrefixBudget, 0, 295512, 7, 0x730d1a7369c76478ull},
         {kSmall, kChunked, KvRetention::kPrefixBudget, 32, 262744, 5, 0xeff32b1c88e7e864ull},
-        {kSmall, kHybrid, KvRetention::kNone, 0, 475224, 84, 0xb73618b3cb22d858ull},
-        {kSmall, kHybrid, KvRetention::kNone, 32, 401496, 60, 0x4f88d45230929c42ull},
-        {kSmall, kHybrid, KvRetention::kAll, 0, 628824, 84, 0x6673caa1d9c8cde0ull},
-        {kSmall, kHybrid, KvRetention::kAll, 32, 522328, 60, 0xc37c7239703848eaull},
-        {kSmall, kHybrid, KvRetention::kPrefixBudget, 0, 573528, 84, 0x6fd072f1c4614eb8ull},
-        {kSmall, kHybrid, KvRetention::kPrefixBudget, 32, 467032, 60, 0x1b04b39a06e9eba2ull},
-        {kSmall, kHybridNoInPlace, KvRetention::kNone, 0, 552024, 84, 0xd04d3b0625606902ull},
-        {kSmall, kHybridNoInPlace, KvRetention::kNone, 32, 461912, 60, 0x94a516821694d958ull},
-        {kSmall, kHybridNoInPlace, KvRetention::kAll, 0, 705624, 84, 0x31fa06b6978b523aull},
-        {kSmall, kHybridNoInPlace, KvRetention::kAll, 32, 582744, 60, 0xeef1dd2276e14450ull},
-        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 650328, 84, 0x96ac3b55b596fea2ull},
-        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 527448, 60, 0x608105c02ec5f9f8ull},
-        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 0, 628824, 84, 0xb30d7204de072748ull},
-        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 32, 522328, 60, 0xe5cdcd1a5bc56728ull},
-        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 0, 782424, 84, 0x935ab491ff5d7b30ull},
-        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 32, 643160, 60, 0x5d3054b05f016e30ull},
-        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 727128, 84, 0xd738c94f26d605a8ull},
-        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 587864, 60, 0xf5a095c0e8b0ab08ull},
-        {kSmall, kStdDrop, KvRetention::kNone, 0, 922200, 4, 0xb7b89c345bc12168ull},
-        {kSmall, kStdDrop, KvRetention::kNone, 32, 725592, 4, 0x570913cff99dbb14ull},
+        {kSmall, kHybrid, KvRetention::kNone, 0, 475224, 84, 0x6b1287aac8416708ull},
+        {kSmall, kHybrid, KvRetention::kNone, 32, 401496, 60, 0xa139ecfc9f477a8eull},
+        {kSmall, kHybrid, KvRetention::kAll, 0, 628824, 84, 0x2267ee5c35726d20ull},
+        {kSmall, kHybrid, KvRetention::kAll, 32, 522328, 60, 0x2f504e3db3bc0e36ull},
+        {kSmall, kHybrid, KvRetention::kPrefixBudget, 0, 573528, 84, 0xbcb29234446bf268ull},
+        {kSmall, kHybrid, KvRetention::kPrefixBudget, 32, 467032, 60, 0xddbed3df0561adbeull},
+        {kSmall, kHybridNoInPlace, KvRetention::kNone, 0, 552024, 84, 0x4e208cea68c37222ull},
+        {kSmall, kHybridNoInPlace, KvRetention::kNone, 32, 461912, 60, 0x8b365ee8d439db8cull},
+        {kSmall, kHybridNoInPlace, KvRetention::kAll, 0, 705624, 84, 0x49fdee0d732a192aull},
+        {kSmall, kHybridNoInPlace, KvRetention::kAll, 32, 582744, 60, 0x9c93791672416244ull},
+        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 0, 650328, 84, 0x14287bbc240ee42ull},
+        {kSmall, kHybridNoInPlace, KvRetention::kPrefixBudget, 32, 527448, 60, 0xd8f9939da3756b1cull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 0, 628824, 84, 0x29e04c09d28dad78ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kNone, 32, 522328, 60, 0x7c35789f32690db8ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 0, 782424, 84, 0x412a73806c22f130ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kAll, 32, 643160, 60, 0x47264d0be1664700ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 0, 727128, 84, 0x8c8aaea427189dd8ull},
+        {kSmall, kHybridNoPrealloc, KvRetention::kPrefixBudget, 32, 587864, 60, 0xf930fbbdd4826b28ull},
+        {kSmall, kStdDrop, KvRetention::kNone, 0, 922200, 4, 0x73cb6f2bbcdf601cull},
+        {kSmall, kStdDrop, KvRetention::kNone, 32, 725592, 4, 0x402e641eabe70f70ull},
 };
 
 constexpr PinnedPass kAllPasses[] = {kStd,           kChunked,         kHybrid,
