@@ -16,7 +16,8 @@
 // The tree makes both impossible (leaf-only eviction), so at equal
 // capacity it converts the same block budget into strictly more reusable
 // prefix tokens. Output: a human table plus BENCH_prefix_cache.json
-// (reference copy checked into the repo root). Acceptance bar (ISSUE 7):
+// (reference copy checked into the repo root, under po_bench's provenance
+// header; no host changes its counts). Acceptance bar (ISSUE 7):
 // tree hit-rate >= flat hit-rate on every shared-prefix cell.
 #include <algorithm>
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bench/provenance.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/kvcache/prefix_cache.h"
@@ -272,12 +274,15 @@ int main() {
   std::printf("(flat_scan = entries examined by the baseline's per-eviction "
               "full-table victim scan; the tree pops its LRU list head in O(1))\n");
 
+  const po_bench::HostInfo host = bench::ProbeCheckout();
   FILE* f = std::fopen("BENCH_prefix_cache.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_prefix_cache.json\n");
     return 1;
   }
-  std::fprintf(f, "{\n  \"prefix_cache\": [\n");
+  std::fprintf(f, "{\n  ");
+  bench::WriteHostFields(f, host);
+  std::fprintf(f, "},\n  \"prefix_cache\": [\n");
   for (size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
     std::fprintf(f,

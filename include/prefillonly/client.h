@@ -103,7 +103,6 @@ struct ClientOptions {
   uint64_t activation_budget_bytes = 0;
   // Prefix-cache budget in tokens (0 disables caching) and KV block size.
   int64_t cache_budget_tokens = 4096;
-  int64_t cpu_offload_budget_tokens = 0;
   int block_size = 32;
   // Engine replicas behind the facade (ISSUE 8). Every replica is built
   // from this same configuration (identical deterministic weights), and
@@ -145,8 +144,7 @@ struct ScoreResult {
   double score = 0.0;
   std::vector<TokenScore> probabilities;
   int64_t n_input = 0;
-  int64_t n_cached = 0;          // prefix tokens served from any cache tier
-  int64_t n_cached_offload = 0;  // subset reloaded from the CPU offload tier
+  int64_t n_cached = 0;          // prefix tokens served from the prefix cache
   int64_t batch_size = 1;        // requests co-executed in the same prefill
   double queue_time_s = 0.0;
   double execute_time_s = 0.0;

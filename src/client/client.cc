@@ -59,7 +59,6 @@ ReplicaSetOptions ToReplicaSetOptions(const ClientOptions& options) {
   engine.max_batch_size = options.max_batch_size;
   engine.activation_budget_bytes = static_cast<size_t>(options.activation_budget_bytes);
   engine.cache_budget_tokens = options.cache_budget_tokens;
-  engine.cpu_offload_budget_tokens = options.cpu_offload_budget_tokens;
   engine.block_size = options.block_size;
   return cluster;
 }
@@ -81,7 +80,6 @@ ScoreResult ToScoreResult(const Result<ScoringResponse>& result) {
   }
   out.n_input = response.n_input;
   out.n_cached = response.n_cached;
-  out.n_cached_offload = response.n_cached_offload;
   out.batch_size = response.batch_size;
   out.queue_time_s = response.queue_time_s;
   out.execute_time_s = response.execute_time_s;
@@ -178,7 +176,6 @@ Result<ScoringResponse> ParseScoringResponse(const Json& body) {
   }
   response.n_input = JsonInt(body, "n_input");
   response.n_cached = JsonInt(body, "n_cached");
-  response.n_cached_offload = JsonInt(body, "n_cached_offload");
   response.batch_size = JsonInt(body, "batch_size", 1);
   response.queue_time_s = JsonDouble(body, "queue_time_s");
   response.execute_time_s = JsonDouble(body, "execute_time_s");

@@ -35,7 +35,7 @@
 //   alloc.kv_block     BlockAllocator::Allocate returns kResourceExhausted
 //   cache.force_miss   PrefixCache::Acquire matches zero blocks
 //   offload.read       OffloadDirectory::MatchContinuation reads nothing
-//   offload.write      demotion to the offload tier is dropped (write error)
+//                      (the simulator's offload tier, src/engine)
 //   socket.recv        HttpServer read() observes a transient EINTR
 //   socket.send        HttpServer send() fails mid-response (connection lost)
 //   socket.short_write HttpServer send() accepts only a few bytes per call
@@ -63,7 +63,6 @@ inline constexpr char kAllocActivation[] = "alloc.activation";
 inline constexpr char kAllocKvBlock[] = "alloc.kv_block";
 inline constexpr char kCacheForceMiss[] = "cache.force_miss";
 inline constexpr char kOffloadRead[] = "offload.read";
-inline constexpr char kOffloadWrite[] = "offload.write";
 inline constexpr char kSocketRecv[] = "socket.recv";
 inline constexpr char kSocketSend[] = "socket.send";
 inline constexpr char kSocketShortWrite[] = "socket.short_write";

@@ -42,33 +42,10 @@ Engine::Engine(EngineOptions options, std::shared_ptr<ThreadPool> pool)
   cache_ = std::make_unique<PrefixCache>(options_.block_size, pool_blocks);
   store_ = std::make_unique<KvBlockStore>(options_.model, options_.block_size,
                                           cache_memory_);
-  offload_dir_ = std::make_unique<OffloadDirectory>(
-      options_.cpu_offload_budget_tokens / std::max(options_.block_size, 1));
   // The listener fires from cache_ operations, which the engine only invokes
-  // with cache_mu_ held — it may touch every cache-tier member.
-  cache_->SetEvictionListener([this](uint64_t hash, BlockId block, int64_t depth) {
-    if (offload_dir_->capacity_blocks() <= 0) {
-      store_->Drop(block);
-      return;
-    }
-    // Demote instead of discard (§9): copy the payload to the CPU tier. An
-    // injected write error loses the demotion — the block degrades to a
-    // plain discard and a later request recomputes it.
-    KvBlock payload = store_->Take(block);
-    if (payload.empty()) {
-      return;
-    }
-    if (FaultInjector::Global().Fire(fault::kOffloadWrite)) {
-      return;
-    }
-    offload_payloads_[hash] = CloneBlock(payload, offload_memory_);
-    ++offload_demotions_;
-    // Insert reports the displaced hash as an optional: 0 is a valid chain
-    // hash, so "nothing evicted" must not be encoded in-band.
-    if (const auto displaced = offload_dir_->Insert(hash, depth)) {
-      offload_payloads_.erase(*displaced);
-    }
-  });
+  // with cache_mu_ held — it may touch the store.
+  cache_->SetEvictionListener(
+      [this](uint64_t /*hash*/, BlockId block, int64_t /*depth*/) { store_->Drop(block); });
   batch_budget_ = MakeBatchBudget(options_.model, options_.mode,
                                   options_.activation_budget_bytes,
                                   options_.block_size);
@@ -390,20 +367,16 @@ Engine::BatchDecision Engine::PickBatchIds(
       entry.priority = c.priority;
       entry.group = c.group;
       // Continuous JCT calibration: the hit length is refreshed against the
-      // live cache on every decision. Offloaded blocks count as cached:
-      // their reload is far cheaper than recomputation.
-      const int64_t gpu_match = cache_->MatchTokens(*c.chain);
-      const int64_t offload_match =
-          offload_dir_->PeekContinuation(*c.chain, gpu_match / options_.block_size) *
-          options_.block_size;
-      const int64_t match = std::min(gpu_match + offload_match, entry.n_input - 1);
+      // live cache on every decision.
+      const int64_t cache_match = cache_->MatchTokens(*c.chain);
+      const int64_t match = std::min(cache_match, entry.n_input - 1);
       entry.n_cached_at_arrival = match;  // static policies are approximated
       entry.n_cached_now = calibrate ? match : entry.n_cached_at_arrival;
       if (calibrate) {
         // Calibration that sees in-flight work: the first uncached block
         // the request could reuse, while it is still reusable (inside the
         // cache budget and before the always-recomputed final token).
-        const int64_t next_block = (gpu_match + offload_match) / options_.block_size;
+        const int64_t next_block = cache_match / options_.block_size;
         const int64_t reusable_blocks =
             std::min({static_cast<int64_t>(c.chain->size()), cache_->capacity_blocks(),
                       (entry.n_input - 1) / options_.block_size});
@@ -527,8 +500,8 @@ void Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
   // the cache budget is ever granted blocks.
   out.budget_blocks = std::min<int64_t>(static_cast<int64_t>(pending.chain->size()),
                                         cache_->capacity_blocks());
-  std::span<const uint64_t> chain(*pending.chain);
-  out.chain = chain.subspan(0, static_cast<size_t>(out.budget_blocks));
+  const auto chain = std::span<const uint64_t>(*pending.chain)
+                         .subspan(0, static_cast<size_t>(out.budget_blocks));
 
   // --- Cache acquire + prefix view, atomic under cache_mu_ -------------
   // Token-accurate hit-rate accounting: the request presents every token up
@@ -540,7 +513,7 @@ void Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
           ? out.budget_blocks * options_.block_size
           : n_tokens;
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  auto acquired = cache_->Acquire(out.chain, out.budget_blocks, lookup_tokens);
+  auto acquired = cache_->Acquire(chain, out.budget_blocks, lookup_tokens);
   if (!acquired.ok()) {
     // The blocks cannot be reserved: other lanes pin the pool, or an
     // allocation fault was injected. The member runs cold — `out` goes back
@@ -551,27 +524,14 @@ void Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
   }
   out.acq = acquired.take();
 
-  // Block-aligned prefix reuse; the final token is always recomputed. The
-  // GPU-tier match may continue into the offload tier (§9).
-  const int64_t gpu_matched = out.acq.matched_blocks;
-  const int64_t offload_matched = offload_dir_->MatchContinuation(out.chain, gpu_matched);
+  // Block-aligned prefix reuse; the final token is always recomputed.
   const int64_t max_prefix_blocks = (n_tokens - 1) / options_.block_size;
-  out.prefix_blocks = std::min(gpu_matched + offload_matched, max_prefix_blocks);
-  out.gpu_prefix_blocks = std::min(gpu_matched, out.prefix_blocks);
+  const int64_t prefix_blocks = std::min(out.acq.matched_blocks, max_prefix_blocks);
 
-  // The pass reads the prefix in place. GPU-tier blocks are pinned, so no
-  // lane evicts, demotes or overwrites them before PublishKv; offloaded ones
-  // are promoted here, cloned into cache memory (the simulated H2D transfer)
-  // under this acquisition's fresh ids, which no other lane can see.
-  for (int64_t b = 0; b < out.prefix_blocks; ++b) {
-    const BlockId block = out.acq.blocks[static_cast<size_t>(b)];
-    if (b >= out.gpu_prefix_blocks) {
-      auto payload = offload_payloads_.find(out.chain[static_cast<size_t>(b)]);
-      assert(payload != offload_payloads_.end());
-      store_->PutBlock(block, CloneBlock(payload->second, cache_memory_));
-      offload_hit_tokens_ += options_.block_size;
-    }
-    const KvBlock* rows = store_->Find(block);
+  // The pass reads the prefix in place: the blocks are pinned, so no lane
+  // evicts or overwrites them before PublishKv.
+  for (int64_t b = 0; b < prefix_blocks; ++b) {
+    const KvBlock* rows = store_->Find(out.acq.blocks[static_cast<size_t>(b)]);
     assert(rows != nullptr);
     out.prefix.Append(rows->layers);
   }
@@ -579,30 +539,15 @@ void Engine::AcquirePrefix(const Pending& pending, PrefixAcq& out) {
 
 void Engine::PublishKv(PrefixAcq& pa, const PrefillResult* pass) {
   // --- Cache release + KV publication, atomic under cache_mu_ ----------
-  // Hand the retained fresh prefix blocks to the cache + payload store. A
-  // promoted block stays if Release inserts it (its offload copy goes), and
-  // is dropped if not: the failure path, or a sibling cached the hash first.
+  // Hand the retained fresh prefix blocks to the cache + payload store.
   // A member that ran cold holds no acquisition and releases nothing.
   if (!pa.acq.active) {
     return;
   }
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  std::vector<BlockId> freed(pa.acq.blocks.begin() + pa.gpu_prefix_blocks,
-                             pa.acq.blocks.begin() + pa.prefix_blocks);
   const auto inserted = cache_->Release(pa.acq, pass != nullptr ? pa.budget_blocks : 0);
   for (const auto& [block_index, block_id] : inserted) {
-    if (block_index < pa.prefix_blocks) {
-      const uint64_t hash = pa.chain[static_cast<size_t>(block_index)];
-      offload_payloads_.erase(hash);
-      offload_dir_->Erase(hash);
-      ++offload_promotions_;
-      std::erase(freed, block_id);
-    } else {
-      store_->Put(block_id, pass->kv, pass->kv_start, block_index);
-    }
-  }
-  for (const BlockId block : freed) {
-    store_->Drop(block);
+    store_->Put(block_id, pass->kv, pass->kv_start, block_index);
   }
 }
 
@@ -664,8 +609,8 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
 
   // One stacked prefill for every live member. It runs without any engine
   // lock: the model is immutable, the prefixes are views of blocks this
-  // lane has pinned or promoted (no other lane writes or frees them before
-  // PublishKv), and each fork-join borrows whichever pool workers are idle.
+  // lane has pinned (no other lane writes or frees them before PublishKv),
+  // and each fork-join borrows whichever pool workers are idle.
   auto passes = model_->PrefillBatch(sequences, prefill, activations);
   if (!passes.ok()) {
     // Release every pin before anyone retries.
@@ -702,8 +647,6 @@ std::vector<Result<ScoringResponse>> Engine::ExecuteOnArena(
     response.score = response.probabilities[0].probability;
     response.n_input = static_cast<int64_t>(pendings[i].request.tokens.size());
     response.n_cached = acqs[i].prefix.n_tokens;
-    response.n_cached_offload =
-        (acqs[i].prefix_blocks - acqs[i].gpu_prefix_blocks) * options_.block_size;
     response.batch_size = static_cast<int64_t>(live.size());
     response.queue_time_s = start_s - pendings[i].arrival_s;
     response.execute_time_s = NowSeconds() - start_s;
@@ -999,9 +942,6 @@ Status Engine::CheckInvariants() const {
                       static_cast<size_t>(cache_->free_blocks() + cached),
                       cache_->capacity_blocks());
   }
-  if (static_cast<int64_t>(offload_payloads_.size()) != offload_dir_->size()) {
-    return idle_error("offload payloads:", offload_payloads_.size(), offload_dir_->size());
-  }
   return cache_->CheckIdle();
 }
 
@@ -1012,13 +952,6 @@ EngineStats Engine::stats() const {
   std::lock_guard<std::mutex> cache_lock(cache_mu_);
   out.cache_bytes = cache_memory_.current_bytes();
   out.cache = cache_->stats();
-  out.offload_bytes = offload_memory_.current_bytes();
-  out.offload_hit_tokens = offload_hit_tokens_;
-  out.offload_demotions = offload_demotions_;
-  out.offload_promotions = offload_promotions_;
-  out.offload_evictions = offload_dir_->evictions();
-  out.offload_read_hits = offload_dir_->read_hits();
-  out.offload_read_misses = offload_dir_->read_misses();
   return out;
 }
 

@@ -40,7 +40,7 @@
 // Determinism contract: a request's logits are bitwise identical whether it
 // ran on 1, 4, or all workers, alone or alongside other requests
 // (tests/concurrency_test.cc). Lock hierarchy (docs/CONCURRENCY.md):
-// mu_ (dispatch/stats) may be taken before cache_mu_ (cache tiers), never
+// mu_ (dispatch/stats) may be taken before cache_mu_ (prefix cache), never
 // the reverse; neither is held across a model prefill.
 #ifndef SRC_CORE_ENGINE_H_
 #define SRC_CORE_ENGINE_H_
@@ -66,7 +66,6 @@
 #include "src/common/thread_pool.h"
 #include "src/core/kv_block_store.h"
 #include "src/core/request.h"
-#include "src/kvcache/offload_directory.h"
 #include "src/kvcache/prefix_cache.h"
 #include "src/model/llama.h"
 #include "src/sched/jct.h"
@@ -147,10 +146,6 @@ struct EngineOptions {
   // Prefix-cache budget in tokens; KV beyond it is discarded (suffix KV
   // cache discarding). 0 disables caching entirely.
   int64_t cache_budget_tokens = 4096;
-  // Second-tier budget (§9 "offloading the KV caches to CPU"): blocks
-  // evicted from the primary cache are demoted here instead of discarded,
-  // and reloaded on a later hit. 0 keeps the paper's default (discard).
-  int64_t cpu_offload_budget_tokens = 0;
   int block_size = 32;
 
   int64_t max_input_length = 1 << 20;
@@ -242,14 +237,6 @@ struct EngineStats {
   size_t peak_activation_bytes = 0;
   size_t cache_bytes = 0;
   PrefixCacheStats cache;
-  // Offload tier (zeros unless cpu_offload_budget_tokens > 0).
-  size_t offload_bytes = 0;
-  int64_t offload_hit_tokens = 0;
-  int64_t offload_demotions = 0;   // GPU-tier evictions written to the tier
-  int64_t offload_promotions = 0;  // reloads published back to the GPU tier
-  int64_t offload_evictions = 0;   // directory LRU displacements (payload lost)
-  int64_t offload_read_hits = 0;   // continuation lookups that found blocks
-  int64_t offload_read_misses = 0;
 };
 
 // How the replica merge (ReplicaSet::Stats) folds one counter into the
@@ -295,13 +282,6 @@ void ForEachEngineCounter(Fn&& fn, Stats&... stats) {
   fn("cache_evictions", StatMerge::kSum, stats.cache.evictions...);
   fn("cache_insertions", StatMerge::kSum, stats.cache.insertions...);
   fn("cache_failed_acquires", StatMerge::kSum, stats.cache.failed_acquires...);
-  fn("offload_bytes", StatMerge::kSum, stats.offload_bytes...);
-  fn("offload_hit_tokens", StatMerge::kSum, stats.offload_hit_tokens...);
-  fn("offload_demotions", StatMerge::kSum, stats.offload_demotions...);
-  fn("offload_promotions", StatMerge::kSum, stats.offload_promotions...);
-  fn("offload_evictions", StatMerge::kSum, stats.offload_evictions...);
-  fn("offload_read_hits", StatMerge::kSum, stats.offload_read_hits...);
-  fn("offload_read_misses", StatMerge::kSum, stats.offload_read_misses...);
 }
 
 class Engine {
@@ -399,8 +379,8 @@ class Engine {
   //    + running;
   //  * when nothing is queued or running: the in-flight prefix registry is
   //    empty, the store holds one payload per cached block, every pool block
-  //    is free or cached, each offload directory entry has a payload, and
-  //    the prefix tree holds no pin (PrefixCache::CheckIdle).
+  //    is free or cached, and the prefix tree holds no pin
+  //    (PrefixCache::CheckIdle).
   Status CheckInvariants() const;
   // Seconds since engine construction (the queueing-time clock).
   double NowSeconds() const;
@@ -451,22 +431,17 @@ class Engine {
     std::shared_ptr<const std::vector<uint64_t>> chain;
   };
 
-  // Everything one request's prefill needs from the cache tiers, produced
+  // Everything one request's prefill needs from the prefix cache, produced
   // atomically under cache_mu_ by AcquirePrefix and read lock-free by the
   // prefill, then released/published by PublishKv. A member that runs cold
   // keeps it default: no active acquisition, budget 0, an empty prefix.
   struct PrefixAcq {
     Acquisition acq;
-    int64_t budget_blocks = 0;      // suffix-discarding budget, in blocks
-    int64_t prefix_blocks = 0;      // reused prefix length, in blocks
-    int64_t gpu_prefix_blocks = 0;  // subset resident in the primary tier
-    // The pass's prefix, prefix_blocks * block_size tokens: a view of the
-    // store rows of acq.blocks[0, prefix_blocks), the pinned GPU-tier
-    // blocks then the promoted ones. Valid until PublishKv.
+    int64_t budget_blocks = 0;  // suffix-discarding budget, in blocks
+    // The pass's prefix: a view of the store rows of the pinned matched
+    // blocks that end before the request's final token. Valid until
+    // PublishKv.
     KvView prefix;
-    // Hash chain truncated to budget_blocks; backed by Pending::chain, so
-    // the Pending must outlive this struct.
-    std::span<const uint64_t> chain;
   };
 
   Status Validate(const ScoringRequest& request) const;
@@ -482,14 +457,12 @@ class Engine {
   // Removes every waiting request whose deadline has lapsed; requires mu_.
   // The caller fulfills their promises (kDeadlineExceeded) WITHOUT mu_.
   std::vector<Pending> TakeExpiredLocked(double now);
-  // Cache acquire in one cache_mu_ hold: pins the GPU-tier match, promotes
-  // the offloaded continuation into the store under the acquisition's fresh
-  // block ids, and builds the prefix view (no copy into the lane's arena).
+  // Cache acquire in one cache_mu_ hold: pins the match and builds the
+  // prefix view over the pinned blocks (no copy into the lane's arena).
   // When PrefixCache::Acquire cannot reserve the blocks, `out` stays empty
   // and the member runs cold: no prefix, no retained KV, nothing to publish.
   void AcquirePrefix(const Pending& pending, PrefixAcq& out);
-  // Cache release + KV publication, atomic under cache_mu_; promoted blocks
-  // that Release does not insert are dropped from the store. `pass` may be
+  // Cache release + KV publication, atomic under cache_mu_. `pass` may be
   // null: releases the acquisition retaining nothing (the failure path).
   // A cold member (no acquisition) releases nothing.
   void PublishKv(PrefixAcq& pa, const PrefillResult* pass);
@@ -578,22 +551,16 @@ class Engine {
   std::shared_ptr<ThreadPool> pool_;  // intra-op workers, shared by the model
   std::unique_ptr<LlamaModel> model_;
   TrackingAllocator cache_memory_;
-  TrackingAllocator offload_memory_;  // the "CPU side" of the offload tier
 
-  // --- Cache tiers, guarded by cache_mu_ ------------------------------
+  // --- Prefix cache, guarded by cache_mu_ -----------------------------
   mutable std::mutex cache_mu_;
   std::unique_ptr<PrefixCache> cache_;
   std::unique_ptr<KvBlockStore> store_;
-  std::unique_ptr<OffloadDirectory> offload_dir_;
-  std::unordered_map<uint64_t, KvBlock> offload_payloads_;
   // In-flight prefix registry: chain hash -> number of dispatched,
   // not-yet-finished members whose budget prefix contains it. Filled by
   // TakeBatchLocked, emptied by ExecuteLaneAndFinalize after publication;
   // PickBatchIds reads it to mark entries blocked.
   std::unordered_map<uint64_t, int32_t> in_flight_blocks_;
-  int64_t offload_hit_tokens_ = 0;
-  int64_t offload_demotions_ = 0;
-  int64_t offload_promotions_ = 0;
 
   // Set once in the constructor and immutable afterwards, so a scheduling
   // decision reads them without mu_. The scheduler points at the estimator.

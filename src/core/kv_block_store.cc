@@ -16,21 +16,6 @@ void KvBlockStore::Put(BlockId block, const KvCacheData& source, int64_t source_
   blocks_[block] = CopyBlockFrom(source, source_start, block_index, block_size_, alloc_);
 }
 
-void KvBlockStore::PutBlock(BlockId block, KvBlock payload) {
-  assert(static_cast<int64_t>(payload.layers.size()) == n_layers_);
-  blocks_[block] = std::move(payload);
-}
-
-KvBlock KvBlockStore::Take(BlockId block) {
-  auto it = blocks_.find(block);
-  if (it == blocks_.end()) {
-    return KvBlock{};
-  }
-  KvBlock payload = std::move(it->second);
-  blocks_.erase(it);
-  return payload;
-}
-
 const KvBlock* KvBlockStore::Find(BlockId block) const {
   auto it = blocks_.find(block);
   return it != blocks_.end() ? &it->second : nullptr;

@@ -6,7 +6,7 @@
 // eviction listener so payloads die with their metadata. A prefix hit is
 // read in place: the engine looks each pinned block up (Find) and hands the
 // pass a KvView of their rows, with no copy; a pinned block is never
-// dropped or taken, so its rows stay put while the pass reads them.
+// dropped, so its rows stay put while the pass reads them.
 #ifndef SRC_CORE_KV_BLOCK_STORE_H_
 #define SRC_CORE_KV_BLOCK_STORE_H_
 
@@ -30,16 +30,9 @@ class KvBlockStore {
   void Put(BlockId block, const KvCacheData& source, int64_t source_start,
            int64_t block_index);
 
-  // Stores an already-materialized block payload (offload-tier promotion).
-  void PutBlock(BlockId block, KvBlock payload);
-
   // The payload of `block`, or null when absent. The pointer stays valid
-  // until the block is dropped or taken.
+  // until the block is dropped.
   const KvBlock* Find(BlockId block) const;
-
-  // Removes and returns the payload (empty KvBlock if absent) — used when a
-  // block is demoted to the offload tier instead of dropped.
-  KvBlock Take(BlockId block);
 
   void Drop(BlockId block);
   bool Contains(BlockId block) const { return blocks_.contains(block); }

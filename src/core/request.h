@@ -48,8 +48,7 @@ struct ScoringResponse {
   double score = 0.0;
 
   int64_t n_input = 0;
-  int64_t n_cached = 0;          // prefix tokens served from any cache tier
-  int64_t n_cached_offload = 0;  // subset reloaded from the CPU offload tier
+  int64_t n_cached = 0;          // prefix tokens served from the prefix cache
   // Requests co-executed in the same stacked prefill batch (ISSUE 4),
   // including this one; 1 = solo execution. Logits never depend on it.
   int64_t batch_size = 1;

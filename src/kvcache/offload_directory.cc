@@ -61,7 +61,6 @@ int64_t OffloadDirectory::MatchContinuation(std::span<const uint64_t> chain,
   // An injected read error makes the offload tier unreadable for this
   // lookup; the caller treats it as a miss and recomputes the blocks.
   if (FaultInjector::Global().Fire(fault::kOffloadRead)) {
-    ++read_misses_;
     return 0;
   }
   const uint64_t stamp = NextStamp();
@@ -74,7 +73,6 @@ int64_t OffloadDirectory::MatchContinuation(std::span<const uint64_t> chain,
     Touch(it, stamp);
     ++matched;
   }
-  ++(matched > 0 ? read_hits_ : read_misses_);
   return matched;
 }
 
@@ -88,15 +86,6 @@ int64_t OffloadDirectory::PeekContinuation(std::span<const uint64_t> chain,
     ++matched;
   }
   return matched;
-}
-
-void OffloadDirectory::Erase(uint64_t hash) {
-  auto it = entries_.find(hash);
-  if (it == entries_.end()) {
-    return;
-  }
-  lru_.erase(it->second.lru_pos);
-  entries_.erase(it);
 }
 
 }  // namespace prefillonly

@@ -3,10 +3,11 @@
 // The paper discards suffix KV because keeping it in GPU memory is what
 // limits the maximum input length; §9 notes the discarded KV could instead
 // be offloaded to CPU memory (LMCache-style) and reloaded later. This
-// directory is the metadata for that tier: chain hashes with LRU stamps
-// under a block budget. Payloads live elsewhere (KvBlockStore for the real
-// engine; nowhere for the simulator, which only needs hit lengths and
-// charges a reload cost per offloaded token).
+// directory is the metadata for that tier in the analytic simulator
+// (src/engine): chain hashes with LRU stamps under a block budget, and no
+// payloads — the simulator only needs hit lengths and charges a reload
+// cost per offloaded token. The real CPU engine keeps one tier
+// (docs/CACHING.md).
 #ifndef SRC_KVCACHE_OFFLOAD_DIRECTORY_H_
 #define SRC_KVCACHE_OFFLOAD_DIRECTORY_H_
 
@@ -27,16 +28,11 @@ class OffloadDirectory {
   int64_t size() const { return static_cast<int64_t>(entries_.size()); }
   int64_t insertions() const { return insertions_; }
   int64_t evictions() const { return evictions_; }
-  // Read-side traffic: MatchContinuation calls that found at least one
-  // block vs. those that found none (including injected read faults).
-  int64_t read_hits() const { return read_hits_; }
-  int64_t read_misses() const { return read_misses_; }
 
   bool Contains(uint64_t hash) const { return entries_.contains(hash); }
 
   // Records `hash` in the tier, evicting the LRU entry if full. Returns the
-  // evicted hash so the payload layer can drop its bytes — nullopt when
-  // nothing was displaced. (0 is a valid chain hash, so "no eviction" must
+  // evicted hash — nullopt when nothing was displaced. (0 is a valid chain hash, so "no eviction" must
   // be distinguishable from "hash 0 evicted".) A zero-capacity directory
   // drops everything.
   std::optional<uint64_t> Insert(uint64_t hash, int64_t depth);
@@ -48,7 +44,6 @@ class OffloadDirectory {
   // Same, without touching LRU stamps (for speculative scheduler probes).
   int64_t PeekContinuation(std::span<const uint64_t> chain, int64_t start_index) const;
 
-  void Erase(uint64_t hash);
   void SetClock(uint64_t now) { clock_ = now; }
 
  private:
@@ -69,8 +64,6 @@ class OffloadDirectory {
   std::list<uint64_t> lru_;
   int64_t insertions_ = 0;
   int64_t evictions_ = 0;
-  int64_t read_hits_ = 0;
-  int64_t read_misses_ = 0;
   uint64_t clock_ = 0;
   uint64_t auto_stamp_ = 0;
 };

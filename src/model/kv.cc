@@ -39,24 +39,6 @@ KvBlock CopyBlockFrom(const KvCacheData& source, int64_t source_start,
   return block;
 }
 
-KvBlock CloneBlock(const KvBlock& block, TrackingAllocator& alloc) {
-  KvBlock out;
-  out.layers.resize(block.layers.size());
-  for (size_t l = 0; l < block.layers.size(); ++l) {
-    out.layers[l].k = Tensor::Uninit(alloc, {block.layers[l].k.rows(),
-                                             block.layers[l].k.cols()},
-                                     "kvblock.k");
-    out.layers[l].v = Tensor::Uninit(alloc, {block.layers[l].v.rows(),
-                                             block.layers[l].v.cols()},
-                                     "kvblock.v");
-    std::memcpy(out.layers[l].k.data(), block.layers[l].k.data(),
-                block.layers[l].k.bytes());
-    std::memcpy(out.layers[l].v.data(), block.layers[l].v.data(),
-                block.layers[l].v.bytes());
-  }
-  return out;
-}
-
 KvView::KvView(const KvCacheData* data) {
   if (data != nullptr && !data->empty()) {
     Append(data->layers);

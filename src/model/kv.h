@@ -40,11 +40,10 @@ KvCacheData SliceKv(const KvCacheData& source, int64_t n_tokens,
                     TrackingAllocator& alloc);
 
 // One block-size chunk of all-layer KV — the payload unit of the prefix
-// cache tiers (GPU-resident KvBlockStore, CPU-resident OffloadStore).
+// cache's KvBlockStore.
 struct KvBlock {
   std::vector<LayerKv> layers;  // each [block_size, kv_width]
 
-  bool empty() const { return layers.empty(); }
   size_t bytes() const {
     size_t total = 0;
     for (const auto& layer : layers) {
@@ -60,10 +59,6 @@ struct KvBlock {
 KvBlock CopyBlockFrom(const KvCacheData& source, int64_t source_start,
                       int64_t block_index, int64_t block_size,
                       TrackingAllocator& alloc);
-
-// Deep copy into a (possibly different) allocator — this is the simulated
-// GPU<->CPU transfer of KV offloading.
-KvBlock CloneBlock(const KvBlock& block, TrackingAllocator& alloc);
 
 // A read-only view of the KV of tokens [0, n_tokens), a cached prefix,
 // where it sits: per layer, the K and V pointers of each segment_rows-row

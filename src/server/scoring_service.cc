@@ -58,7 +58,6 @@ Json ScoringResponseJson(const ScoringResponse& response) {
   out.emplace("probabilities", std::move(probabilities));
   out.emplace("n_input", response.n_input);
   out.emplace("n_cached", response.n_cached);
-  out.emplace("n_cached_offload", response.n_cached_offload);
   out.emplace("batch_size", response.batch_size);
   out.emplace("queue_time_s", response.queue_time_s);
   out.emplace("execute_time_s", response.execute_time_s);

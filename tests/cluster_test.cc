@@ -366,13 +366,6 @@ EngineStats DistinctStats(int64_t unit, int* n_fields) {
   s.cache.evictions = next();
   s.cache.insertions = next();
   s.cache.failed_acquires = next();
-  s.offload_bytes = static_cast<size_t>(next());
-  s.offload_hit_tokens = next();
-  s.offload_demotions = next();
-  s.offload_promotions = next();
-  s.offload_evictions = next();
-  s.offload_read_hits = next();
-  s.offload_read_misses = next();
   *n_fields = bit;
   return s;
 }

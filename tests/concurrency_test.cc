@@ -305,19 +305,18 @@ TEST(ConcurrencyTest, BatchedRuntimeKeepsBitsAndAccounting) {
 // -------------------------------------- Paged prefix reads under churn
 
 TEST(PagedPrefixConcurrencyTest, HitsReadPinnedBlocksWhileTiersChurn) {
-  // A lane reads its prefix hit in place, without cache_mu_: the GPU-tier
-  // blocks it pinned and the offloaded ones it promoted. Meanwhile the
-  // other lanes evict, demote and promote around it: shared profiles make
-  // hits, and each round's unique inserts push a small cache over its
-  // budget. Every response must match a solo cold run bitwise, and the
-  // tiers must balance after the drain.
+  // A lane reads its prefix hit in place, without cache_mu_, from the
+  // blocks it pinned. Meanwhile the other lanes insert and evict around it:
+  // shared profiles make hits, and each round's unique inserts push a small
+  // cache over its budget. Every response must match a solo cold run
+  // bitwise, and the cache must balance after the drain.
   constexpr int kRounds = 3;
   constexpr int kPerRound = 12;
   std::vector<ScoringRequest> requests;
   for (int i = 0; i < kRounds * kPerRound; ++i) {
     std::vector<int32_t> tokens;
     if (i % 3 == 2) {
-      tokens = Tokens(64, 9200 + i);  // unique: evicts, and demotes what it evicts
+      tokens = Tokens(64, 9200 + i);  // unique: evicts
     } else {
       tokens = Tokens(48, 9000 + i % 4);  // one of four shared 3-block profiles
       for (const int32_t t : Tokens(8 + i % 5, 9100 + i)) {
@@ -343,7 +342,6 @@ TEST(PagedPrefixConcurrencyTest, HitsReadPinnedBlocksWhileTiersChurn) {
   // 24 blocks: room for four lanes' pins (at most 4 blocks each) next to
   // about three profiles and one unique prefix.
   options.cache_budget_tokens = 384;
-  options.cpu_offload_budget_tokens = 512;
   Engine engine(options);
   ASSERT_TRUE(engine.StartWorker().ok());
   for (int round = 0; round < kRounds; ++round) {
@@ -366,8 +364,7 @@ TEST(PagedPrefixConcurrencyTest, HitsReadPinnedBlocksWhileTiersChurn) {
       auto response = futures[static_cast<size_t>(i)].get();
       ASSERT_TRUE(response.ok()) << response.status().ToString();
       EXPECT_TRUE(SameBits(response.value().probabilities, cold[static_cast<size_t>(id)]))
-          << "request " << id << " n_cached " << response.value().n_cached << " (offload "
-          << response.value().n_cached_offload << ")";
+          << "request " << id << " n_cached " << response.value().n_cached;
     }
   }
   engine.StopWorker();
@@ -375,9 +372,7 @@ TEST(PagedPrefixConcurrencyTest, HitsReadPinnedBlocksWhileTiersChurn) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.completed, kRounds * kPerRound);
   EXPECT_GT(stats.cache.evictions, 0);
-  EXPECT_GT(stats.offload_demotions, 0);
-  EXPECT_GT(stats.offload_hit_tokens, 0);
-  EXPECT_GT(stats.offload_promotions, 0);
+  EXPECT_GT(stats.cache.hit_tokens, 0);
 }
 
 TEST(PagedPrefixConcurrencyTest, PinnedPoolRunsMembersColdInsteadOfFailing) {

@@ -258,77 +258,6 @@ TEST(EngineTest, LruEvictionAcrossUsers) {
   EXPECT_GT(stats.cache.evictions, 0);
 }
 
-// --------------------------------------------------------- Offload tier
-
-TEST(EngineTest, OffloadRecoversEvictedPrefix) {
-  // With offload enabled, an LRU-evicted profile is demoted to the CPU
-  // tier and reloaded on the next hit instead of being recomputed.
-  EngineOptions options = TinyEngineOptions();
-  options.cache_budget_tokens = 64;        // one profile fits
-  options.cpu_offload_budget_tokens = 256; // plenty of host space
-  Engine engine(options);
-  const auto user_a = Tokens(64, 7);
-  const auto user_b = Tokens(64, 8);
-  ASSERT_TRUE(engine.ScoreSync(YesNoRequest(user_a, 1)).ok());
-  ASSERT_TRUE(engine.ScoreSync(YesNoRequest(user_b, 2)).ok());  // demotes A
-
-  auto again_a = engine.ScoreSync(YesNoRequest(user_a, 1));
-  ASSERT_TRUE(again_a.ok());
-  EXPECT_EQ(again_a.value().n_cached, 48);          // (64-1)/16 blocks
-  EXPECT_GT(again_a.value().n_cached_offload, 0);   // served from CPU tier
-  const auto stats = engine.stats();
-  EXPECT_GT(stats.offload_demotions, 0);
-  EXPECT_GT(stats.offload_hit_tokens, 0);
-  EXPECT_GT(stats.offload_promotions, 0);
-  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
-}
-
-TEST(EngineTest, OffloadHitScoresBitwiseEqualToCold) {
-  const auto query = Tokens(80, 31);
-
-  EngineOptions options = TinyEngineOptions();
-  Engine cold(options);
-  auto cold_score = cold.ScoreSync(YesNoRequest(query));
-  ASSERT_TRUE(cold_score.ok());
-
-  EngineOptions offload = TinyEngineOptions();
-  offload.cache_budget_tokens = 80;
-  offload.cpu_offload_budget_tokens = 512;
-  Engine warm(offload);
-  ASSERT_TRUE(warm.ScoreSync(YesNoRequest(query)).ok());      // fill GPU tier
-  ASSERT_TRUE(warm.ScoreSync(YesNoRequest(Tokens(80, 32))).ok());  // demote
-  auto via_offload = warm.ScoreSync(YesNoRequest(query));
-  ASSERT_TRUE(via_offload.ok());
-  EXPECT_GT(via_offload.value().n_cached_offload, 0);
-  EXPECT_DOUBLE_EQ(via_offload.value().score, cold_score.value().score);
-  EXPECT_TRUE(warm.CheckInvariants().ok()) << warm.CheckInvariants().ToString();
-}
-
-TEST(EngineTest, OffloadDisabledByDefault) {
-  Engine engine(TinyEngineOptions());
-  const auto a = Tokens(64, 7);
-  ASSERT_TRUE(engine.ScoreSync(YesNoRequest(a, 1)).ok());
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.offload_bytes, 0u);
-  EXPECT_EQ(stats.offload_demotions, 0);
-  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
-}
-
-TEST(EngineTest, OffloadMemoryAccountedSeparately) {
-  EngineOptions options = TinyEngineOptions();
-  options.cache_budget_tokens = 32;
-  options.cpu_offload_budget_tokens = 128;
-  Engine engine(options);
-  ASSERT_TRUE(engine.ScoreSync(YesNoRequest(Tokens(48, 41), 1)).ok());
-  ASSERT_TRUE(engine.ScoreSync(YesNoRequest(Tokens(48, 42), 2)).ok());
-  const auto stats = engine.stats();
-  EXPECT_GT(stats.offload_bytes, 0u);
-  // Host tier bounded by its own budget.
-  EXPECT_LE(static_cast<int64_t>(stats.offload_bytes),
-            options.cpu_offload_budget_tokens * options.model.kv_bytes_per_token());
-  EXPECT_TRUE(engine.CheckInvariants().ok()) << engine.CheckInvariants().ToString();
-}
-
 TEST(EngineTest, WarmHitLanePeakIsThePassPeak) {
   // A prefix hit is read in place from the pinned cache blocks, so a warm
   // lane's arena holds exactly what its pass allocates: the lane peak is

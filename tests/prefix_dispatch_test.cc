@@ -328,7 +328,7 @@ TEST(LaneAccountingTest, TotalExecuteCountsABatchOnce) {
 
 // The seeded multi-site schedules of the chaos suite, replayed over
 // shared-profile traffic on two lanes: whatever faults fire (acquisition,
-// arena, offload), every dispatched prefix must leave the registry and the
+// arena, forced miss), every dispatched prefix must leave the registry and the
 // ledger must balance once the runtime drains. A refused acquisition only
 // runs its member cold, so only an arena fault may fail a request.
 void RunSharedProfileSchedule(const std::string& schedule) {
@@ -336,8 +336,7 @@ void RunSharedProfileSchedule(const std::string& schedule) {
   FaultScope scope(schedule);
   EngineOptions options = DispatchOptions();
   options.max_concurrent_requests = 2;
-  options.cache_budget_tokens = 128;        // small: keeps eviction pressure on
-  options.cpu_offload_budget_tokens = 128;  // exercises the offload fault sites
+  options.cache_budget_tokens = 128;  // small: keeps eviction pressure on
   Engine engine(options);
   ASSERT_TRUE(engine.StartWorker().ok());
   std::vector<Engine::ResponseFuture> futures;
@@ -366,8 +365,8 @@ void RunSharedProfileSchedule(const std::string& schedule) {
 TEST(ChaosPrefixDispatchTest, MultiSiteSchedulesDrainTheRegistry) {
   for (const char* schedule :
        {"seed=1;alloc.kv_block=p0.2;cache.force_miss=p0.3",
-        "seed=2;alloc.activation=@3,7;offload.read=p0.5;offload.write=p0.5",
-        "seed=3;alloc.kv_block=n5;cache.force_miss=n2;offload.write=n3"}) {
+        "seed=2;alloc.activation=@3,7",
+        "seed=3;alloc.kv_block=n5;cache.force_miss=n2"}) {
     RunSharedProfileSchedule(schedule);
   }
 }

@@ -1039,9 +1039,7 @@ TEST(ReplicaAdminTest, StatsPayloadKeysArePinned) {
       "cache_lookups", "cancelled", "cancelled_in_flight", "cluster", "completed",
       "deadline_expired",
       "deadline_expired_in_flight", "failed", "faults_injected", "miss_tokens_per_batch",
-      "n_replicas", "offload_bytes", "offload_demotions", "offload_evictions",
-      "offload_hit_tokens", "offload_promotions", "offload_read_hits",
-      "offload_read_misses", "packing_skips", "peak_activation_bytes", "peak_batch_size",
+      "n_replicas", "packing_skips", "peak_activation_bytes", "peak_batch_size",
       "peak_in_flight", "prefix_waits", "replicas", "shed", "submitted",
       "total_execute_s", "watchdog_stalls"};
   EXPECT_EQ(Keys(body), top);
